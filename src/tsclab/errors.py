@@ -27,7 +27,11 @@ class DegenerateVarianceError(ValueError):
 
 
 class TrainingDivergenceError(ArithmeticError):
-    """A gradient or reference loss became NaN; message names the layer."""
+    """A gradient or reference loss became NaN or infinite.
+
+    For a gradient the message names the layer parameter; for the
+    reference loss it names the epoch.
+    """
 
 
 class MissingCellError(ValueError):
@@ -36,6 +40,10 @@ class MissingCellError(ValueError):
 
 class UnsupportedArchitectureError(ValueError):
     """The requested analysis needs a GAP-headed architecture."""
+
+
+class BlobSizeError(ValueError):
+    """A model blob's byte length disagrees with its manifest's shapes."""
 
 
 class NumericError(ArithmeticError):

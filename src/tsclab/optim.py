@@ -99,7 +99,7 @@ ADADELTA_EPS = 1e-8
 
 
 class Optimizer:
-    """Shared NaN guard; concrete rules fill in ``_update``."""
+    """Shared non-finite guard; concrete rules fill in ``_update``."""
 
     def __init__(self):
         self.state: dict = {}
@@ -108,8 +108,8 @@ class Optimizer:
         for name, g in grads.items():
             if not trainable(name):
                 continue
-            if np.isnan(np.asarray(g)).any():
-                raise TrainingDivergenceError(f"NaN gradient in layer parameter {name!r}")
+            if not np.isfinite(np.asarray(g)).all():
+                raise TrainingDivergenceError(f"non-finite gradient in layer parameter {name!r}")
         self._update(params, grads, lr)
 
     def _update(self, params, grads, lr):
@@ -162,10 +162,6 @@ def make_optimizer(kind: str) -> Optimizer:
     if kind not in _OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
     return _OPTIMIZERS[kind]()
-
-
-def optimizer_step(params: dict, grads: dict, optimizer: Optimizer, lr: float) -> None:
-    optimizer.step(params, grads, lr)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +269,8 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             sched.after_step()
 
         ref_loss = evaluate_loss(spec, params, ref_set, config.loss)
-        if math.isnan(ref_loss):
-            raise TrainingDivergenceError(f"reference loss became NaN at epoch {epoch}")
+        if not math.isfinite(ref_loss):
+            raise TrainingDivergenceError(f"reference loss became {ref_loss!r} at epoch {epoch}")
         history.losses.append(ref_loss)
         history.lrs.append(sched.current())
         if log_fn is not None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TimeSeriesDataset, split_train_val
-from .errors import NumericError
+from .errors import BlobSizeError, NumericError
 from .tensor import SplitMix64
 
 # fixed internal stream for the iteration start block; not user-visible
@@ -88,8 +88,8 @@ def spectral_radius(W: np.ndarray, iterations: int = 200, tol: float = 1e-9,
     return rho
 
 
-def init_reservoir(config: ReservoirConfig, dims: int):
-    """Draw (W_in, W); W is rescaled to the requested spectral radius.
+def _draw_reservoir(config: ReservoirConfig, dims: int):
+    """Unscaled draw (W_in, W, rho(W)); the radius and penalty play no part.
 
     An all-zero draw (possible at extreme sparsity) is retried on a fresh
     seed substream up to 5 times before raising.
@@ -104,11 +104,17 @@ def init_reservoir(config: ReservoirConfig, dims: int):
         W = np.where(keep, values, 0.0)
         rho = spectral_radius(W)
         if rho > 1e-12:
-            return W_in, W * (config.spectral_radius / rho)
+            return W_in, W, rho
     raise NumericError(
         f"reservoir draw has zero spectral radius after 5 attempts "
         f"(size={n}, sparsity={config.sparsity})"
     )
+
+
+def init_reservoir(config: ReservoirConfig, dims: int):
+    """Draw (W_in, W); W is rescaled to the requested spectral radius."""
+    W_in, W, rho = _draw_reservoir(config, dims)
+    return W_in, W * (config.spectral_radius / rho)
 
 
 def reservoir_states_batch(W_in: np.ndarray, W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -128,23 +134,30 @@ def reservoir_states(W_in: np.ndarray, W: np.ndarray, series: np.ndarray) -> np.
     return reservoir_states_batch(W_in, W, series[None, :, :])[0]
 
 
-def fit_ridge(features: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
+def fit_ridge(features: np.ndarray, targets: np.ndarray, lam) -> np.ndarray:
     """Closed-form ridge readout: W_out^T = (A^T A + lam I)^-1 A^T Y.
 
     Solved with a Cholesky factorization of the regularized Gram matrix;
-    the intercept column is regularized like every other feature.
+    the intercept column is regularized like every other feature.  ``lam``
+    may be a 1-D sequence of penalties: A^T A and A^T Y are then formed
+    once and the readouts come back stacked [L, K, F], each bit-identical
+    to a call with that penalty alone.
     """
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError(f"features must be [n, F] with n >= 1, got {features.shape}")
-    if lam <= 0:
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or lams.size < 1 or not np.all(lams > 0):
         raise ValueError(f"ridge lambda must be positive, got {lam}")
     F = features.shape[1]
-    gram = features.T @ features + lam * np.eye(F)
+    gram = features.T @ features
     rhs = features.T @ targets
-    chol = np.linalg.cholesky(gram)
-    half = np.linalg.solve(chol, rhs)
-    w_t = np.linalg.solve(chol.T, half)
-    return w_t.T
+    solved = []
+    for penalty in lams.reshape(-1):
+        chol = np.linalg.cholesky(gram + penalty * np.eye(F))
+        half = np.linalg.solve(chol, rhs)
+        solved.append(np.linalg.solve(chol.T, half))
+    # transposed views, so every readout has the memory layout of a lone call
+    return np.stack(solved).transpose(0, 2, 1) if lams.ndim else solved[0].T
 
 
 def _design(X: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -154,26 +167,33 @@ def _design(X: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, X, states], axis=2).reshape(n_series * T, 1 + m + states.shape[2])
 
 
-def twiesn_train_single(config: ReservoirConfig, data: TimeSeriesDataset) -> TwiesnModel:
-    """Fit the readout for one configuration on the full given data."""
-    W_in, W = init_reservoir(config, data.dims)
+def _fit_readouts(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset, lam) -> np.ndarray:
+    # one state pass and Gram matrix, solved for a penalty or a sequence of them
     states = reservoir_states_batch(W_in, W, data.X)
     rows = _design(data.X, states)
     targets = np.repeat(data.Y, data.length, axis=0)
-    W_out = fit_ridge(rows, targets, config.ridge_lambda)
-    return TwiesnModel(config, W_in, W, W_out)
+    return fit_ridge(rows, targets, lam)
+
+
+def twiesn_train_single(config: ReservoirConfig, data: TimeSeriesDataset) -> TwiesnModel:
+    """Fit the readout for one configuration on the full given data."""
+    W_in, W = init_reservoir(config, data.dims)
+    return TwiesnModel(config, W_in, W, _fit_readouts(W_in, W, data, config.ridge_lambda))
+
+
+def _row_posteriors(rows: np.ndarray, W_out: np.ndarray, n_series: int) -> np.ndarray:
+    # softmax of each design row's scores, averaged over each series' steps
+    scores = rows @ W_out.T
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    posterior = e / e.sum(axis=1, keepdims=True)
+    return posterior.reshape(n_series, -1, posterior.shape[1]).mean(axis=1)
 
 
 def twiesn_posteriors(model: TwiesnModel, X: np.ndarray) -> np.ndarray:
     """Averaged per-step softmax posterior for a [N, T, M] batch."""
     states = reservoir_states_batch(model.W_in, model.W, X)
-    n_series, T, _ = X.shape
-    rows = _design(X, states)
-    scores = rows @ model.W_out.T
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    posterior = e / e.sum(axis=1, keepdims=True)
-    return posterior.reshape(n_series, T, -1).mean(axis=1)
+    return _row_posteriors(_design(X, states), model.W_out, X.shape[0])
 
 
 def twiesn_predict(model: TwiesnModel, series: np.ndarray):
@@ -188,6 +208,42 @@ def twiesn_predict_dataset(model: TwiesnModel, dataset: TimeSeriesDataset) -> np
 
 def twiesn_accuracy(model: TwiesnModel, dataset: TimeSeriesDataset) -> float:
     return float((twiesn_predict_dataset(model, dataset) == dataset.labels()).mean())
+
+
+def _readout_accuracies(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset,
+                        readouts) -> list[float]:
+    # accuracy of each readout over one shared state pass
+    states = reservoir_states_batch(W_in, W, data.X)
+    rows = _design(data.X, states)
+    labels = data.labels()
+    return [float((_row_posteriors(rows, W_out, data.n).argmax(axis=1) == labels).mean())
+            for W_out in readouts]
+
+
+def _grid_accuracies(grid: list[ReservoirConfig], fit_part: TimeSeriesDataset,
+                     val_part: TimeSeriesDataset) -> list[float]:
+    """Validation accuracy of each grid entry, doing shared work once.
+
+    Entries that differ only in spectral radius and ridge penalty share one
+    reservoir draw and its power iteration; entries that differ only in the
+    penalty also share the state passes, the design rows and the Gram
+    matrix.  Each accuracy is bit-identical to fitting its entry alone with
+    ``twiesn_train_single`` and scoring it with ``twiesn_accuracy``.
+    """
+    draws: dict[tuple, dict[float, list[int]]] = {}
+    for i, c in enumerate(grid):
+        key = (c.size, c.sparsity, c.input_scale, c.seed)
+        draws.setdefault(key, {}).setdefault(c.spectral_radius, []).append(i)
+    accuracies = [0.0] * len(grid)
+    for by_radius in draws.values():
+        first = grid[next(iter(by_radius.values()))[0]]
+        W_in, W_raw, rho = _draw_reservoir(first, fit_part.dims)
+        for radius, members in by_radius.items():
+            W = W_raw * (radius / rho)
+            readouts = _fit_readouts(W_in, W, fit_part, [grid[i].ridge_lambda for i in members])
+            for i, acc in zip(members, _readout_accuracies(W_in, W, val_part, readouts)):
+                accuracies[i] = acc
+    return accuracies
 
 
 def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig] | None = None,
@@ -206,15 +262,9 @@ def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig] | None = Non
     if split_seed is None:
         split_seed = grid[0].seed
     fit_part, val_part = split_train_val(data, 0.2, split_seed)
-    best = None
-    best_acc = -1.0
-    for config in grid:
-        model = twiesn_train_single(config, fit_part)
-        acc = twiesn_accuracy(model, val_part)
-        if acc > best_acc:
-            best_acc = acc
-            best = config
-    return twiesn_train_single(best, data)
+    accuracies = _grid_accuracies(grid, fit_part, val_part)
+    best = max(range(len(grid)), key=accuracies.__getitem__)  # first of equals
+    return twiesn_train_single(grid[best], data)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +317,13 @@ def load_twiesn(manifest_path) -> TwiesnModel:
         ridge_lambda=float(fields["ridge_lambda"]),
         seed=int(fields["seed"]),
     )
-    raw = np.frombuffer((manifest_path.parent / fields["blob"]).read_bytes(), dtype="<f8")
+    blob = (manifest_path.parent / fields["blob"]).read_bytes()
+    expected = 8 * sum(int(np.prod(shape)) for _, shape in param_spec)
+    if len(blob) != expected:
+        raise BlobSizeError(
+            f"blob {fields['blob']} has {len(blob)} bytes; manifest shapes need {expected}"
+        )
+    raw = np.frombuffer(blob, dtype="<f8")
     tensors = {}
     at = 0
     for name, shape in param_spec:

@@ -169,6 +169,35 @@ class TestTrainCommand:
         ])
         assert code == 2
 
+    def test_infinite_gradient_exits_3_naming_the_parameter(self, tmp_path, monkeypatch, capsys):
+        train, test = write_ucr_pair(tmp_path)
+        original = O.backward_batch
+        poisoned = []
+
+        def backward_with_inf(*args):
+            gx, grads = original(*args)
+            name = next(k for k in grads if M.trainable(k))
+            poisoned.append(name)
+            return gx, {**grads, name: grads[name] + np.inf}
+
+        monkeypatch.setattr(O, "backward_batch", backward_with_inf)
+        code = run([
+            "train", "--arch", "mlp", "--train", train, "--test", test,
+            "--runs", "1", "--epochs", "1", "--out", tmp_path / "out",
+        ])
+        assert code == 3
+        assert f"non-finite gradient in layer parameter {poisoned[0]!r}" in capsys.readouterr().err
+
+    def test_infinite_reference_loss_exits_3(self, tmp_path, monkeypatch, capsys):
+        train, test = write_ucr_pair(tmp_path)
+        monkeypatch.setattr(O, "evaluate_loss", lambda *args: np.inf)
+        code = run([
+            "train", "--arch", "mlp", "--train", train, "--test", test,
+            "--runs", "1", "--epochs", "1", "--out", tmp_path / "out",
+        ])
+        assert code == 3
+        assert "reference loss became inf at epoch 1" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self):
         assert run(["train", "--arch", "bogus"]) == 1
 

@@ -35,6 +35,13 @@ class TestOptimizers:
         with pytest.raises(TrainingDivergenceError, match="3.w"):
             O.make_optimizer("adam").step(params, {"3.w": np.array([np.nan])}, 0.1)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_gradient_raises_naming_the_layer(self, bad):
+        params = {"3.w": np.array([1.0, 2.0])}
+        with pytest.raises(TrainingDivergenceError, match="3.w"):
+            O.make_optimizer("adam").step(params, {"3.w": np.array([0.5, bad])}, 0.1)
+        assert np.array_equal(params["3.w"], [1.0, 2.0])
+
     def test_running_stats_not_touched_by_optimizer(self):
         params = {"1.running_mean": np.array([5.0]), "1.gamma": np.array([1.0])}
         grads = {"1.running_mean": np.array([100.0]), "1.gamma": np.array([1.0])}
@@ -201,6 +208,13 @@ class TestTrain:
         ds = toy_dataset(n=4, T=20, seed=6)
         with pytest.raises(Exception):
             O.train(M.build_fcn(16, 1, 2), ds, small_config())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reference_loss_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(O, "evaluate_loss", lambda *args: bad)
+        ds = toy_dataset(n=8, T=16, seed=1)
+        with pytest.raises(TrainingDivergenceError, match="epoch 1"):
+            O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=2))
 
     def test_epoch_log_lines(self):
         ds = toy_dataset(n=6, T=16, seed=7)

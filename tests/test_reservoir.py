@@ -3,8 +3,8 @@ import pytest
 
 from conftest import random_batch
 from tsclab import reservoir as R
-from tsclab.data import TimeSeriesDataset, one_hot
-from tsclab.errors import NumericError
+from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
+from tsclab.errors import BlobSizeError, NumericError
 from tsclab.tensor import SplitMix64
 
 
@@ -151,6 +151,21 @@ class TestRidge:
     def test_invalid_lambda(self):
         with pytest.raises(ValueError):
             R.fit_ridge(np.ones((3, 2)), np.ones((3, 1)), 0.0)
+        with pytest.raises(ValueError):
+            R.fit_ridge(np.ones((3, 2)), np.ones((3, 1)), [0.1, -1.0])
+        with pytest.raises(ValueError):
+            R.fit_ridge(np.ones((3, 2)), np.ones((3, 1)), [])
+
+    def test_penalty_sequence_matches_lone_calls_bitwise(self):
+        A = random_batch((40, 9), seed=10)
+        Y = random_batch((40, 3), seed=11)
+        lams = [1.0, 0.01, 0.37]
+        stacked = R.fit_ridge(A, Y, lams)
+        assert stacked.shape == (3, 3, 9)
+        for lam, W in zip(lams, stacked):
+            lone = R.fit_ridge(A, Y, lam)
+            assert W.tobytes() == lone.tobytes()
+            assert W.strides == lone.strides
 
 
 class TestTwiesn:
@@ -226,7 +241,6 @@ class TestTwiesn:
         grid = [
             R.ReservoirConfig(16, 0.5, rho, 1.0, 0.1, seed=1) for rho in (0.25, 0.9)
         ]
-        from tsclab.data import split_train_val
         fit_part, val_part = split_train_val(ds, 0.2, 1)
         accs = [
             R.twiesn_accuracy(R.twiesn_train_single(c, fit_part), val_part)
@@ -235,6 +249,44 @@ class TestTwiesn:
         model = R.twiesn_fit(ds, grid)
         chosen = grid[int(np.argmax(accs))]
         assert model.config == chosen
+
+    def test_scrambled_grid_matches_per_config_reference(self):
+        ds = sign_of_mean_dataset(n=40, T=12, seed=3, margin=0.1)
+        ordered = [
+            R.ReservoirConfig(size, sparsity, rho, 1.0, lam, seed=2)
+            for size in (8, 16)
+            for sparsity in (0.5, 0.8)
+            for rho in (0.25, 0.9)
+            for lam in (0.01, 10.0)
+        ]
+        # sizes, radii and penalties interleaved
+        grid = [ordered[i] for i in np.random.default_rng(0).permutation(len(ordered))]
+        fit_part, val_part = split_train_val(ds, 0.2, 2)
+        accs = [
+            R.twiesn_accuracy(R.twiesn_train_single(c, fit_part), val_part) for c in grid
+        ]
+        best = accs.index(max(accs))
+        assert accs.count(max(accs)) > 1 and best > 0 and min(accs) < max(accs)
+        assert R._grid_accuracies(grid, fit_part, val_part) == accs
+        model = R.twiesn_fit(ds, grid, split_seed=2)
+        reference = R.twiesn_train_single(grid[best], ds)
+        assert model.config == reference.config
+        for name in ("W_in", "W", "W_out"):
+            assert getattr(model, name).tobytes() == getattr(reference, name).tobytes()
+
+    def test_default_grid_draws_and_passes_once_per_group(self, monkeypatch):
+        calls = {"spectral_radius": 0, "reservoir_states_batch": 0}
+        for name in calls:
+            original = getattr(R, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(R, name, counted)
+        R.twiesn_fit(sign_of_mean_dataset(n=20, T=8), R.default_grid(0))
+        # 12 draws + the refit; 48 (draw, radius) groups x (fit, val) + the refit
+        assert calls == {"spectral_radius": 13, "reservoir_states_batch": 97}
 
     def test_serialization_round_trip(self, tmp_path):
         ds = sign_of_mean_dataset(n=10)
@@ -256,3 +308,17 @@ class TestTwiesn:
         assert len(grid) == 4 * 3 * 4 * 3
         assert grid[0].seed == 3
         assert {c.size for c in grid} == {32, 64, 128, 256}
+
+    @pytest.mark.parametrize("change", ["truncate", "extend"])
+    def test_blob_size_mismatch_is_rejected(self, tmp_path, change):
+        ds = sign_of_mean_dataset(n=10)
+        config = R.ReservoirConfig(size=12, sparsity=0.5, spectral_radius=0.9, seed=8)
+        R.save_twiesn(R.twiesn_train_single(config, ds), tmp_path / "m.model")
+        blob = tmp_path / "m.model.bin"
+        raw = blob.read_bytes()
+        expected = 8 * (12 * 1 + 12 * 12 + 2 * (1 + 1 + 12))
+        assert len(raw) == expected
+        raw = raw[:-8] if change == "truncate" else raw + bytes(64)
+        blob.write_bytes(raw)
+        with pytest.raises(BlobSizeError, match=f"{len(raw)} bytes.*need {expected}"):
+            R.load_twiesn(tmp_path / "m.model")
