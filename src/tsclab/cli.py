@@ -85,16 +85,13 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # training harness
 
-def _twiesn_train_loss(model: R.TwiesnModel, dataset: D.TimeSeriesDataset) -> float:
-    posterior = R.twiesn_posteriors(model, dataset.X)
-    loss, _ = cross_entropy_loss(posterior, dataset.Y)
-    return loss
-
-
 def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
                      test_ds: D.TimeSeriesDataset, seed: int,
                      overrides: dict | None = None, log_fn=None):
     """One seeded run of one architecture; returns (saveable model, accuracy, loss).
+
+    The loss is the monitored loss of the returned epoch (see ``optim.train``);
+    for twiesn it is the cross entropy of the training set's posteriors.
 
     The sliced architectures (mcnn, tlenet) are trained on their augmented
     slice pools and evaluated by majority vote; mcnn grid-searches its
@@ -106,7 +103,8 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
     if arch == "twiesn":
         model = R.twiesn_fit(train_ds, R.default_grid(seed), split_seed=seed)
         acc = R.twiesn_accuracy(model, test_ds)
-        return model, acc, _twiesn_train_loss(model, train_ds)
+        loss, _ = cross_entropy_loss(model.fit_posterior, train_ds.Y)
+        return model, acc, loss
 
     config = O.default_config(arch, seed)
     for key in ("epochs", "batch_size", "learning_rate"):

@@ -27,10 +27,10 @@ class DegenerateVarianceError(ValueError):
 
 
 class TrainingDivergenceError(ArithmeticError):
-    """A gradient or reference loss became NaN or infinite.
+    """A gradient or the monitored (reference) loss became NaN or infinite.
 
     For a gradient the message names the layer parameter; for the
-    reference loss it names the epoch.
+    monitored loss it names the epoch.
     """
 
 

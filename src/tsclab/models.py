@@ -17,7 +17,7 @@ import numpy as np
 
 from . import layers as L
 from .data import SlicingConfig, TimeSeriesDataset, slice_starts
-from .errors import ShapeError, UnsupportedArchitectureError
+from .errors import BlobSizeError, ShapeError, UnsupportedArchitectureError
 from .tensor import SplitMix64, glorot_uniform
 
 ARCHITECTURES = (
@@ -833,16 +833,21 @@ def predict(model: TrainedModel, dataset: TimeSeriesDataset,
             y = forward(model, dataset.X[lo : lo + batch_size])
             out[lo : lo + batch_size] = y.argmax(axis=1)
         return out
-    length = spec.input_length
-    stride = spec.slicing.stride
-    T = dataset.X.shape[1]
-    starts = slice_starts(T, length, stride)
-    labels = np.empty(dataset.X.shape[0], dtype=np.int64)
-    for i in range(dataset.X.shape[0]):
-        slices = np.stack([dataset.X[i, s : s + length, :] for s in starts])
-        y = forward(model, slices)
-        labels[i] = majority_vote(y.argmax(axis=1), spec.classes)
-    return labels
+    # every slice of every series, parent-major, forwarded batch_size at a time
+    n = dataset.X.shape[0]
+    starts = np.asarray(slice_starts(dataset.X.shape[1], spec.input_length,
+                                     spec.slicing.stride))
+    windows = starts[:, None] + np.arange(spec.input_length)  # [S, L]
+    parents = np.repeat(np.arange(n), len(starts))
+    slice_labels = np.empty(parents.size, dtype=np.int64)
+    for lo in range(0, parents.size, batch_size):
+        flat = np.arange(lo, min(lo + batch_size, parents.size))
+        slices = dataset.X[parents[flat, None], windows[flat % len(starts)]]
+        slice_labels[lo : lo + batch_size] = forward(model, slices).argmax(axis=1)
+    # per-series vote counts; argmax takes the lowest class among equals
+    votes = np.bincount(parents * spec.classes + slice_labels,
+                        minlength=n * spec.classes).reshape(n, spec.classes)
+    return votes.argmax(axis=1)
 
 
 def accuracy(model: TrainedModel, dataset: TimeSeriesDataset) -> float:
@@ -945,16 +950,19 @@ def load_model(manifest_path) -> TrainedModel:
         **options,
     )
     spec.slicing = slicing
-    blob_path = manifest_path.parent / fields["blob"]
-    raw = np.frombuffer(blob_path.read_bytes(), dtype="<f8")
+    blob = (manifest_path.parent / fields["blob"]).read_bytes()
+    expected = 8 * sum(int(np.prod(shape)) for _, shape in param_spec)
+    if len(blob) != expected:
+        raise BlobSizeError(
+            f"blob {fields['blob']} has {len(blob)} bytes; manifest shapes need {expected}"
+        )
+    raw = np.frombuffer(blob, dtype="<f8")
     params: dict = {}
     at = 0
     for name, shape in param_spec:
-        n = int(np.prod(shape)) if shape else 1
+        n = int(np.prod(shape))
         params[name] = raw[at : at + n].reshape(shape).copy()
         at += n
-    if at != raw.size:
-        raise ValueError(f"blob size {raw.size} does not match manifest ({at} values)")
     return TrainedModel(
         spec,
         params,

@@ -2,8 +2,11 @@
 
 Per-architecture defaults mirror the published optimization table: the
 algorithm, epoch count, batch size, initial learning rate, decay, and the
-checkpoint reference set (train loss or a stratified validation split).
-The parameters of the epoch with the lowest reference loss are returned.
+validation mode that picks the monitored loss.  With ``"train"`` it is the
+epoch's train-mode loss: the mean of the batch losses the optimizer steps
+on, weighted by batch size (Keras' ``loss``).  With ``"split"`` it is the
+infer-mode loss on a held-out stratified split (Keras' ``val_loss``).  The
+parameters of the epoch with the lowest monitored loss are returned.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    losses: list = field(default_factory=list)  # reference loss per epoch
+    losses: list = field(default_factory=list)  # monitored loss per epoch
     lrs: list = field(default_factory=list)
     best_epoch: int = 0  # 1-based
 
@@ -171,7 +174,7 @@ class LrSchedule:
     """Time decay lr0/(1 + decay*updates), composed with plateau halving.
 
     The plateau rule multiplies the base rate by ``factor`` whenever the
-    reference loss has not improved for ``patience`` consecutive epochs,
+    monitored loss has not improved for ``patience`` consecutive epochs,
     never dropping below ``min_lr``.
     """
 
@@ -191,11 +194,11 @@ class LrSchedule:
     def after_step(self) -> None:
         self.updates += 1
 
-    def after_epoch(self, reference_loss: float) -> None:
+    def after_epoch(self, monitored_loss: float) -> None:
         if self.plateau is None:
             return
-        if reference_loss < self.best:
-            self.best = reference_loss
+        if monitored_loss < self.best:
+            self.best = monitored_loss
             self.wait = 0
             return
         self.wait += 1
@@ -223,8 +226,12 @@ def evaluate_loss(spec: ModelSpec, params: dict, dataset: TimeSeriesDataset,
 
 def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
           log_fn=None):
-    """Train ``spec`` on ``data``; returns the best-reference-loss checkpoint.
+    """Train ``spec`` on ``data``; returns the lowest-monitored-loss checkpoint.
 
+    The monitored loss of an epoch is, for ``validation="train"``, the mean
+    train-mode loss of its batches weighted by batch size, and for
+    ``validation="split"`` the infer-mode loss on the held-out split.  It
+    drives the checkpoint, the plateau schedule and the non-finite guard.
     Fully deterministic for a fixed config seed: Glorot initialization,
     epoch shuffles, and dropout masks all consume one SplitMix64 stream.
     ``log_fn``, when given, receives one ``"epoch,loss,lr"`` line per epoch.
@@ -241,11 +248,11 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     params = init_model(spec, rng)
 
     if config.validation == "split":
-        train_set, ref_set = split_train_val(data, config.split_fraction, config.seed)
-        if ref_set.n == 0 or train_set.n == 0:
+        train_set, val_set = split_train_val(data, config.split_fraction, config.seed)
+        if val_set.n == 0 or train_set.n == 0:
             raise ValueError("validation split produced an empty subset")
     else:
-        train_set = ref_set = data
+        train_set, val_set = data, None
 
     loss_fn = LOSSES[config.loss]
     optimizer = make_optimizer(config.optimizer)
@@ -258,17 +265,22 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     order = list(range(train_set.n))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
+        total = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
             x = train_set.X[batch]
             y = train_set.Y[batch]
             pred, caches = forward_batch(spec, params, x, "train", rng)
-            _, gpred = loss_fn(pred, y)
+            loss, gpred = loss_fn(pred, y)
+            total += loss * len(batch)
             _, grads = backward_batch(spec, params, caches, gpred)
             optimizer.step(params, grads, sched.current())
             sched.after_step()
 
-        ref_loss = evaluate_loss(spec, params, ref_set, config.loss)
+        if val_set is not None:
+            ref_loss = evaluate_loss(spec, params, val_set, config.loss)
+        else:
+            ref_loss = total / train_set.n
         if not math.isfinite(ref_loss):
             raise TrainingDivergenceError(f"reference loss became {ref_loss!r} at epoch {epoch}")
         history.losses.append(ref_loss)

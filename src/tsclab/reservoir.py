@@ -9,7 +9,7 @@ ridge penalty are grid-searched on a stratified held-out split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,9 @@ class TwiesnModel:
     W_in: np.ndarray   # [N_r, M]
     W: np.ndarray      # [N_r, N_r]
     W_out: np.ndarray  # [K, 1 + M + N_r]
+    # [N, K] averaged posterior of the series the readout was fitted on; a
+    # fit sets it from the fit's own state pass, a loaded model has none
+    fit_posterior: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def default_grid(seed: int = 0) -> list[ReservoirConfig]:
@@ -167,18 +170,20 @@ def _design(X: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, X, states], axis=2).reshape(n_series * T, 1 + m + states.shape[2])
 
 
-def _fit_readouts(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset, lam) -> np.ndarray:
-    # one state pass and Gram matrix, solved for a penalty or a sequence of them
+def _fit_readouts(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset, lam):
+    # one state pass and Gram matrix, solved for a penalty or a sequence of
+    # them; the design rows come back too, for scoring the fit set
     states = reservoir_states_batch(W_in, W, data.X)
     rows = _design(data.X, states)
     targets = np.repeat(data.Y, data.length, axis=0)
-    return fit_ridge(rows, targets, lam)
+    return fit_ridge(rows, targets, lam), rows
 
 
 def twiesn_train_single(config: ReservoirConfig, data: TimeSeriesDataset) -> TwiesnModel:
     """Fit the readout for one configuration on the full given data."""
     W_in, W = init_reservoir(config, data.dims)
-    return TwiesnModel(config, W_in, W, _fit_readouts(W_in, W, data, config.ridge_lambda))
+    W_out, rows = _fit_readouts(W_in, W, data, config.ridge_lambda)
+    return TwiesnModel(config, W_in, W, W_out, _row_posteriors(rows, W_out, data.n))
 
 
 def _row_posteriors(rows: np.ndarray, W_out: np.ndarray, n_series: int) -> np.ndarray:
@@ -240,7 +245,8 @@ def _grid_accuracies(grid: list[ReservoirConfig], fit_part: TimeSeriesDataset,
         W_in, W_raw, rho = _draw_reservoir(first, fit_part.dims)
         for radius, members in by_radius.items():
             W = W_raw * (radius / rho)
-            readouts = _fit_readouts(W_in, W, fit_part, [grid[i].ridge_lambda for i in members])
+            readouts, _ = _fit_readouts(W_in, W, fit_part,
+                                        [grid[i].ridge_lambda for i in members])
             for i, acc in zip(members, _readout_accuracies(W_in, W, val_part, readouts)):
                 accuracies[i] = acc
     return accuracies

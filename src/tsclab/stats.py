@@ -37,7 +37,7 @@ class RunRecord:
     architecture: str
     seed: int
     accuracy: float
-    loss: float
+    loss: float  # monitored loss of the returned model's epoch
     train_seconds: float
 
     def __post_init__(self):

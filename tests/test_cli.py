@@ -189,10 +189,24 @@ class TestTrainCommand:
         assert f"non-finite gradient in layer parameter {poisoned[0]!r}" in capsys.readouterr().err
 
     def test_infinite_reference_loss_exits_3(self, tmp_path, monkeypatch, capsys):
+        # mlp monitors its train-mode batch losses: poison those
+        train, test = write_ucr_pair(tmp_path)
+        original = O.LOSSES["cross_entropy"]
+        monkeypatch.setitem(O.LOSSES, "cross_entropy",
+                            lambda pred, target: (np.inf, original(pred, target)[1]))
+        code = run([
+            "train", "--arch", "mlp", "--train", train, "--test", test,
+            "--runs", "1", "--epochs", "1", "--out", tmp_path / "out",
+        ])
+        assert code == 3
+        assert "reference loss became inf at epoch 1" in capsys.readouterr().err
+
+    def test_infinite_split_reference_loss_exits_3(self, tmp_path, monkeypatch, capsys):
+        # mcdcnn monitors the infer-mode loss of its held-out split
         train, test = write_ucr_pair(tmp_path)
         monkeypatch.setattr(O, "evaluate_loss", lambda *args: np.inf)
         code = run([
-            "train", "--arch", "mlp", "--train", train, "--test", test,
+            "train", "--arch", "mcdcnn", "--train", train, "--test", test,
             "--runs", "1", "--epochs", "1", "--out", tmp_path / "out",
         ])
         assert code == 3
@@ -220,6 +234,25 @@ class TestTrainCommand:
         rows = S.load_runs(out / "results.csv")
         assert rows[0].architecture == "twiesn"
         assert (out / "Synth_twiesn_seed1.model").exists()
+
+    def test_twiesn_run_reuses_the_refit_state_pass(self, tmp_path, monkeypatch):
+        from tsclab import data as D
+        from tsclab import reservoir as R
+        from tsclab.layers import cross_entropy_loss
+        train_ds, test_ds = D.load_pair(*write_ucr_pair(tmp_path, n=10, T=8))
+        calls = []
+        original = R.reservoir_states_batch
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(R, "reservoir_states_batch", counted)
+        model, _, loss = cli.train_single_run("twiesn", train_ds, test_ds, 0)
+        # 97 in the grid search and its refit, 1 for the test accuracy
+        assert len(calls) == 98
+        posterior = R.twiesn_posteriors(model, train_ds.X)
+        assert loss == cross_entropy_loss(posterior, train_ds.Y)[0]
 
 
 class TestCompareCommand:

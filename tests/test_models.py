@@ -4,8 +4,8 @@ import pytest
 from conftest import random_batch, toy_dataset
 from tsclab import layers as L
 from tsclab import models as M
-from tsclab.data import SlicingConfig
-from tsclab.errors import ShapeError, UnsupportedArchitectureError
+from tsclab.data import SlicingConfig, slice_starts
+from tsclab.errors import BlobSizeError, ShapeError, UnsupportedArchitectureError
 from tsclab.tensor import SplitMix64
 
 
@@ -335,6 +335,24 @@ class TestPredict:
             votes = M.forward(model, slices).argmax(axis=1)
             assert labels[i] == M.majority_vote(votes, 2)
 
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    def test_batched_votes_match_per_series_vote(self, batch_size):
+        # chunks of 7 slices straddle series boundaries (8 slices a series);
+        # this init gives every class a win and two 3-3-2 ties
+        spec, params = build_and_init("tlenet", 12, 1, 3, seed=11)
+        spec.slicing = SlicingConfig(0.6, 2, (1.0,))
+        model = M.TrainedModel(spec, params)
+        ds = toy_dataset(n=9, T=26, K=3, seed=8)
+        starts = slice_starts(26, 12, 2)
+        assert len(starts) == 8
+        votes = [M.forward(model, np.stack([ds.X[i, s : s + 12, :] for s in starts]))
+                 .argmax(axis=1) for i in range(ds.n)]
+        counts = [sorted(np.bincount(v, minlength=3)) for v in votes]
+        assert sum(c[-1] == c[-2] for c in counts) == 2
+        expected = [M.majority_vote(v, 3) for v in votes]
+        assert set(expected) == {0, 1, 2}
+        assert M.predict(model, ds, batch_size=batch_size).tolist() == expected
+
     def test_single_slice_vote_equals_direct_prediction(self):
         spec, params = build_and_init("tlenet", 16, 1, 2, seed=5)
         ds = toy_dataset(n=4, T=16, K=2, seed=6)
@@ -392,6 +410,20 @@ class TestSerialization:
             np.ascontiguousarray(v, dtype="<f8").tobytes() for v in params.values()
         )
         assert raw == expected
+
+    @pytest.mark.parametrize("change", ["cut", "extend"])
+    def test_blob_size_mismatch_raises(self, tmp_path, change):
+        spec, params = build_and_init("mlp", 4, 1, 2)
+        M.save_model(M.TrainedModel(spec, params), tmp_path / "m.model")
+        blob = tmp_path / "m.model.bin"
+        raw = blob.read_bytes()
+        expected = 8 * sum(v.size for v in params.values())
+        assert len(raw) == expected
+        raw = raw[:-3] if change == "cut" else raw + bytes(64)
+        blob.write_bytes(raw)
+        with pytest.raises(BlobSizeError,
+                           match=f"m.model.bin has {len(raw)} bytes.*need {expected}"):
+            M.load_model(tmp_path / "m.model")
 
 
 class TestGapHead:

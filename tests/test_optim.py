@@ -179,11 +179,54 @@ class TestTrain:
         assert model.best_epoch == history.best_epoch
 
     def test_checkpoint_restoration_reproduces_best_loss(self):
+        # the checkpoint is the state after best_epoch epochs: a run cut
+        # there ends on it, having seen the same batches and dropout masks
         ds = toy_dataset(n=10, T=16, seed=3)
-        spec = M.build_fcn(16, 1, 2)
-        model, history = O.train(spec, ds, small_config(epochs=8, seed=4))
-        reproduced = O.evaluate_loss(model.spec, model.params, ds, "cross_entropy")
-        assert abs(reproduced - min(history.losses)) < 1e-9
+        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=8, seed=3))
+        assert history.best_epoch < 8
+        cut, cut_history = O.train(M.build_fcn(16, 1, 2), ds,
+                                   small_config(epochs=history.best_epoch, seed=3))
+        assert cut_history.losses == history.losses[: history.best_epoch]
+        assert cut.best_epoch == history.best_epoch
+        for name in model.params:
+            assert cut.params[name].tobytes() == model.params[name].tobytes()
+
+    def test_monitored_loss_is_the_size_weighted_batch_mean(self, monkeypatch):
+        # 10 series at batch 4: batches of 4, 4 and 2 per epoch
+        seen = []
+        original = O.LOSSES["cross_entropy"]
+
+        def spy(pred, target):
+            loss, grad = original(pred, target)
+            seen.append((loss, pred.shape[0]))
+            return loss, grad
+
+        monkeypatch.setitem(O.LOSSES, "cross_entropy", spy)
+        ds = toy_dataset(n=10, T=16, seed=3)
+        _, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=3, seed=2))
+        assert [size for _, size in seen] == [4, 4, 2] * 3
+        for epoch, recorded in enumerate(history.losses):
+            total = 0.0
+            for loss, size in seen[3 * epoch : 3 * epoch + 3]:
+                total += loss * size
+            assert recorded == total / 10
+
+    @pytest.mark.parametrize("validation, passes", [("train", 0), ("split", 4)])
+    def test_evaluation_pass_runs_only_for_split_validation(self, monkeypatch,
+                                                            validation, passes):
+        calls = []
+        original = O.evaluate_loss
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(O, "evaluate_loss", counted)
+        ds = toy_dataset(n=12, T=16, seed=5)
+        config = small_config(epochs=4, validation=validation,
+                              split_fraction=0.25 if validation == "split" else 0.0)
+        O.train(M.build_fcn(16, 1, 2), ds, config)
+        assert len(calls) == passes
 
     def test_checkpoint_with_validation_split(self):
         ds = toy_dataset(n=12, T=16, seed=5)
@@ -211,10 +254,21 @@ class TestTrain:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_reference_loss_raises(self, monkeypatch, bad):
-        monkeypatch.setattr(O, "evaluate_loss", lambda *args: bad)
+        # the batch loss is poisoned, its gradient left finite
+        original = O.LOSSES["cross_entropy"]
+        monkeypatch.setitem(O.LOSSES, "cross_entropy",
+                            lambda pred, target: (bad, original(pred, target)[1]))
         ds = toy_dataset(n=8, T=16, seed=1)
-        with pytest.raises(TrainingDivergenceError, match="epoch 1"):
+        with pytest.raises(TrainingDivergenceError, match=f"became {bad!r} at epoch 1"):
             O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_split_reference_loss_raises(self, monkeypatch, bad):
+        monkeypatch.setattr(O, "evaluate_loss", lambda *args: bad)
+        ds = toy_dataset(n=12, T=16, seed=5)
+        config = small_config(epochs=2, validation="split", split_fraction=0.25)
+        with pytest.raises(TrainingDivergenceError, match=f"became {bad!r} at epoch 1"):
+            O.train(M.build_mcdcnn(16, 1, 2), ds, config)
 
     def test_epoch_log_lines(self):
         ds = toy_dataset(n=6, T=16, seed=7)
