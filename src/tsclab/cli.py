@@ -249,15 +249,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _load_gap_model(path) -> M.TrainedModel:
-    first = Path(path).read_text().splitlines()[0]
-    if "twiesn" in first or first.endswith("twiesn-v1"):
-        raise UnsupportedArchitectureError(
-            "twiesn has no GAP layer; class activation maps need fcn or resnet"
-        )
-    return M.load_model(path)
-
-
 def _check_geometry(model: M.TrainedModel, dataset: D.TimeSeriesDataset) -> None:
     if dataset.n_classes != model.spec.classes:
         raise ShapeError(
@@ -272,7 +263,7 @@ def _check_geometry(model: M.TrainedModel, dataset: D.TimeSeriesDataset) -> None
 
 
 def _cmd_cam(args) -> int:
-    model = _load_gap_model(args.model)
+    model = M.load_model(args.model)
     dataset = D.load_single(args.data)
     _check_geometry(model, dataset)
     out_dir = Path(args.out)
@@ -288,7 +279,7 @@ def _cmd_cam(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    model = _load_gap_model(args.model)
+    model = M.load_model(args.model)
     dataset = D.load_single(args.data)
     _check_geometry(model, dataset)
     out_dir = Path(args.out)

@@ -11,7 +11,7 @@ class ShapeError(ValueError):
 
 
 class DataFormatError(ValueError):
-    """A dataset file could not be parsed; message carries the line number."""
+    """A dataset or results file could not be parsed; message carries the line number."""
 
 
 class VocabularyError(ValueError):
@@ -44,6 +44,10 @@ class UnsupportedArchitectureError(ValueError):
 
 class BlobSizeError(ValueError):
     """A model blob's byte length disagrees with its manifest's shapes."""
+
+
+class ManifestError(ValueError):
+    """A model manifest is malformed; message names the file and the field."""
 
 
 class NumericError(ArithmeticError):

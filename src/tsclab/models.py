@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import layers as L
 from .data import SlicingConfig, TimeSeriesDataset, slice_starts
-from .errors import BlobSizeError, ShapeError, UnsupportedArchitectureError
+from .bundle import Bundle, write_bundle
+from .errors import ShapeError, UnsupportedArchitectureError
 from .tensor import SplitMix64, glorot_uniform
 
 ARCHITECTURES = (
     "mlp", "fcn", "resnet", "encoder", "mcnn", "tlenet", "mcdcnn", "timecnn",
 )
+MODEL_FORMAT = "tsclab-model-v1"
 
 
 # ---------------------------------------------------------------------------
@@ -856,117 +857,60 @@ def accuracy(model: TrainedModel, dataset: TimeSeriesDataset) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: text manifest + little-endian float64 blob
+# serialization: the model fields of a bundle (see bundle.py)
 
-def _flatten_layer_lines(desc, depth=0, lines=None):
-    if lines is None:
-        lines = []
-    pad = "  " * depth
+def _layer_rows(desc, pad: str = "") -> list[str]:
+    """The ``describe()`` tree as text rows, nested layers indented."""
     if isinstance(desc, str):
-        lines.append(pad + desc)
-    elif isinstance(desc, list):
-        for d in desc:
-            _flatten_layer_lines(d, depth, lines)
-    elif isinstance(desc, dict):
-        for key, val in desc.items():
-            if val is None:
-                lines.append(pad + f"{key}: identity")
-            else:
-                lines.append(pad + f"{key}:")
-                _flatten_layer_lines(val, depth + 1, lines)
-    return lines
+        return [pad + desc]
+    if isinstance(desc, list):
+        return [row for d in desc for row in _layer_rows(d, pad)]
+    rows = []
+    for key, val in desc.items():
+        if val is None:
+            rows.append(pad + f"{key}: identity")
+        else:
+            rows += [pad + f"{key}:", *_layer_rows(val, pad + "  ")]
+    return rows
+
+
+_SPEC_FIELDS = {"architecture_id": str, "input_length": int, "input_dims": int,
+                "classes": int, "loss": str}
+_RUN_FIELDS = {"seed": int, "epochs_run": int, "best_epoch": int}
+
+
+def _read_option(text: str) -> tuple[str, int]:
+    key, value = text.split("=")
+    return key, int(value)
+
+
+def _read_slicing(text: str) -> SlicingConfig:
+    parts = dict(p.split("=", 1) for p in text.split())
+    return SlicingConfig(float(parts["fraction"]), int(parts["stride"]),
+                         tuple(float(v) for v in parts["warp"].split(",")))
 
 
 def save_model(model: TrainedModel, manifest_path) -> None:
-    manifest_path = Path(manifest_path)
-    blob_path = manifest_path.with_suffix(manifest_path.suffix + ".bin")
     spec = model.spec
-    lines = [
-        "format: tsclab-model-v1",
-        f"architecture_id: {spec.architecture_id}",
-        f"input_length: {spec.input_length}",
-        f"input_dims: {spec.input_dims}",
-        f"classes: {spec.classes}",
-        f"loss: {spec.loss}",
-        f"seed: {model.seed}",
-        f"epochs_run: {model.epochs_run}",
-        f"best_epoch: {model.best_epoch}",
-        f"blob: {blob_path.name}",
-    ]
-    for key in sorted(spec.options):
-        lines.append(f"option: {key}={spec.options[key]!r}")
+    notes = [("option", f"{key}={spec.options[key]!r}") for key in sorted(spec.options)]
     if spec.slicing is not None:
         s = spec.slicing
         warps = ",".join(repr(f) for f in s.warp_factors)
-        lines.append(f"slicing: fraction={s.fraction!r} stride={s.stride} warp={warps}")
-    for name, value in model.params.items():
-        dims = ",".join(str(d) for d in value.shape)
-        lines.append(f"param: {name} [{dims}]")
-    for row in _flatten_layer_lines(spec.describe()):
-        lines.append(f"layer: {row}")
-    manifest_path.write_text("\n".join(lines) + "\n")
-    with open(blob_path, "wb") as fh:
-        for value in model.params.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+        notes.append(("slicing", f"fraction={s.fraction!r} stride={s.stride} warp={warps}"))
+    notes += [("layer", row) for row in _layer_rows(spec.describe())]
+    fields = [(k, getattr(spec, k)) for k in _SPEC_FIELDS]
+    write_bundle(manifest_path, MODEL_FORMAT,
+                 fields + [(k, getattr(model, k)) for k in _RUN_FIELDS], model.params, notes)
 
 
 def load_model(manifest_path) -> TrainedModel:
-    manifest_path = Path(manifest_path)
-    fields: dict[str, str] = {}
-    options: dict = {}
-    param_spec: list[tuple[str, tuple]] = []
-    slicing = None
-    for line in manifest_path.read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "param":
-            name, _, dims = rest.partition(" ")
-            shape = tuple(int(d) for d in dims.strip("[]").split(",") if d)
-            param_spec.append((name, shape))
-        elif key == "option":
-            okey, _, oval = rest.partition("=")
-            try:
-                options[okey] = int(oval)
-            except ValueError:
-                options[okey] = float(oval)
-        elif key == "slicing":
-            parts = dict(p.split("=", 1) for p in rest.split())
-            slicing = SlicingConfig(
-                fraction=float(parts["fraction"]),
-                stride=int(parts["stride"]),
-                warp_factors=tuple(float(v) for v in parts["warp"].split(",")),
-            )
-        elif key == "layer":
-            continue
-        else:
-            fields[key] = rest
-    spec = build_model(
-        fields["architecture_id"],
-        int(fields["input_length"]),
-        int(fields["input_dims"]),
-        int(fields["classes"]),
-        **options,
-    )
-    spec.slicing = slicing
-    blob = (manifest_path.parent / fields["blob"]).read_bytes()
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in param_spec)
-    if len(blob) != expected:
-        raise BlobSizeError(
-            f"blob {fields['blob']} has {len(blob)} bytes; manifest shapes need {expected}"
-        )
-    raw = np.frombuffer(blob, dtype="<f8")
-    params: dict = {}
-    at = 0
-    for name, shape in param_spec:
-        n = int(np.prod(shape))
-        params[name] = raw[at : at + n].reshape(shape).copy()
-        at += n
-    return TrainedModel(
-        spec,
-        params,
-        seed=int(fields.get("seed", 0)),
-        epochs_run=int(fields.get("epochs_run", 0)),
-        best_epoch=int(fields.get("best_epoch", 0)),
-    )
+    """Rebuild the spec from the manifest and check the blob's layout against it."""
+    bundle = Bundle(manifest_path, MODEL_FORMAT, {**_SPEC_FIELDS, **_RUN_FIELDS},
+                    optional={"slicing": _read_slicing},
+                    repeated={"option": _read_option, "layer": str})
+    f = bundle.fields
+    spec = bundle.build(None, build_model, f["architecture_id"], f["input_length"],
+                        f["input_dims"], f["classes"], **dict(f.get("option", [])))
+    spec.slicing = f.get("slicing")
+    layout = [(name, v.shape) for name, v in init_model(spec, SplitMix64(0)).items()]
+    return TrainedModel(spec, bundle.tensors(layout), **{k: f[k] for k in _RUN_FIELDS})

@@ -10,12 +10,12 @@ ridge penalty are grid-searched on a stratified held-out split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import TimeSeriesDataset, split_train_val
-from .errors import BlobSizeError, NumericError
+from .bundle import Bundle, write_bundle
+from .errors import NumericError
 from .tensor import SplitMix64
 
 # fixed internal stream for the iteration start block; not user-visible
@@ -274,66 +274,25 @@ def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig] | None = Non
 
 
 # ---------------------------------------------------------------------------
-# serialization (same manifest + little-endian float64 blob scheme as models)
+# serialization: the reservoir fields of a bundle (see bundle.py)
+
+TWIESN_FORMAT = "tsclab-twiesn-v1"
+_CONFIG_FIELDS = {"size": int, "sparsity": float, "spectral_radius": float,
+                  "input_scale": float, "ridge_lambda": float, "seed": int}
+
 
 def save_twiesn(model: TwiesnModel, manifest_path) -> None:
-    manifest_path = Path(manifest_path)
-    blob_path = manifest_path.with_suffix(manifest_path.suffix + ".bin")
-    c = model.config
-    lines = [
-        "format: tsclab-twiesn-v1",
-        "architecture_id: twiesn",
-        f"size: {c.size}",
-        f"sparsity: {c.sparsity!r}",
-        f"spectral_radius: {c.spectral_radius!r}",
-        f"input_scale: {c.input_scale!r}",
-        f"ridge_lambda: {c.ridge_lambda!r}",
-        f"seed: {c.seed}",
-        f"blob: {blob_path.name}",
-    ]
-    tensors = [("W_in", model.W_in), ("W", model.W), ("W_out", model.W_out)]
-    for name, value in tensors:
-        dims = ",".join(str(d) for d in value.shape)
-        lines.append(f"param: {name} [{dims}]")
-    manifest_path.write_text("\n".join(lines) + "\n")
-    with open(blob_path, "wb") as fh:
-        for _, value in tensors:
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    fields = [("architecture_id", "twiesn")]
+    fields += [(k, getattr(model.config, k)) for k in _CONFIG_FIELDS]
+    write_bundle(manifest_path, TWIESN_FORMAT, fields,
+                 {"W_in": model.W_in, "W": model.W, "W_out": model.W_out})
 
 
 def load_twiesn(manifest_path) -> TwiesnModel:
-    manifest_path = Path(manifest_path)
-    fields: dict[str, str] = {}
-    param_spec: list[tuple[str, tuple]] = []
-    for line in manifest_path.read_text().splitlines():
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(":")
-        key, rest = key.strip(), rest.strip()
-        if key == "param":
-            name, _, dims = rest.partition(" ")
-            param_spec.append((name, tuple(int(d) for d in dims.strip("[]").split(","))))
-        else:
-            fields[key] = rest
-    config = ReservoirConfig(
-        size=int(fields["size"]),
-        sparsity=float(fields["sparsity"]),
-        spectral_radius=float(fields["spectral_radius"]),
-        input_scale=float(fields["input_scale"]),
-        ridge_lambda=float(fields["ridge_lambda"]),
-        seed=int(fields["seed"]),
-    )
-    blob = (manifest_path.parent / fields["blob"]).read_bytes()
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in param_spec)
-    if len(blob) != expected:
-        raise BlobSizeError(
-            f"blob {fields['blob']} has {len(blob)} bytes; manifest shapes need {expected}"
-        )
-    raw = np.frombuffer(blob, dtype="<f8")
-    tensors = {}
-    at = 0
-    for name, shape in param_spec:
-        n = int(np.prod(shape))
-        tensors[name] = raw[at : at + n].reshape(shape).copy()
-        at += n
-    return TwiesnModel(config, tensors["W_in"], tensors["W"], tensors["W_out"])
+    """Check the blob's layout against ``size`` and the written W_in/W_out dims."""
+    bundle = Bundle(manifest_path, TWIESN_FORMAT, {"architecture_id": str, **_CONFIG_FIELDS})
+    config = bundle.build(None, ReservoirConfig, **{k: bundle.fields[k] for k in _CONFIG_FIELDS})
+    shapes = dict(bundle.params)
+    n, m, k = config.size, (shapes.get("W_in") or (0,))[-1], (shapes.get("W_out") or (0,))[0]
+    t = bundle.tensors([("W_in", (n, m)), ("W", (n, n)), ("W_out", (k, 1 + m + n))])
+    return TwiesnModel(config, t["W_in"], t["W"], t["W_out"])

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingCellError
+from .errors import DataFormatError, MissingCellError
 
 RESULTS_HEADER = ["dataset", "architecture", "seed", "accuracy", "loss", "train_seconds"]
 BASELINE_HEADER = ["dataset", "classifier", "accuracy"]
@@ -441,26 +441,34 @@ def save_runs(runs: list[RunRecord], path) -> None:
 
 
 def load_runs(path) -> list[RunRecord]:
-    """Read either a run-record CSV or an external-baseline CSV."""
+    """Read a run-record or an external-baseline CSV; a bad row names its line and column."""
     path = Path(path)
+    runs = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header == RESULTS_HEADER:
-            return [
-                RunRecord(row[0], row[1], int(row[2]), float(row[3]), float(row[4]),
-                          float(row[5]))
-                for row in reader if row
-            ]
-        if header == BASELINE_HEADER:
-            return [
-                RunRecord(row[0], row[1], 0, float(row[2]), math.nan, math.nan)
-                for row in reader if row
-            ]
-    raise ValueError(
-        f"{path.name}: unrecognized header; expected {','.join(RESULTS_HEADER)} "
-        f"or {','.join(BASELINE_HEADER)}"
-    )
+        kinds = {tuple(RESULTS_HEADER): (str, str, int, float, float, float),
+                 tuple(BASELINE_HEADER): (str, str, float)}.get(tuple(header or ()))
+        if kinds is None:
+            raise DataFormatError(
+                f"{path.name}: unrecognized header; expected {','.join(RESULTS_HEADER)} "
+                f"or {','.join(BASELINE_HEADER)}"
+            )
+        for row in filter(None, reader):
+            where = f"{path.name} line {reader.line_num}"
+            if len(row) != len(kinds):
+                raise DataFormatError(f"{where}: {len(row)} cells, expected {len(kinds)}")
+            values = []
+            for column, kind, cell in zip(header, kinds, row):
+                try:
+                    values.append(kind(cell))
+                except ValueError:
+                    raise DataFormatError(f"{where}, column {column}: cannot read {cell!r} "
+                                          f"as {kind.__name__}") from None
+            if header == BASELINE_HEADER:
+                values = [values[0], values[1], 0, values[2], math.nan, math.nan]
+            runs.append(RunRecord(*values))
+    return runs
 
 
 # ---------------------------------------------------------------------------

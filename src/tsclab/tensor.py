@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -86,49 +84,3 @@ def glorot_uniform(fan_in: int, fan_out: int, shape, rng: SplitMix64) -> np.ndar
     n = int(np.prod(shape)) if len(shape) else 1
     u = rng.uniform(n)
     return ((2.0 * u - 1.0) * limit).reshape(shape)
-
-
-def _require_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match")
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "add")
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "sub")
-    return a - b
-
-
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _require_same_shape(a, b, "mul")
-    return a * b
-
-
-def scale(a: np.ndarray, s: float) -> np.ndarray:
-    return a * float(s)
-
-
-def shift(a: np.ndarray, s: float) -> np.ndarray:
-    return a + float(s)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    return a @ b
-
-
-def sum_over_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"sum_over_axis: axis {axis} out of range for shape {a.shape}")
-    return a.sum(axis=axis)
-
-
-def max_over_axis(a: np.ndarray, axis: int) -> np.ndarray:
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"max_over_axis: axis {axis} out of range for shape {a.shape}")
-    return a.max(axis=axis)

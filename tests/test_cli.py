@@ -310,6 +310,16 @@ class TestCompareCommand:
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert "(d2, b)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, message", [
+        ("d1,b,0,0.6", "r.csv line 3: 4 cells, expected 6"),
+        ("d1,b,0,abc,0.1,1.0", "r.csv line 3, column accuracy: cannot read 'abc' as float"),
+    ], ids=["too-few-cells", "non-numeric"])
+    def test_malformed_results_row_exits_2(self, tmp_path, capsys, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(S.RESULTS_HEADER) + "\nd1,a,0,0.5,0.1,1.0\n" + row + "\n")
+        assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+
     def test_external_baselines_merge(self, tmp_path):
         path = self.write_results(tmp_path, {"resnet": 0.2})
         base = tmp_path / "baselines.csv"
@@ -343,6 +353,16 @@ class TestCompareCommand:
             "compare", "--results", path, "--out", tmp_path / "cd.svg",
             "--group", "theme",
         ]) == 1
+
+
+def copy_bundle(manifest, folder, edit):
+    """Copy a bundle into ``folder``, passing each manifest line through ``edit``."""
+    blob = manifest.with_suffix(".model.bin")
+    (folder / blob.name).write_bytes(blob.read_bytes())
+    lines = [edit(line) for line in manifest.read_text().splitlines()]
+    copy = folder / manifest.name
+    copy.write_text("".join(line + "\n" for line in lines if line is not None))
+    return copy
 
 
 @pytest.fixture
@@ -385,7 +405,7 @@ class TestExplainCommands:
         ])
         assert code == 2
 
-    def test_cam_refuses_twiesn_manifest(self, trained_fcn, tmp_path):
+    def test_cam_refuses_twiesn_manifest(self, trained_fcn, tmp_path, capsys):
         manifest, test_file = trained_fcn
         from tsclab import reservoir as R
         config = R.ReservoirConfig(8, 0.5, 0.5, seed=0)
@@ -399,6 +419,28 @@ class TestExplainCommands:
             "cam", "--model", tw_path, "--data", test_file,
             "--class", "0", "--out", tmp_path / "o",
         ]) == 2
+        err = capsys.readouterr().err
+        assert "tw.model" in err and "'format'" in err and "tsclab-twiesn-v1" in err
+
+    def test_mds_refuses_manifest_without_classes(self, trained_fcn, tmp_path, capsys):
+        manifest, test_file = trained_fcn
+        broken = copy_bundle(manifest, tmp_path,
+                             lambda line: None if line.startswith("classes:") else line)
+        assert run(["mds", "--model", broken, "--data", test_file, "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and broken.name in err and "'classes' is missing" in err
+
+    def test_cam_refuses_renamed_parameter(self, trained_fcn, tmp_path, capsys):
+        manifest, test_file = trained_fcn
+        broken = copy_bundle(manifest, tmp_path,
+                             lambda line: line.replace("param: 10.w ", "param: 10.x "))
+        assert run([
+            "cam", "--model", broken, "--data", test_file,
+            "--class", "0", "--out", tmp_path / "o",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "data error:" in err and broken.name in err
+        assert "'param'" in err and "10.x" in err and "expected 10.w" in err
 
     def test_mds_outputs(self, trained_fcn, tmp_path):
         manifest, test_file = trained_fcn

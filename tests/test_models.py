@@ -374,19 +374,23 @@ class TestPredict:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("arch", ["fcn", "mcdcnn", "timecnn"])
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
     def test_round_trip(self, arch, tmp_path):
-        T = 60 if arch == "timecnn" else 16
-        spec, params = build_and_init(arch, T, 1, 2, seed=20)
+        T = {"timecnn": 60, "mcnn": 27}.get(arch, 16)
+        options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
+        spec, params = build_and_init(arch, T, 1, 2, seed=20, **options)
+        if arch in ("mcnn", "tlenet"):
+            spec.slicing = SlicingConfig(0.9, 3, (1.0, 2.0, 0.5))
         model = M.TrainedModel(spec, params, seed=20, epochs_run=7, best_epoch=3)
         path = tmp_path / "model.model"
         M.save_model(model, path)
         loaded = M.load_model(path)
         assert loaded.spec.architecture_id == arch
+        assert loaded.spec.options == spec.options and loaded.spec.slicing == spec.slicing
         assert loaded.seed == 20 and loaded.epochs_run == 7 and loaded.best_epoch == 3
         assert list(loaded.params) == list(params)
         for name in params:
-            assert np.array_equal(loaded.params[name], params[name])
+            assert loaded.params[name].tobytes() == params[name].tobytes()
         x = random_batch((2, T, 1), seed=21)
         assert np.array_equal(
             M.forward(model, x), M.forward(loaded, x)

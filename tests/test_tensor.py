@@ -1,11 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_batch
-from tsclab.errors import ShapeError
-from tsclab import tensor
 from tsclab.tensor import SplitMix64, glorot_uniform
 
 
@@ -103,55 +98,3 @@ class TestGlorot:
         a = glorot_uniform(4, 4, (2, 2), SplitMix64(42))
         b = glorot_uniform(4, 4, (2, 2), SplitMix64(42))
         assert np.array_equal(a, b)
-
-
-class TestArith:
-    def test_matmul_identity(self):
-        x = random_batch((2, 3), seed=1)
-        assert np.array_equal(tensor.matmul(np.eye(2), x), x)
-
-    def test_sum_over_axis(self):
-        out = tensor.sum_over_axis(np.ones((4, 5)), 1)
-        assert out.shape == (4,)
-        assert np.array_equal(out, np.full(4, 5.0))
-
-    def test_max_over_axis(self):
-        x = np.array([[1.0, 7.0], [3.0, 2.0]])
-        assert np.array_equal(tensor.max_over_axis(x, 0), [3.0, 7.0])
-
-    def test_matmul_against_triple_loop(self):
-        a = random_batch((3, 3), seed=2)
-        b = random_batch((3, 3), seed=3)
-        expected = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    expected[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(tensor.matmul(a, b) - expected)) < 1e-12
-
-    def test_matmul_associativity(self):
-        a = random_batch((8, 8), seed=4)
-        b = random_batch((8, 8), seed=5)
-        c = random_batch((8, 8), seed=6)
-        left = tensor.matmul(tensor.matmul(a, b), c)
-        right = tensor.matmul(a, tensor.matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-9
-
-    def test_shape_errors_name_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 3\)"):
-            tensor.add(np.zeros((2, 3)), np.zeros((3, 3)))
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            tensor.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    @given(
-        rows=st.integers(1, 6), inner=st.integers(1, 6), cols=st.integers(1, 6),
-        seed=st.integers(0, 2 ** 32),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_output_shape_is_function_of_input_shapes(self, rows, inner, cols, seed):
-        a = random_batch((rows, inner), seed=seed)
-        b = random_batch((inner, cols), seed=seed + 1)
-        assert tensor.matmul(a, b).shape == (rows, cols)
-        assert tensor.add(a, a).shape == a.shape
-        assert tensor.mul(b, b).shape == b.shape
-        assert tensor.sum_over_axis(a, 0).shape == (inner,)
