@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 import time
@@ -212,14 +213,26 @@ def _cmd_train(args) -> int:
 
 
 def _load_metadata(path) -> dict:
+    """Dataset -> theme, length and train size; a bad row names its line and column."""
+    path = Path(path)
+    reader = csv.reader(io.StringIO(D.read_text(path), newline=""))
+    header = next(reader, [])
+    if "dataset" not in header:
+        raise DataFormatError(f"{path.name} line 1: no column dataset in the header")
     meta = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            meta[row["dataset"]] = {
-                "theme": row.get("theme", ""),
-                "length": int(row["length"]) if row.get("length") else 0,
-                "train_size": int(row["train_size"]) if row.get("train_size") else 0,
-            }
+    for row in filter(None, reader):
+        where = f"{path.name} line {reader.line_num}"
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: {len(row)} cells, expected {len(header)}")
+        cells = dict(zip(header, row))
+        entry = {"theme": cells.get("theme", "")}
+        for column in ("length", "train_size"):
+            try:
+                entry[column] = int(cells[column]) if cells.get(column) else 0
+            except ValueError:
+                raise DataFormatError(f"{where}, column {column}: cannot read "
+                                      f"{cells[column]!r} as int") from None
+        meta[cells["dataset"]] = entry
     return meta
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,21 @@ def one_hot(labels, vocabulary) -> np.ndarray:
     return out
 
 
+def _decode(data: bytes, path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{Path(path).name}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
+
+
+def read_text(path) -> str:
+    """A file's text; a byte that is not UTF-8 raises DataFormatError naming the line."""
+    return _decode(Path(path).read_bytes(), path)
+
+
 def _parse_label(token: str):
     try:
         return float(token)
@@ -92,7 +108,7 @@ def _parse_label(token: str):
 
 def _ucr_rows(path) -> list[tuple[float, list[float]]]:
     path = Path(path)
-    text = path.read_text()
+    text = read_text(path)
     rows = []
     width = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -145,16 +161,20 @@ def load_ucr_file(path, vocabulary: tuple | None = None) -> TimeSeriesDataset:
     return _ucr_dataset(rows, vocabulary, dataset_name_from_path(path))
 
 
+def _check_test_labels(test_path, labels, vocabulary: tuple) -> None:
+    for label in labels:
+        if label not in vocabulary:
+            raise VocabularyError(
+                f"{Path(test_path).name}: test label {label!r} absent from train "
+                f"vocabulary {list(vocabulary)!r}"
+            )
+
+
 def load_ucr(train_path, test_path) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
     """Univariate archive pair; the label vocabulary is fixed by the train split."""
     train = load_ucr_file(train_path)
     test_rows = _ucr_rows(test_path)
-    for label, _ in test_rows:
-        if label not in train.vocabulary:
-            raise VocabularyError(
-                f"test label {label!r} absent from train vocabulary "
-                f"{list(train.vocabulary)!r}"
-            )
+    _check_test_labels(test_path, [label for label, _ in test_rows], train.vocabulary)
     test = _ucr_dataset(test_rows, train.vocabulary, dataset_name_from_path(test_path))
     return train, test
 
@@ -162,71 +182,120 @@ def load_ucr(train_path, test_path) -> tuple[TimeSeriesDataset, TimeSeriesDatase
 # ---------------------------------------------------------------------------
 # long-format multivariate files
 
-def _read_long_records(path):
+def _read_long(path):
+    """One long-format file as ([T_i, M] arrays, labels), series in order of first appearance.
+
+    The file is read once and checked column by column: the body is split
+    into tokens in one pass, the numeric columns are parsed with ``int`` and
+    ``float``, and the integrity checks run on a sort by (series, dimension,
+    timestamp).  When a file has several faults, the first reported is the
+    first that applies of:
+
+    1. the file is not UTF-8 (the line of the first bad byte), the header
+       is wrong, or the file has no data rows;
+    2. the first line without 5 fields, then the first line with a
+       ``dimension``, ``timestamp`` or ``value`` that does not parse (or an
+       integer beyond 64 bits);
+    3. the first line whose label conflicts with its series' first label,
+       or that repeats an earlier (series, dimension, timestamp);
+    4. the first series, in order of appearance, missing a dimension,
+       whose timestamps are not contiguous from 0 (dimensions in ascending
+       order), or whose dimensions disagree on length.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != MTS_HEADER:
         raise DataFormatError(f"{path.name}: expected header {MTS_HEADER!r}")
-    series_order: list[str] = []
-    series: dict[str, dict] = {}
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise DataFormatError(f"{path.name}: no data rows")
+    if set(map(str.count, rows, repeat(","))) != {4}:
+        raise _bad_row(path, lines)
+    n = len(rows)
+    tokens = ",".join(rows).split(",")
+    try:
+        dims = np.fromiter(map(int, tokens[1::5]), np.int64, n)
+        times = np.fromiter(map(int, tokens[2::5]), np.int64, n)
+        values = np.fromiter(map(float, tokens[3::5]), np.float64, n)
+    except (ValueError, OverflowError):
+        raise _bad_row(path, lines) from None
+
+    numbers: dict[str, int] = {}
+    sid_col, label_col = tokens[0::5], tokens[4::5]
+    sid_number = {raw: numbers.setdefault(raw.strip(), len(numbers))
+                  for raw in dict.fromkeys(sid_col)}
+    names = list(numbers)
+    series = np.fromiter(map(sid_number.__getitem__, sid_col), np.int64, n)
+    parsed = {raw: _parse_label(raw.strip()) for raw in dict.fromkeys(label_col)}
+    label_ids: dict = {}
+    label_id = {raw: label_ids.setdefault(label, len(label_ids)) for raw, label in parsed.items()}
+    label = np.fromiter(map(label_id.__getitem__, label_col), np.int64, n)
+
+    order = np.lexsort((times, dims, series))
+    s, d, t = series[order], dims[order], times[order]
+    series_start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    first_row = np.minimum.reduceat(order, series_start)
+    conflict = label != label[first_row][series]
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (t[1:] == t[:-1])]] = True
+    if (conflict | duplicate).any():
+        r = int(np.argmax(conflict | duplicate))
+        lineno = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]
+        sid = names[series[r]]
+        if conflict[r]:
+            raise IntegrityError(
+                f"{path.name}:{lineno}: series {sid!r} has conflicting labels "
+                f"{parsed[label_col[first_row[series[r]]]]!r} and {parsed[label_col[r]]!r}"
+            )
+        raise IntegrityError(f"{path.name}:{lineno}: duplicate entry for series {sid!r} "
+                             f"dim {dims[r]} t {times[r]}")
+
+    # (series, dimension) runs of the sorted rows; each must read t = 0, 1, ...
+    group = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])])
+    length = np.diff(np.r_[group, n])
+    contiguous = np.logical_and.reduceat(t == np.arange(n) - np.repeat(group, length), group)
+    all_dims = np.unique(d)
+    series_group = np.searchsorted(group, series_start)
+    bounds = np.r_[series_group, len(group)]
+    sound = ((np.diff(bounds) == len(all_dims))
+             & np.logical_and.reduceat(contiguous, series_group)
+             & (np.minimum.reduceat(length, series_group)
+                == np.maximum.reduceat(length, series_group)))
+    if not sound.all():
+        k = int(np.argmin(sound))
+        own = slice(bounds[k], bounds[k + 1])
+        raise _series_fault(names[k], dict(zip(d[group[own]].tolist(), contiguous[own].tolist())),
+                            all_dims.tolist())
+
+    raws = [block.reshape(len(all_dims), -1).T
+            for block in np.split(values[order], series_start[1:])]
+    return raws, [parsed[label_col[r]] for r in first_row]
+
+
+def _bad_row(path, lines) -> DataFormatError:
+    """Name the first data line with the wrong field count or an unparseable number."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
         if len(parts) != 5:
-            raise DataFormatError(f"{path.name}:{lineno}: expected 5 fields, got {len(parts)}")
-        sid, dim_tok, t_tok, val_tok, label_tok = (p.strip() for p in parts)
+            return DataFormatError(f"{path.name}:{lineno}: expected 5 fields, got {len(parts)}")
         try:
-            dim = int(dim_tok)
-            t = int(t_tok)
-            value = float(val_tok)
+            dim, t, _ = int(parts[1].strip()), int(parts[2].strip()), float(parts[3].strip())
         except ValueError as exc:
-            raise DataFormatError(f"{path.name}:{lineno}: {exc}") from None
-        label = _parse_label(label_tok)
-        if sid not in series:
-            series[sid] = {"label": label, "dims": {}}
-            series_order.append(sid)
-        rec = series[sid]
-        if rec["label"] != label:
-            raise IntegrityError(
-                f"{path.name}:{lineno}: series {sid!r} has conflicting labels "
-                f"{rec['label']!r} and {label!r}"
-            )
-        cells = rec["dims"].setdefault(dim, {})
-        if t in cells:
-            raise IntegrityError(
-                f"{path.name}:{lineno}: duplicate entry for series {sid!r} dim {dim} t {t}"
-            )
-        cells[t] = value
-    if not series_order:
-        raise DataFormatError(f"{path.name}: no data rows")
+            return DataFormatError(f"{path.name}:{lineno}: {exc}")
+        if not -2 ** 63 <= min(dim, t) <= max(dim, t) < 2 ** 63:
+            return DataFormatError(f"{path.name}:{lineno}: integer beyond 64 bits")
 
-    all_dims = sorted({d for rec in series.values() for d in rec["dims"]})
-    raws = []
-    labels = []
-    for sid in series_order:
-        rec = series[sid]
-        lengths = set()
-        for dim in all_dims:
-            if dim not in rec["dims"]:
-                raise IntegrityError(f"series {sid!r} is missing dimension {dim}")
-            ts = rec["dims"][dim]
-            T_i = len(ts)
-            if sorted(ts) != list(range(T_i)):
-                raise IntegrityError(
-                    f"series {sid!r} dim {dim}: timestamps not contiguous from 0"
-                )
-            lengths.add(T_i)
-        if len(lengths) != 1:
-            raise IntegrityError(f"series {sid!r}: dimensions disagree on length")
-        T_i = lengths.pop()
-        arr = np.empty((T_i, len(all_dims)))
-        for j, dim in enumerate(all_dims):
-            cells = rec["dims"][dim]
-            arr[:, j] = [cells[t] for t in range(T_i)]
-        raws.append(arr)
-        labels.append(rec["label"])
-    return raws, labels
+
+def _series_fault(sid, contiguous_by_dim: dict, all_dims) -> IntegrityError:
+    """Name a faulty series' first missing or non-contiguous dimension, else its lengths."""
+    for dim in all_dims:
+        if dim not in contiguous_by_dim:
+            return IntegrityError(f"series {sid!r} is missing dimension {dim}")
+        if not contiguous_by_dim[dim]:
+            return IntegrityError(f"series {sid!r} dim {dim}: timestamps not contiguous from 0")
+    return IntegrityError(f"series {sid!r}: dimensions disagree on length")
 
 
 def load_mts_long(path, target_length: int | None = None,
@@ -235,28 +304,33 @@ def load_mts_long(path, target_length: int | None = None,
 
     ``target_length`` defaults to the longest series in the file.
     """
-    raws, labels = _read_long_records(path)
+    return _long_dataset(path, *_read_long(path), target_length, vocabulary)
+
+
+def _long_dataset(path, raws, labels, target=None, vocabulary=None) -> TimeSeriesDataset:
     lengths = [r.shape[0] for r in raws]
-    target = max(lengths) if target_length is None else int(target_length)
+    target = max(lengths) if target is None else int(target)
     X = np.stack([linear_interpolate(r, target) if r.shape[0] != target else r
                   for r in raws])
     if vocabulary is None:
         vocabulary = tuple(sorted(set(labels)))
-    Y = one_hot(labels, vocabulary)
     meta = DatasetMeta(dataset_name_from_path(path),
                        length_range=(min(lengths), max(lengths)))
-    return TimeSeriesDataset(X, Y, vocabulary, meta)
+    return TimeSeriesDataset(X, one_hot(labels, vocabulary), vocabulary, meta)
 
 
 def load_mts_long_pair(train_path, test_path):
-    """Train/test pair sharing the interpolation target and the label vocabulary."""
-    train_raws, train_labels = _read_long_records(train_path)
-    test_raws, _ = _read_long_records(test_path)
+    """Train/test pair sharing the interpolation target and the label vocabulary.
+
+    Each file is read once.
+    """
+    train_raws, train_labels = _read_long(train_path)
+    test_raws, test_labels = _read_long(test_path)
     target = max(r.shape[0] for r in train_raws + test_raws)
     vocabulary = tuple(sorted(set(train_labels)))
-    train = load_mts_long(train_path, target, vocabulary)
-    test = load_mts_long(test_path, target, vocabulary)
-    return train, test
+    _check_test_labels(test_path, test_labels, vocabulary)
+    return (_long_dataset(train_path, train_raws, train_labels, target, vocabulary),
+            _long_dataset(test_path, test_raws, test_labels, target, vocabulary))
 
 
 def save_mts_long(dataset: TimeSeriesDataset, path) -> None:
@@ -273,9 +347,9 @@ def save_mts_long(dataset: TimeSeriesDataset, path) -> None:
 
 
 def detect_format(path) -> str:
-    with open(path) as fh:
-        first = fh.readline().strip()
-    return "long" if first == MTS_HEADER else "ucr"
+    with open(path, "rb") as fh:
+        first = _decode(fh.readline(), path).splitlines()
+    return "long" if first and first[0].strip() == MTS_HEADER else "ucr"
 
 
 def load_pair(train_path, test_path):

@@ -15,6 +15,7 @@ in-module so results do not depend on any external statistics library.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_text
 from .errors import DataFormatError, MissingCellError
 
 RESULTS_HEADER = ["dataset", "architecture", "seed", "accuracy", "loss", "train_seconds"]
@@ -444,7 +446,7 @@ def load_runs(path) -> list[RunRecord]:
     """Read a run-record or an external-baseline CSV; a bad row names its line and column."""
     path = Path(path)
     runs = []
-    with open(path, newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         kinds = {tuple(RESULTS_HEADER): (str, str, int, float, float, float),

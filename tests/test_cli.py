@@ -59,6 +59,16 @@ class TestTrainCommand:
             ]) == 0
         assert len(S.load_runs(out / "results.csv")) == 1
 
+    def test_train_file_not_utf8_exits_2(self, tmp_path, capsys):
+        train, test = write_ucr_pair(tmp_path)
+        lines = train.read_bytes().split(b"\n")
+        lines[2] = lines[2][:6] + b"\x80" + lines[2][6:]
+        train.write_bytes(b"\n".join(lines))
+        code = run(["train", "--arch", "mlp", "--train", train, "--test", test,
+                    "--runs", "1", "--epochs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert "data error: Synth_TRAIN.txt:3: byte 0x80 is not UTF-8" in capsys.readouterr().err
+
     def test_run_seeds_are_base_plus_index(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)
         out = tmp_path / "out"
@@ -318,6 +328,28 @@ class TestCompareCommand:
         path = tmp_path / "r.csv"
         path.write_text(",".join(S.RESULTS_HEADER) + "\nd1,a,0,0.5,0.1,1.0\n" + row + "\n")
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
+        assert f"data error: {message}" in capsys.readouterr().err
+
+    def test_results_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "r.csv"
+        path.write_bytes(",".join(S.RESULTS_HEADER).encode() + b"\nd1,a\x80,0,0.5,0.1,1.0\n")
+        assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
+        assert "data error: r.csv:2: byte 0x80 is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("name,theme\nd0,ECG\n", "meta.csv line 1: no column dataset in the header"),
+        ("dataset,theme,length,train_size\nd0,ECG,50,100\nd1,ECG,abc,100\n",
+         "meta.csv line 3, column length: cannot read 'abc' as int"),
+        ("dataset,theme,length,train_size\nd0,ECG,50\n", "meta.csv line 2: 3 cells, expected 4"),
+    ], ids=["no-dataset-column", "non-integer-length", "too-few-cells"])
+    def test_malformed_meta_exits_2(self, tmp_path, capsys, text, message):
+        path = self.write_results(tmp_path, {"a": 0.0, "b": 0.2}, n_datasets=2)
+        meta = tmp_path / "meta.csv"
+        meta.write_text(text)
+        assert run([
+            "compare", "--results", path, "--out", tmp_path / "cd.svg",
+            "--group", "theme", "--meta", meta,
+        ]) == 2
         assert f"data error: {message}" in capsys.readouterr().err
 
     def test_external_baselines_merge(self, tmp_path):

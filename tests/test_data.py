@@ -142,6 +142,96 @@ class TestLongLoader:
         assert tr.length == te.length == 9
         assert tr.vocabulary == te.vocabulary == ("x", "y")
 
+    GOOD = ["s1,0,0,0.1,a", "s1,0,1,0.2,a", "s1,1,0,1.0,a", "s1,1,1,1.1,a",
+            "s2,0,0,0.5,b", "s2,0,1,0.6,b", "s2,1,0,1.5,b", "s2,1,1,1.6,b"]
+
+    @pytest.mark.parametrize("edit, error, message", [
+        (lambda r: r[:2] + ["s1,1,0,1.0"] + r[3:], DataFormatError,
+         "f.csv:4: expected 5 fields, got 4"),
+        (lambda r: r[:5] + ["s2,0,1,0.6,b,extra"] + r[6:], DataFormatError,
+         "f.csv:7: expected 5 fields, got 6"),
+        (lambda r: r[:3] + ["s1,1,1,oops,a"] + r[4:], DataFormatError,
+         "f.csv:5: could not convert string to float: 'oops'"),
+        (lambda r: r[:3] + ["s1,1,one,1.1,a"] + r[4:], DataFormatError,
+         "f.csv:5: invalid literal for int() with base 10: 'one'"),
+        (lambda r: r[:3] + ["s1,x,1,1.1,a"] + r[4:], DataFormatError,
+         "f.csv:5: invalid literal for int() with base 10: 'x'"),
+        (lambda r: r + ["s1,1,0,9.9,a"], IntegrityError,
+         "f.csv:10: duplicate entry for series 's1' dim 1 t 0"),
+        (lambda r: r[:6] + ["s2,1,0,1.5,a"] + r[7:], IntegrityError,
+         "f.csv:8: series 's2' has conflicting labels 'b' and 'a'"),
+        (lambda r: r[:6], IntegrityError, "series 's2' is missing dimension 1"),
+        (lambda r: r[:5] + ["s2,0,2,0.6,b"] + r[6:], IntegrityError,
+         "series 's2' dim 0: timestamps not contiguous from 0"),
+        (lambda r: r + ["s2,1,2,1.7,b"], IntegrityError,
+         "series 's2': dimensions disagree on length"),
+        (lambda r: [], DataFormatError, "f.csv: no data rows"),
+    ], ids=["4-fields", "6-fields", "value", "timestamp", "dimension", "duplicate",
+            "conflicting-label", "missing-dimension", "non-contiguous", "lengths-disagree",
+            "no-rows"])
+    def test_single_fault_message(self, tmp_path, edit, error, message):
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(edit(self.GOOD)) + "\n")
+        with pytest.raises(error) as info:
+            D.load_mts_long(path)
+        assert str(info.value) == message
+
+    def test_fault_line_counts_blank_lines(self, tmp_path):
+        rows = self.GOOD[:3] + ["", "  ", "s1,1,1,oops,a"] + self.GOOD[4:]
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match="^f.csv:7: could not"):
+            D.load_mts_long(path)
+
+    def test_unseen_test_label_names_test_file(self, tmp_path):
+        train = write(tmp_path, "tr.csv", LONG_HEADER + "\n".join(self.GOOD) + "\n")
+        rows = [r.replace(",b", ",z") for r in self.GOOD]
+        test = write(tmp_path, "te.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(VocabularyError, match="^te.csv: test label 'z' absent"):
+            D.load_mts_long_pair(train, test)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_order_and_blank_lines_do_not_change_the_load(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 5))
+        dims = data.draw(st.integers(1, 3))
+        labels = data.draw(st.sampled_from([["a", "b", "c"], ["1", "2.5", "-3"]]))
+        rows = []
+        for i in range(n):
+            label = data.draw(st.sampled_from(labels))
+            for t in range(data.draw(st.integers(2, 6))):
+                for m in range(dims):
+                    value = data.draw(st.floats(allow_nan=False, width=64))
+                    rows.append((f"s{i}", m, t, f"s{i},{m},{t},{value!r},{label}"))
+        shuffled = [r[3] for r in data.draw(st.permutations(rows))]
+        for _ in range(data.draw(st.integers(0, 5))):
+            at = data.draw(st.integers(0, len(shuffled)))
+            shuffled.insert(at, data.draw(st.sampled_from(["", "  ", "\t"])))
+        # the loader orders series by first appearance; the reference keeps that order
+        first = {}
+        for line in shuffled:
+            first.setdefault(line.split(",")[0], len(first))
+        reference = [r[3] for r in sorted(rows, key=lambda r: (first[r[0]], r[1], r[2]))]
+        folder = tmp_path_factory.mktemp("order")
+        loaded = [D.load_mts_long(write(folder, name, LONG_HEADER + "\n".join(lines) + "\n"))
+                  for name, lines in (("ref.csv", reference), ("shuffled.csv", shuffled))]
+        assert loaded[0].X.tobytes() == loaded[1].X.tobytes()
+        assert loaded[0].Y.tobytes() == loaded[1].Y.tobytes()
+        assert loaded[0].vocabulary == loaded[1].vocabulary
+        assert loaded[0].meta.length_range == loaded[1].meta.length_range
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("name, text, load", [
+        ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n", D.load_ucr_file),
+        ("l.csv", LONG_HEADER.encode() + b"s1,0,0,0.1,a\ns1,0,1,0.2,a%s\n", D.load_mts_long),
+        ("d.txt", b"1,0.0,%s1.0\n2,1.0,0.0\n", D.detect_format),
+    ], ids=["ucr", "long", "detect-format"])
+    def test_reader_names_file_and_line(self, tmp_path, name, text, load):
+        path = tmp_path / name
+        path.write_bytes(text % b"\x80")
+        line = text.split(b"%s")[0].count(b"\n") + 1
+        with pytest.raises(DataFormatError, match=f"^{name}:{line}: byte 0x80 is not UTF-8"):
+            load(path)
+
 
 class TestInterpolation:
     def test_midpoint_insertion(self):
