@@ -183,7 +183,7 @@ def load_ucr(train_path, test_path) -> tuple[TimeSeriesDataset, TimeSeriesDatase
 # long-format multivariate files
 
 def _read_long(path):
-    """One long-format file as ([T_i, M] arrays, labels), series in order of first appearance.
+    """One long-format file as ([T_i, M] arrays, labels, series ids), in order of first appearance.
 
     The file is read once and checked column by column: the body is split
     into tokens in one pass, the numeric columns are parsed with ``int`` and
@@ -195,7 +195,8 @@ def _read_long(path):
        is wrong, or the file has no data rows;
     2. the first line without 5 fields, then the first line with a
        ``dimension``, ``timestamp`` or ``value`` that does not parse (or an
-       integer beyond 64 bits);
+       integer beyond 64 bits), then the first line whose label is a number
+       where the first row's is text, or text where it is a number;
     3. the first line whose label conflicts with its series' first label,
        or that repeats an earlier (series, dimension, timestamp);
     4. the first series, in order of appearance, missing a dimension,
@@ -227,6 +228,12 @@ def _read_long(path):
     names = list(numbers)
     series = np.fromiter(map(sid_number.__getitem__, sid_col), np.int64, n)
     parsed = {raw: _parse_label(raw.strip()) for raw in dict.fromkeys(label_col)}
+    first_kind = type(next(iter(parsed.values())))
+    odd = next((raw for raw, lab in parsed.items() if type(lab) is not first_kind), None)
+    if odd is not None:
+        number, text = (odd, label_col[0]) if first_kind is str else (label_col[0], odd)
+        raise DataFormatError(f"{path.name}:{_lineno(lines, label_col.index(odd))}: labels mix "
+                              f"numbers and text ({number.strip()!r} and {text.strip()!r})")
     label_ids: dict = {}
     label_id = {raw: label_ids.setdefault(label, len(label_ids)) for raw, label in parsed.items()}
     label = np.fromiter(map(label_id.__getitem__, label_col), np.int64, n)
@@ -240,7 +247,7 @@ def _read_long(path):
     duplicate[order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (t[1:] == t[:-1])]] = True
     if (conflict | duplicate).any():
         r = int(np.argmax(conflict | duplicate))
-        lineno = [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]
+        lineno = _lineno(lines, r)
         sid = names[series[r]]
         if conflict[r]:
             raise IntegrityError(
@@ -269,7 +276,12 @@ def _read_long(path):
 
     raws = [block.reshape(len(all_dims), -1).T
             for block in np.split(values[order], series_start[1:])]
-    return raws, [parsed[label_col[r]] for r in first_row]
+    return raws, [parsed[label_col[r]] for r in first_row], names
+
+
+def _lineno(lines, r: int) -> int:
+    """The file line number of data row ``r`` (blank lines are not rows)."""
+    return [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]
 
 
 def _bad_row(path, lines) -> DataFormatError:
@@ -307,9 +319,12 @@ def load_mts_long(path, target_length: int | None = None,
     return _long_dataset(path, *_read_long(path), target_length, vocabulary)
 
 
-def _long_dataset(path, raws, labels, target=None, vocabulary=None) -> TimeSeriesDataset:
+def _long_dataset(path, raws, labels, names, target=None, vocabulary=None) -> TimeSeriesDataset:
     lengths = [r.shape[0] for r in raws]
     target = max(lengths) if target is None else int(target)
+    if target > 1 and 1 in lengths:
+        raise IntegrityError(f"{Path(path).name}: series {names[lengths.index(1)]!r} has one "
+                             f"timestamp; interpolating it to length {target} needs at least 2")
     X = np.stack([linear_interpolate(r, target) if r.shape[0] != target else r
                   for r in raws])
     if vocabulary is None:
@@ -324,13 +339,12 @@ def load_mts_long_pair(train_path, test_path):
 
     Each file is read once.
     """
-    train_raws, train_labels = _read_long(train_path)
-    test_raws, test_labels = _read_long(test_path)
-    target = max(r.shape[0] for r in train_raws + test_raws)
-    vocabulary = tuple(sorted(set(train_labels)))
-    _check_test_labels(test_path, test_labels, vocabulary)
-    return (_long_dataset(train_path, train_raws, train_labels, target, vocabulary),
-            _long_dataset(test_path, test_raws, test_labels, target, vocabulary))
+    train, test = _read_long(train_path), _read_long(test_path)
+    target = max(r.shape[0] for r in train[0] + test[0])
+    vocabulary = tuple(sorted(set(train[1])))
+    _check_test_labels(test_path, test[1], vocabulary)
+    return (_long_dataset(train_path, *train, target, vocabulary),
+            _long_dataset(test_path, *test, target, vocabulary))
 
 
 def save_mts_long(dataset: TimeSeriesDataset, path) -> None:

@@ -50,6 +50,11 @@ class Node:
         raise NotImplementedError
 
 
+def _accumulate(grads: dict, key: str, g: np.ndarray) -> None:
+    """Add ``g`` to ``grads[key]``; the first gradient is stored as it is."""
+    grads[key] = grads[key] + g if key in grads else g
+
+
 class Flatten(Node):
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -86,8 +91,8 @@ class Dense(Node):
 
     def backward(self, gy, params, prefix, caches, grads):
         gx, gw, gb = L.dense_backward(gy, caches[prefix])
-        grads[f"{prefix}.w"] = grads.get(f"{prefix}.w", 0) + gw
-        grads[f"{prefix}.b"] = grads.get(f"{prefix}.b", 0) + gb
+        _accumulate(grads, f"{prefix}.w", gw)
+        _accumulate(grads, f"{prefix}.b", gb)
         return gx
 
     def describe(self):
@@ -129,8 +134,8 @@ class Conv1d(Node):
 
     def backward(self, gy, params, prefix, caches, grads):
         gx, gw, gb = L.conv1d_backward(gy, caches[prefix])
-        grads[f"{prefix}.w"] = grads.get(f"{prefix}.w", 0) + gw
-        grads[f"{prefix}.b"] = grads.get(f"{prefix}.b", 0) + gb
+        _accumulate(grads, f"{prefix}.w", gw)
+        _accumulate(grads, f"{prefix}.b", gb)
         return gx
 
     def describe(self):
@@ -165,8 +170,8 @@ class BatchNorm(Node):
 
     def backward(self, gy, params, prefix, caches, grads):
         gx, dgamma, dbeta = L.batch_norm_backward(gy, caches[prefix])
-        grads[f"{prefix}.gamma"] = grads.get(f"{prefix}.gamma", 0) + dgamma
-        grads[f"{prefix}.beta"] = grads.get(f"{prefix}.beta", 0) + dbeta
+        _accumulate(grads, f"{prefix}.gamma", dgamma)
+        _accumulate(grads, f"{prefix}.beta", dbeta)
         return gx
 
     def describe(self):
@@ -191,8 +196,8 @@ class InstanceNorm(Node):
 
     def backward(self, gy, params, prefix, caches, grads):
         gx, dgamma, dbeta = L.instance_norm_backward(gy, caches[prefix])
-        grads[f"{prefix}.gamma"] = grads.get(f"{prefix}.gamma", 0) + dgamma
-        grads[f"{prefix}.beta"] = grads.get(f"{prefix}.beta", 0) + dbeta
+        _accumulate(grads, f"{prefix}.gamma", dgamma)
+        _accumulate(grads, f"{prefix}.beta", dbeta)
         return gx
 
     def describe(self):
@@ -231,7 +236,7 @@ class PRelu(Node):
 
     def backward(self, gy, params, prefix, caches, grads):
         gx, gslopes = L.prelu_backward(gy, caches[prefix])
-        grads[f"{prefix}.slopes"] = grads.get(f"{prefix}.slopes", 0) + gslopes
+        _accumulate(grads, f"{prefix}.slopes", gslopes)
         return gx
 
     def describe(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TimeSeriesDataset, split_train_val
-from .errors import ShapeError, TrainingDivergenceError
+from .errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 from .layers import LOSSES
 from .models import ModelSpec, TrainedModel, backward_batch, forward_batch, init_model, trainable
 from .tensor import SplitMix64
@@ -101,61 +101,129 @@ ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-8
 
 
+# Updates walk each parameter's flat view this many float64 values (128 KiB)
+# at a time, so a chunk's parameter, gradient, moments and scratch stay in L2
+# across the passes of its rule.
+CHUNK = 16384
+
+
 class Optimizer:
-    """Shared non-finite guard; concrete rules fill in ``_update``."""
+    """Shared guards and chunked in-place walk; concrete rules fill in ``_rule``.
+
+    ``_rule(lr, p, g, a, b, *moments)`` updates one chunk in place: ``p``
+    and the moments are views into the parameter and its state, ``a`` and
+    ``b`` are scratch.  Each rule evaluates the textbook expression in the
+    same order of operations, so it gives the bits of the out-of-place form.
+    """
+
+    moments = 0  # flat state arrays per parameter, one value per parameter value
 
     def __init__(self):
         self.state: dict = {}
+        self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
     def step(self, params: dict, grads: dict, lr: float) -> None:
-        for name, g in grads.items():
-            if not trainable(name):
-                continue
-            if not np.isfinite(np.asarray(g)).all():
-                raise TrainingDivergenceError(f"non-finite gradient in layer parameter {name!r}")
-        self._update(params, grads, lr)
+        """Update in place every trainable parameter named in ``grads``.
 
-    def _update(self, params, grads, lr):
+        Nothing changes when a gradient is non-finite, a parameter is not a
+        writeable C-contiguous float64 array, or a gradient's shape differs.
+        """
+        names = [name for name in grads if trainable(name)]
+        for name in names:
+            g, p = np.asarray(grads[name]), params[name]
+            if not np.isfinite(g).all():
+                raise TrainingDivergenceError(f"non-finite gradient in layer parameter {name!r}")
+            if not (isinstance(p, np.ndarray) and p.dtype == np.float64
+                    and p.flags.c_contiguous and p.flags.writeable):
+                raise ParameterLayoutError(
+                    f"parameter {name!r} is not a writeable C-contiguous float64 array; "
+                    f"an in-place update would be lost")
+            if g.shape != p.shape:
+                raise ShapeError(f"gradient {g.shape} does not match parameter {name!r} {p.shape}")
+        self._begin_step()
+        a, b = self._scratch
+        for name in names:
+            p = params[name].reshape(-1)
+            g = np.asarray(grads[name]).reshape(-1)
+            if name not in self.state:
+                self.state[name] = tuple(np.zeros(p.size) for _ in range(self.moments))
+            moments = self.state[name]
+            for lo in range(0, p.size, CHUNK):
+                hi = min(lo + CHUNK, p.size)
+                self._rule(lr, p[lo:hi], g[lo:hi], a[: hi - lo], b[: hi - lo],
+                           *(m[lo:hi] for m in moments))
+
+    def _begin_step(self) -> None:
+        pass
+
+    def _rule(self, lr, p, g, a, b, *moments):
         raise NotImplementedError
 
 
 class Sgd(Optimizer):
-    def _update(self, params, grads, lr):
-        for name, g in grads.items():
-            if trainable(name):
-                params[name] = params[name] - lr * g
+    def _rule(self, lr, p, g, a, b):
+        # p = p - lr * g
+        np.multiply(g, lr, out=a)
+        p -= a
 
 
 class Adam(Optimizer):
+    moments = 2  # m, v
+
     def __init__(self):
         super().__init__()
         self.t = 0
 
-    def _update(self, params, grads, lr):
+    def _begin_step(self):
         self.t += 1
-        c1 = 1.0 - ADAM_BETA1 ** self.t
-        c2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, g in grads.items():
-            if not trainable(name):
-                continue
-            m, v = self.state.get(name, (0.0, 0.0))
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-            self.state[name] = (m, v)
-            params[name] = params[name] - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        self.c1 = 1.0 - ADAM_BETA1 ** self.t
+        self.c2 = 1.0 - ADAM_BETA2 ** self.t
+
+    def _rule(self, lr, p, g, a, b, m, v):
+        # m = BETA1 * m + (1 - BETA1) * g
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+        m += a
+        # v = BETA2 * v + (1 - BETA2) * (g * g)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += a
+        # p = p - lr * (m / c1) / (sqrt(v / c2) + EPS)
+        np.divide(m, self.c1, out=a)
+        a *= lr
+        np.divide(v, self.c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 class AdaDelta(Optimizer):
-    def _update(self, params, grads, lr):
-        for name, g in grads.items():
-            if not trainable(name):
-                continue
-            eg2, edx2 = self.state.get(name, (0.0, 0.0))
-            eg2 = ADADELTA_RHO * eg2 + (1.0 - ADADELTA_RHO) * (g * g)
-            dx = -np.sqrt(edx2 + ADADELTA_EPS) / np.sqrt(eg2 + ADADELTA_EPS) * g
-            edx2 = ADADELTA_RHO * edx2 + (1.0 - ADADELTA_RHO) * (dx * dx)
-            self.state[name] = (eg2, edx2)
-            params[name] = params[name] + lr * dx
+    moments = 2  # running E[g^2], E[dx^2]
+
+    def _rule(self, lr, p, g, a, b, eg2, edx2):
+        # eg2 = RHO * eg2 + (1 - RHO) * (g * g)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - ADADELTA_RHO
+        eg2 *= ADADELTA_RHO
+        eg2 += a
+        # dx = -sqrt(edx2 + EPS) / sqrt(eg2 + EPS) * g
+        np.add(edx2, ADADELTA_EPS, out=a)
+        np.sqrt(a, out=a)
+        np.negative(a, out=a)
+        np.add(eg2, ADADELTA_EPS, out=b)
+        np.sqrt(b, out=b)
+        a /= b
+        a *= g
+        # edx2 = RHO * edx2 + (1 - RHO) * (dx * dx)
+        np.multiply(a, a, out=b)
+        b *= 1.0 - ADADELTA_RHO
+        edx2 *= ADADELTA_RHO
+        edx2 += b
+        # p = p + lr * dx
+        a *= lr
+        p += a
 
 
 _OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adadelta": AdaDelta}

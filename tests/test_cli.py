@@ -69,6 +69,18 @@ class TestTrainCommand:
         assert code == 2
         assert "data error: Synth_TRAIN.txt:3: byte 0x80 is not UTF-8" in capsys.readouterr().err
 
+    def test_long_labels_mixing_numbers_and_text_exit_2(self, tmp_path, capsys):
+        rows = ["series_id,dimension,timestamp,value,label"]
+        for sid, label in (("s0", "x"), ("s1", "1"), ("s2", "x"), ("s3", "1")):
+            rows += [f"{sid},0,{t},{0.1 * t},{label}" for t in range(16)]
+        train = tmp_path / "Mixed_TRAIN.csv"
+        train.write_text("\n".join(rows) + "\n")
+        code = run(["train", "--arch", "mlp", "--train", train, "--test", train,
+                    "--runs", "1", "--epochs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert ("data error: Mixed_TRAIN.csv:18: labels mix numbers and text ('1' and 'x')"
+                in capsys.readouterr().err)
+
     def test_run_seeds_are_base_plus_index(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)
         out = tmp_path / "out"

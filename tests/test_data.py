@@ -181,6 +181,28 @@ class TestLongLoader:
         with pytest.raises(DataFormatError, match="^f.csv:7: could not"):
             D.load_mts_long(path)
 
+    @pytest.mark.parametrize("first, second, line", [("a", "1", 6), ("1", "a", 6)])
+    def test_labels_mixing_numbers_and_text_are_refused(self, tmp_path, first, second, line):
+        rows = [r.replace(",a", f",{first}").replace(",b", f",{second}") for r in self.GOOD]
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            D.load_mts_long(path)
+        assert str(info.value) == f"f.csv:{line}: labels mix numbers and text ('1' and 'a')"
+
+    @pytest.mark.parametrize("pair", [False, True])
+    def test_one_timestamp_series_names_file_and_series(self, tmp_path, pair):
+        rows = self.GOOD[:4] + ["s2,0,0,0.5,b", "s2,1,0,1.5,b"]
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(IntegrityError) as info:
+            D.load_mts_long_pair(path, path) if pair else D.load_mts_long(path)
+        assert str(info.value) == ("f.csv: series 's2' has one timestamp; "
+                                   "interpolating it to length 2 needs at least 2")
+
+    def test_all_one_timestamp_series_need_no_interpolation(self, tmp_path):
+        rows = ["s1,0,0,0.5,a", "s2,0,0,1.5,b"]
+        ds = D.load_mts_long(write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n"))
+        assert ds.X.shape == (2, 1, 1)
+
     def test_unseen_test_label_names_test_file(self, tmp_path):
         train = write(tmp_path, "tr.csv", LONG_HEADER + "\n".join(self.GOOD) + "\n")
         rows = [r.replace(",b", ",z") for r in self.GOOD]

@@ -232,6 +232,15 @@ class TestForward:
         assert np.all((y > 0) & (y < 1))
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) > 1e-6  # unconstrained rows
 
+    def test_accumulate_stores_first_gradient_and_adds_later_ones(self):
+        grads = {}
+        first = np.array([1.0, -0.0])
+        M._accumulate(grads, "0.w", first)
+        assert grads["0.w"] is first  # no `0 + g` copy, and -0.0 keeps its sign
+        M._accumulate(grads, "0.w", np.array([2.0, 0.5]))
+        assert np.array_equal(grads["0.w"], [3.0, 0.5])
+        assert np.array_equal(first, [1.0, -0.0])  # the stored array is not written
+
     def test_mlp_forward_matches_unrolled_matmuls(self):
         spec, params = build_and_init("mlp", 20, 1, 2)
         x = random_batch((2, 20, 1), seed=8)

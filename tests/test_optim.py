@@ -9,7 +9,7 @@ from conftest import separable_dataset, toy_dataset
 from tsclab import models as M
 from tsclab import optim as O
 from tsclab.data import TimeSeriesDataset, one_hot
-from tsclab.errors import TrainingDivergenceError
+from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 
 
 class TestOptimizers:
@@ -60,6 +60,103 @@ class TestOptimizers:
             new_value = params["w"][0] ** 2
             assert new_value <= value + 1e-12
             value = new_value
+
+    @pytest.mark.parametrize("bad", ["nan-gradient", "non-contiguous", "read-only"])
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adadelta"])
+    def test_refused_step_leaves_every_param_untouched(self, kind, bad):
+        # the refused parameter comes last: no parameter before it may move
+        params = {"0.w": np.array([1.0, 2.0]), "1.w": np.arange(12.0).reshape(3, 4)}
+        grads = {"0.w": np.array([0.5, -0.5]), "1.w": np.ones((3, 4))}
+        if bad == "nan-gradient":
+            grads["1.w"][1, 2] = np.nan
+            error = TrainingDivergenceError
+        elif bad == "non-contiguous":
+            params["1.w"] = np.asfortranarray(params["1.w"])
+            error = ParameterLayoutError
+        else:
+            params["1.w"].flags.writeable = False
+            error = ParameterLayoutError
+        before = {k: v.copy() for k, v in params.items()}
+        opt = O.make_optimizer(kind)
+        with pytest.raises(error, match="'1.w'"):
+            opt.step(params, grads, 0.1)
+        for k, v in params.items():
+            assert v.tobytes() == before[k].tobytes()
+        assert opt.state == {}
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.zeros((4, 6))[:, ::2],
+        lambda: np.zeros((3, 5)).T,
+    ], ids=["strided", "transposed"])
+    def test_non_contiguous_param_is_refused(self, make):
+        # reshape(-1) of such an array is a copy, and the update would be lost
+        with pytest.raises(ParameterLayoutError, match="'2.b'"):
+            O.make_optimizer("sgd").step({"2.b": make()}, {"2.b": np.ones_like(make())}, 0.1)
+
+    def test_read_only_param_is_refused(self):
+        frozen = np.zeros(3)
+        frozen.flags.writeable = False
+        with pytest.raises(ParameterLayoutError, match="'2.b'"):
+            O.make_optimizer("adam").step({"2.b": frozen}, {"2.b": np.ones(3)}, 0.1)
+
+    def test_gradient_shape_must_match_param(self):
+        with pytest.raises(ShapeError, match="'0.w'"):
+            O.make_optimizer("sgd").step({"0.w": np.zeros((2, 3))}, {"0.w": np.ones(6)}, 0.1)
+
+
+class ReferenceOptimizer:
+    """The out-of-place textbook update rules, one full-size temporary per operation."""
+
+    def __init__(self, kind):
+        self.kind, self.state, self.t = kind, {}, 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        for name, g in grads.items():
+            p = params[name]
+            if self.kind == "sgd":
+                params[name] = p - lr * g
+            elif self.kind == "adam":
+                c1 = 1.0 - O.ADAM_BETA1 ** self.t
+                c2 = 1.0 - O.ADAM_BETA2 ** self.t
+                m, v = self.state.get(name, (0.0, 0.0))
+                m = O.ADAM_BETA1 * m + (1.0 - O.ADAM_BETA1) * g
+                v = O.ADAM_BETA2 * v + (1.0 - O.ADAM_BETA2) * (g * g)
+                self.state[name] = (m, v)
+                params[name] = p - lr * (m / c1) / (np.sqrt(v / c2) + O.ADAM_EPS)
+            else:
+                rho, eps = O.ADADELTA_RHO, O.ADADELTA_EPS
+                eg2, edx2 = self.state.get(name, (0.0, 0.0))
+                eg2 = rho * eg2 + (1.0 - rho) * (g * g)
+                dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+                edx2 = rho * edx2 + (1.0 - rho) * (dx * dx)
+                self.state[name] = (eg2, edx2)
+                params[name] = p + lr * dx
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (O.CHUNK - 1,), (O.CHUNK,), (3 * O.CHUNK + 17,), (211, 160), (7, 41, 123),
+], ids=str)
+@pytest.mark.parametrize("kind,lr", [("sgd", 0.01), ("adam", 0.001), ("adadelta", 1.0)])
+def test_in_place_update_matches_reference_bits(kind, lr, shape):
+    rng = np.random.default_rng(sum(shape))
+    start = rng.standard_normal(shape)
+    start.reshape(-1)[::5] = 0.0
+    mine, ref = {"0.w": start.copy()}, {"0.w": start.copy()}
+    opt, reference = O.make_optimizer(kind), ReferenceOptimizer(kind)
+    for t in range(5):
+        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+        flat = g.reshape(-1)
+        flat[rng.random(flat.size) < 0.1] = 0.0
+        flat[rng.random(flat.size) < 0.1] = -0.0
+        step_lr = lr / (1.0 + 0.3 * t)
+        opt.step(mine, {"0.w": g}, step_lr)
+        reference.step(ref, {"0.w": g.copy()}, step_lr)
+        assert mine["0.w"].tobytes() == ref["0.w"].tobytes(), f"params differ at step {t + 1}"
+        moments = opt.state.get("0.w", ())
+        assert len(moments) == len(reference.state.get("0.w", ()))
+        for a, b in zip(moments, reference.state.get("0.w", ())):
+            assert a.tobytes() == b.tobytes(), f"moment state differs at step {t + 1}"
 
 
 class TestLrSchedule:
