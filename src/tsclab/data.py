@@ -271,7 +271,8 @@ def _read_long(path):
     if not sound.all():
         k = int(np.argmin(sound))
         own = slice(bounds[k], bounds[k + 1])
-        raise _series_fault(names[k], dict(zip(d[group[own]].tolist(), contiguous[own].tolist())),
+        raise _series_fault(f"{path.name}: series {names[k]!r}",
+                            dict(zip(d[group[own]].tolist(), contiguous[own].tolist())),
                             all_dims.tolist())
 
     raws = [block.reshape(len(all_dims), -1).T
@@ -300,14 +301,14 @@ def _bad_row(path, lines) -> DataFormatError:
             return DataFormatError(f"{path.name}:{lineno}: integer beyond 64 bits")
 
 
-def _series_fault(sid, contiguous_by_dim: dict, all_dims) -> IntegrityError:
+def _series_fault(where: str, contiguous_by_dim: dict, all_dims) -> IntegrityError:
     """Name a faulty series' first missing or non-contiguous dimension, else its lengths."""
     for dim in all_dims:
         if dim not in contiguous_by_dim:
-            return IntegrityError(f"series {sid!r} is missing dimension {dim}")
+            return IntegrityError(f"{where} is missing dimension {dim}")
         if not contiguous_by_dim[dim]:
-            return IntegrityError(f"series {sid!r} dim {dim}: timestamps not contiguous from 0")
-    return IntegrityError(f"series {sid!r}: dimensions disagree on length")
+            return IntegrityError(f"{where} dim {dim}: timestamps not contiguous from 0")
+    return IntegrityError(f"{where}: dimensions disagree on length")
 
 
 def load_mts_long(path, target_length: int | None = None,

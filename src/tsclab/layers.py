@@ -235,24 +235,6 @@ def prelu_backward(gy, cache):
     return gx, gslopes
 
 
-_ACTIVATIONS = {
-    "relu": (relu_forward, relu_backward),
-    "sigmoid": (sigmoid_forward, sigmoid_backward),
-    "tanh": (tanh_forward, tanh_backward),
-    "softmax": (softmax_forward, softmax_backward),
-}
-
-
-def activation_forward(x, kind: str):
-    fwd, _ = _ACTIVATIONS[kind]
-    return fwd(x)
-
-
-def activation_backward(gy, cache, kind: str):
-    _, bwd = _ACTIVATIONS[kind]
-    return bwd(gy, cache)
-
-
 # ---------------------------------------------------------------------------
 # dropout
 

@@ -3,8 +3,10 @@
 A model is a :class:`ModelSpec` (architecture id + geometry + a tree of
 layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
-accumulates exact gradients.  Parameters live in insertion order, which
-is also the serialization order of the binary blob.
+accumulates exact gradients.  A leaf node only declares its ``layers``
+kernel pair, its parameters and its arguments (the contract is on
+:class:`Node`); :func:`param_layout` lists the declared parameters in layer
+order, the order of the Glorot draws and of the serialized blob.
 """
 
 from __future__ import annotations
@@ -34,17 +36,56 @@ def _child_prefix(prefix: str, i) -> str:
 
 
 class Node:
-    def init_params(self, in_shape, rng, params, prefix):
-        return self.out_shape(in_shape)
+    """One layer of the tree.  A leaf declares, and the base class runs:
+
+    - ``kernel``: the ``layers`` pair ``<kernel>_forward(x, *params, *args)``
+      -> ``(y, cache, ...)`` and ``<kernel>_backward(gy, cache)`` -> the input
+      gradient, followed (for a leaf with parameters) by one gradient per
+      name; names past the last gradient (running statistics) are not trained
+    - ``names``: its parameter names, in blob order
+    - ``shapes(in_shape)``: a ``(shape, fill)`` per name; a ``(fan_in,
+      fan_out)`` fill is a Glorot draw, a number a constant
+    - ``args(mode, rng)``: the static kernel arguments
+    - ``out_shape`` (default: the input shape) and ``describe``
+
+    Kernels are looked up on ``layers`` at each call, not bound when the
+    class is made, so that a wrapper put on the module's kernels (a
+    profiler's) sees every call.
+    """
+
+    kernel = ""
+    names: tuple = ()
+
+    def shapes(self, in_shape):
+        return ()
+
+    def args(self, mode, rng):
+        return ()
 
     def out_shape(self, in_shape):
-        raise NotImplementedError
+        return in_shape
+
+    def layout(self, in_shape, prefix, entries: list):
+        """Append ``(name, shape, fill)`` per parameter to ``entries``; return the out shape."""
+        out = self.out_shape(in_shape)
+        entries += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, self.shapes(in_shape))]
+        return out
+
+    def _run(self, x, params, prefix, mode, rng):
+        kernel = getattr(L, f"{self.kernel}_forward")
+        return kernel(x, *(params[f"{prefix}.{n}"] for n in self.names), *self.args(mode, rng))
 
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        raise NotImplementedError
+        y, caches[prefix] = self._run(x, params, prefix, mode, rng)
+        return y
 
     def backward(self, gy, params, prefix, caches, grads):
-        raise NotImplementedError
+        out = getattr(L, f"{self.kernel}_backward")(gy, caches[prefix])
+        if not self.names:
+            return out
+        for n, g in zip(self.names, out[1:]):
+            _accumulate(grads, f"{prefix}.{n}", g)
+        return out[0]
 
     def describe(self):
         raise NotImplementedError
@@ -71,6 +112,8 @@ class Flatten(Node):
 
 
 class Dense(Node):
+    kernel, names = "dense", ("w", "b")
+
     def __init__(self, units: int):
         self.units = units
 
@@ -79,27 +122,17 @@ class Dense(Node):
             raise ShapeError(f"dense expects flat input, got shape {in_shape}")
         return (self.units,)
 
-    def init_params(self, in_shape, rng, params, prefix):
-        (f_in,) = in_shape
-        params[f"{prefix}.w"] = glorot_uniform(f_in, self.units, (f_in, self.units), rng)
-        params[f"{prefix}.b"] = np.zeros(self.units)
-        return (self.units,)
-
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.dense_forward(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        gx, gw, gb = L.dense_backward(gy, caches[prefix])
-        _accumulate(grads, f"{prefix}.w", gw)
-        _accumulate(grads, f"{prefix}.b", gb)
-        return gx
+    def shapes(self, in_shape):
+        w = (in_shape[0], self.units)
+        return (w, w), ((self.units,), 0.0)
 
     def describe(self):
         return f"dense units={self.units}"
 
 
 class Conv1d(Node):
+    kernel, names = "conv1d", ("w", "b")
+
     def __init__(self, filters: int, length: int, padding: str = "same"):
         self.filters = filters
         self.length = length
@@ -111,94 +144,48 @@ class Conv1d(Node):
             return (T, self.filters)
         t_out = T - self.length + 1
         if t_out < 1:
-            raise ValueError(
-                f"valid convolution of length {self.length} on series length {T}"
-            )
+            raise ValueError(f"valid convolution of length {self.length} on series length {T}")
         return (t_out, self.filters)
 
-    def init_params(self, in_shape, rng, params, prefix):
-        _, c_in = in_shape
-        fan_in = self.length * c_in
-        fan_out = self.length * self.filters
-        params[f"{prefix}.w"] = glorot_uniform(
-            fan_in, fan_out, (self.filters, self.length, c_in), rng
-        )
-        params[f"{prefix}.b"] = np.zeros(self.filters)
-        return self.out_shape(in_shape)
+    def shapes(self, in_shape):
+        c_in = in_shape[1]
+        fans = (self.length * c_in, self.length * self.filters)
+        return ((self.filters, self.length, c_in), fans), ((self.filters,), 0.0)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.conv1d_forward(
-            x, params[f"{prefix}.w"], params[f"{prefix}.b"], self.padding
-        )
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        gx, gw, gb = L.conv1d_backward(gy, caches[prefix])
-        _accumulate(grads, f"{prefix}.w", gw)
-        _accumulate(grads, f"{prefix}.b", gb)
-        return gx
+    def args(self, mode, rng):
+        return (self.padding,)
 
     def describe(self):
         return f"conv filters={self.filters} length={self.length} padding={self.padding}"
 
 
 class BatchNorm(Node):
-    def out_shape(self, in_shape):
-        return in_shape
+    kernel, names = "batch_norm", ("gamma", "beta", "running_mean", "running_var")
 
-    def init_params(self, in_shape, rng, params, prefix):
-        c = in_shape[-1]
-        params[f"{prefix}.gamma"] = np.ones(c)
-        params[f"{prefix}.beta"] = np.zeros(c)
-        params[f"{prefix}.running_mean"] = np.zeros(c)
-        params[f"{prefix}.running_var"] = np.ones(c)
-        return in_shape
+    def shapes(self, in_shape):
+        c = (in_shape[-1],)
+        return (c, 1.0), (c, 0.0), (c, 0.0), (c, 1.0)
+
+    def args(self, mode, rng):
+        return (mode,)
 
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix], new_mean, new_var = L.batch_norm_forward(
-            x,
-            params[f"{prefix}.gamma"],
-            params[f"{prefix}.beta"],
-            params[f"{prefix}.running_mean"],
-            params[f"{prefix}.running_var"],
-            mode,
-        )
+        y, caches[prefix], new_mean, new_var = self._run(x, params, prefix, mode, rng)
         if mode == "train":
             params[f"{prefix}.running_mean"] = new_mean
             params[f"{prefix}.running_var"] = new_var
         return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        gx, dgamma, dbeta = L.batch_norm_backward(gy, caches[prefix])
-        _accumulate(grads, f"{prefix}.gamma", dgamma)
-        _accumulate(grads, f"{prefix}.beta", dbeta)
-        return gx
 
     def describe(self):
         return "batch_norm"
 
 
 class InstanceNorm(Node):
-    def out_shape(self, in_shape):
-        return in_shape
+    kernel, names = "instance_norm", ("gamma", "beta")
 
-    def init_params(self, in_shape, rng, params, prefix):
-        c = in_shape[-1]
-        params[f"{prefix}.gamma"] = np.ones(c)
-        params[f"{prefix}.beta"] = np.zeros(c)
-        return in_shape
-
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.instance_norm_forward(
-            x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"]
-        )
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        gx, dgamma, dbeta = L.instance_norm_backward(gy, caches[prefix])
-        _accumulate(grads, f"{prefix}.gamma", dgamma)
-        _accumulate(grads, f"{prefix}.beta", dbeta)
-        return gx
+    def shapes(self, in_shape):
+        c = (in_shape[-1],)
+        return (c, 1.0), (c, 0.0)
 
     def describe(self):
         return "instance_norm"
@@ -206,62 +193,38 @@ class InstanceNorm(Node):
 
 class Act(Node):
     def __init__(self, kind: str):
-        self.kind = kind
-
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.activation_forward(x, self.kind)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.activation_backward(gy, caches[prefix], self.kind)
+        self.kernel = kind
 
     def describe(self):
-        return f"act {self.kind}"
+        return f"act {self.kernel}"
 
 
 class PRelu(Node):
-    def out_shape(self, in_shape):
-        return in_shape
+    kernel, names = "prelu", ("slopes",)
 
-    def init_params(self, in_shape, rng, params, prefix):
-        params[f"{prefix}.slopes"] = np.full(in_shape[-1], 0.25)
-        return in_shape
-
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.prelu_forward(x, params[f"{prefix}.slopes"])
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        gx, gslopes = L.prelu_backward(gy, caches[prefix])
-        _accumulate(grads, f"{prefix}.slopes", gslopes)
-        return gx
+    def shapes(self, in_shape):
+        return (((in_shape[-1],), 0.25),)
 
     def describe(self):
         return "act prelu"
 
 
 class Dropout(Node):
+    kernel = "dropout"
+
     def __init__(self, rate: float):
         self.rate = rate
 
-    def out_shape(self, in_shape):
-        return in_shape
-
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.dropout_forward(x, self.rate, mode, rng)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.dropout_backward(gy, caches[prefix])
+    def args(self, mode, rng):
+        return self.rate, mode, rng
 
     def describe(self):
         return f"dropout rate={self.rate}"
 
 
 class Pool1d(Node):
+    kernel = "pool1d"
+
     def __init__(self, kind: str, window: int):
         self.kind = kind
         self.window = window
@@ -273,53 +236,44 @@ class Pool1d(Node):
             raise ValueError(f"pool window {self.window} invalid for series length {T}")
         return (t_out, c)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.pool1d_forward(x, self.window, self.kind)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.pool1d_backward(gy, caches[prefix])
+    def args(self, mode, rng):
+        return self.window, self.kind
 
     def describe(self):
         return f"pool {self.kind} window={self.window}"
 
 
 class Gap(Node):
+    kernel = "gap"
+
     def out_shape(self, in_shape):
         return (in_shape[1],)
 
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
         if taps is not None:
             taps[prefix] = x
-        y, caches[prefix] = L.gap_forward(x)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.gap_backward(gy, caches[prefix])
+        return super().forward(x, params, prefix, mode, rng, caches)
 
     def describe(self):
         return "gap"
 
 
 class Attention(Node):
+    kernel = "attention"
+
     def out_shape(self, in_shape):
         T, c = in_shape
         if c % 2 != 0:
             raise ValueError(f"attention needs an even channel count, got {c}")
         return (c // 2,)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.attention_forward(x)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.attention_backward(gy, caches[prefix])
-
     def describe(self):
         return "attention"
 
 
 class Downsample(Node):
+    kernel = "downsample"
+
     def __init__(self, factor: int):
         self.factor = factor
 
@@ -327,18 +281,16 @@ class Downsample(Node):
         T, c = in_shape
         return (-(-T // self.factor), c)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.downsample_forward(x, self.factor)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.downsample_backward(gy, caches[prefix])
+    def args(self, mode, rng):
+        return (self.factor,)
 
     def describe(self):
         return f"downsample factor={self.factor}"
 
 
 class MovingAvg(Node):
+    kernel = "moving_average"
+
     def __init__(self, window: int):
         self.window = window
 
@@ -349,12 +301,8 @@ class MovingAvg(Node):
             raise ValueError(f"moving average window {self.window} on series length {T}")
         return (t_out, c)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        y, caches[prefix] = L.moving_average_forward(x, self.window)
-        return y
-
-    def backward(self, gy, params, prefix, caches, grads):
-        return L.moving_average_backward(gy, caches[prefix])
+    def args(self, mode, rng):
+        return (self.window,)
 
     def describe(self):
         return f"moving_avg window={self.window}"
@@ -391,21 +339,21 @@ class AlignTime(Node):
         return f"align_time target={self.target}"
 
 
-class Sequential(Node):
+class Composite(Node):
+    """A node over child nodes; its ``layout`` walks them and gives its out shape."""
+
+    def out_shape(self, in_shape):
+        return self.layout(in_shape, "", [])
+
+
+class Sequential(Composite):
     def __init__(self, children: list):
         self.children = list(children)
 
-    def init_params(self, in_shape, rng, params, prefix):
-        shape = in_shape
+    def layout(self, in_shape, prefix, entries):
         for i, child in enumerate(self.children):
-            shape = child.init_params(shape, rng, params, _child_prefix(prefix, i))
-        return shape
-
-    def out_shape(self, in_shape):
-        shape = in_shape
-        for child in self.children:
-            shape = child.out_shape(shape)
-        return shape
+            in_shape = child.layout(in_shape, _child_prefix(prefix, i), entries)
+        return in_shape
 
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
         for i, child in enumerate(self.children):
@@ -421,45 +369,33 @@ class Sequential(Node):
         return [child.describe() for child in self.children]
 
 
-class Residual(Node):
+class Residual(Composite):
     """Body branch plus a linear shortcut; both receive the block input."""
 
     def __init__(self, body: Node, shortcut: Node | None = None):
         self.body = body
         self.shortcut = shortcut
 
-    def init_params(self, in_shape, rng, params, prefix):
-        out = self.body.init_params(in_shape, rng, params, _child_prefix(prefix, "body"))
+    def layout(self, in_shape, prefix, entries):
+        out = self.body.layout(in_shape, _child_prefix(prefix, "body"), entries)
         if self.shortcut is not None:
-            sc = self.shortcut.init_params(in_shape, rng, params, _child_prefix(prefix, "sc"))
+            sc = self.shortcut.layout(in_shape, _child_prefix(prefix, "sc"), entries)
             if sc != out:
                 raise ShapeError(f"residual: body {out} and shortcut {sc} shapes differ")
         elif in_shape != out:
             raise ShapeError(f"residual: identity shortcut needs {in_shape} == {out}")
         return out
 
-    def out_shape(self, in_shape):
-        return self.body.out_shape(in_shape)
-
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
         yb = self.body.forward(x, params, _child_prefix(prefix, "body"), mode, rng, caches, taps)
-        if self.shortcut is not None:
-            ys = self.shortcut.forward(
-                x, params, _child_prefix(prefix, "sc"), mode, rng, caches, taps
-            )
-        else:
-            ys = x
+        ys = x if self.shortcut is None else self.shortcut.forward(
+            x, params, _child_prefix(prefix, "sc"), mode, rng, caches, taps)
         return L.residual_add(yb, ys)
 
     def backward(self, gy, params, prefix, caches, grads):
         gx = self.body.backward(gy, params, _child_prefix(prefix, "body"), caches, grads)
-        if self.shortcut is not None:
-            gx = gx + self.shortcut.backward(
-                gy, params, _child_prefix(prefix, "sc"), caches, grads
-            )
-        else:
-            gx = gx + gy
-        return gx
+        return gx + (gy if self.shortcut is None else self.shortcut.backward(
+            gy, params, _child_prefix(prefix, "sc"), caches, grads))
 
     def describe(self):
         return {
@@ -468,21 +404,18 @@ class Residual(Node):
         }
 
 
-class ConcatChannels(Node):
+class ConcatChannels(Composite):
     """Feed the same input to every branch; concatenate outputs over channels."""
 
     def __init__(self, branches: list):
         self.branches = list(branches)
 
-    def init_params(self, in_shape, rng, params, prefix):
+    def layout(self, in_shape, prefix, entries):
         outs = [
-            b.init_params(in_shape, rng, params, _child_prefix(prefix, f"br{i}"))
+            b.layout(in_shape, _child_prefix(prefix, f"br{i}"), entries)
             for i, b in enumerate(self.branches)
         ]
         return self._merge(outs)
-
-    def out_shape(self, in_shape):
-        return self._merge([b.out_shape(in_shape) for b in self.branches])
 
     @staticmethod
     def _merge(outs):
@@ -515,25 +448,21 @@ class ConcatChannels(Node):
         return {"concat_branches": [b.describe() for b in self.branches]}
 
 
-class SplitDims(Node):
+class SplitDims(Composite):
     """One branch per input dimension; branch i sees channel i alone."""
 
     def __init__(self, branches: list):
         self.branches = list(branches)
 
-    def init_params(self, in_shape, rng, params, prefix):
+    def layout(self, in_shape, prefix, entries):
         T, c = in_shape
         if c != len(self.branches):
             raise ShapeError(f"expected {len(self.branches)} input dims, got {c}")
         outs = [
-            b.init_params((T, 1), rng, params, _child_prefix(prefix, f"dim{i}"))
+            b.layout((T, 1), _child_prefix(prefix, f"dim{i}"), entries)
             for i, b in enumerate(self.branches)
         ]
         return ConcatChannels._merge(outs)
-
-    def out_shape(self, in_shape):
-        T, c = in_shape
-        return ConcatChannels._merge([b.out_shape((T, 1)) for b in self.branches])
 
     def forward(self, x, params, prefix, mode, rng, caches, taps=None):
         ys = [
@@ -587,13 +516,22 @@ class TrainedModel:
     best_epoch: int = 0
 
 
-def init_model(spec: ModelSpec, rng: SplitMix64) -> dict:
-    """Fresh parameter dict; Glorot draws in layer order, row-major per tensor."""
-    params: dict = {}
-    out = spec.net.init_params((spec.input_length, spec.input_dims), rng, params, "")
+def param_layout(spec: ModelSpec) -> list[tuple[str, tuple, object]]:
+    """``(name, shape, fill)`` of every parameter, in layer order (the blob's order).
+
+    A ``(fan_in, fan_out)`` fill is a Glorot draw; a number fills the tensor.
+    """
+    entries: list = []
+    out = spec.net.layout((spec.input_length, spec.input_dims), "", entries)
     if out != (spec.classes,):
         raise ShapeError(f"network emits {out}, expected ({spec.classes},)")
-    return params
+    return entries
+
+
+def init_model(spec: ModelSpec, rng: SplitMix64) -> dict:
+    """Fresh parameter dict; Glorot draws in layer order, row-major per tensor."""
+    return {name: glorot_uniform(*fill, shape, rng) if isinstance(fill, tuple)
+            else np.full(shape, fill) for name, shape, fill in param_layout(spec)}
 
 
 def trainable(name: str) -> bool:
@@ -909,7 +847,7 @@ def save_model(model: TrainedModel, manifest_path) -> None:
 
 
 def load_model(manifest_path) -> TrainedModel:
-    """Rebuild the spec from the manifest and check the blob's layout against it."""
+    """Rebuild the spec from the manifest; check the ``param:`` lines against its layout."""
     bundle = Bundle(manifest_path, MODEL_FORMAT, {**_SPEC_FIELDS, **_RUN_FIELDS},
                     optional={"slicing": _read_slicing},
                     repeated={"option": _read_option, "layer": str})
@@ -917,5 +855,5 @@ def load_model(manifest_path) -> TrainedModel:
     spec = bundle.build(None, build_model, f["architecture_id"], f["input_length"],
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
     spec.slicing = f.get("slicing")
-    layout = [(name, v.shape) for name, v in init_model(spec, SplitMix64(0)).items()]
+    layout = [(name, shape) for name, shape, _ in param_layout(spec)]
     return TrainedModel(spec, bundle.tensors(layout), **{k: f[k] for k in _RUN_FIELDS})

@@ -160,11 +160,11 @@ class TestLongLoader:
          "f.csv:10: duplicate entry for series 's1' dim 1 t 0"),
         (lambda r: r[:6] + ["s2,1,0,1.5,a"] + r[7:], IntegrityError,
          "f.csv:8: series 's2' has conflicting labels 'b' and 'a'"),
-        (lambda r: r[:6], IntegrityError, "series 's2' is missing dimension 1"),
+        (lambda r: r[:6], IntegrityError, "f.csv: series 's2' is missing dimension 1"),
         (lambda r: r[:5] + ["s2,0,2,0.6,b"] + r[6:], IntegrityError,
-         "series 's2' dim 0: timestamps not contiguous from 0"),
+         "f.csv: series 's2' dim 0: timestamps not contiguous from 0"),
         (lambda r: r + ["s2,1,2,1.7,b"], IntegrityError,
-         "series 's2': dimensions disagree on length"),
+         "f.csv: series 's2': dimensions disagree on length"),
         (lambda r: [], DataFormatError, "f.csv: no data rows"),
     ], ids=["4-fields", "6-fields", "value", "timestamp", "dimension", "duplicate",
             "conflicting-label", "missing-dimension", "non-contiguous", "lengths-disagree",
@@ -174,6 +174,13 @@ class TestLongLoader:
         with pytest.raises(error) as info:
             D.load_mts_long(path)
         assert str(info.value) == message
+
+    def test_series_fault_in_test_file_names_test_file(self, tmp_path):
+        train = write(tmp_path, "tr.csv", LONG_HEADER + "\n".join(self.GOOD) + "\n")
+        test = write(tmp_path, "te.csv", LONG_HEADER + "\n".join(self.GOOD[:6]) + "\n")
+        with pytest.raises(IntegrityError) as info:
+            D.load_mts_long_pair(train, test)
+        assert str(info.value) == "te.csv: series 's2' is missing dimension 1"
 
     def test_fault_line_counts_blank_lines(self, tmp_path):
         rows = self.GOOD[:3] + ["", "  ", "s1,1,1,oops,a"] + self.GOOD[4:]

@@ -261,12 +261,14 @@ class TestActivations:
         x = random_batch((3, 5), seed=2) + 0.01  # keep relu off the kink
         gy = random_batch((3, 5), seed=3)
 
+        forward, backward = getattr(L, f"{kind}_forward"), getattr(L, f"{kind}_backward")
+
         def loss(x_):
-            y, _ = L.activation_forward(x_, kind)
+            y, _ = forward(x_)
             return float((y * gy).sum())
 
-        _, cache = L.activation_forward(x, kind)
-        gx = L.activation_backward(gy, cache, kind)
+        _, cache = forward(x)
+        gx = backward(gy, cache)
         assert_grad_close(gx, central_difference(loss, x.copy()))
 
     def test_prelu_gradients_including_slopes(self):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,13 @@ def build_and_init(arch, T, Mdims=1, K=2, seed=0, **options):
     spec = M.build_model(arch, T, Mdims, K, **options)
     params = M.init_model(spec, SplitMix64(seed))
     return spec, params
+
+
+def build_small(arch, Mdims=1, K=2, seed=0):
+    """Any of the eight networks at a small geometry; mcnn at one grid point."""
+    T = {"timecnn": 60, "mcnn": 27}.get(arch, 16)
+    options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
+    return build_and_init(arch, T, Mdims, K, seed, **options)
 
 
 class TestConformance:
@@ -384,15 +393,19 @@ class TestPredict:
 
 class TestSerialization:
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
-    def test_round_trip(self, arch, tmp_path):
-        T = {"timecnn": 60, "mcnn": 27}.get(arch, 16)
-        options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
-        spec, params = build_and_init(arch, T, 1, 2, seed=20, **options)
+    def test_round_trip(self, arch, tmp_path, monkeypatch):
+        spec, params = build_small(arch, seed=20)
+        T = spec.input_length
         if arch in ("mcnn", "tlenet"):
             spec.slicing = SlicingConfig(0.9, 3, (1.0, 2.0, 0.5))
         model = M.TrainedModel(spec, params, seed=20, epochs_run=7, best_epoch=3)
         path = tmp_path / "model.model"
         M.save_model(model, path)
+
+        def no_draws(*args):
+            raise AssertionError("load_model drew initial weights")
+
+        monkeypatch.setattr(M, "glorot_uniform", no_draws)
         loaded = M.load_model(path)
         assert loaded.spec.architecture_id == arch
         assert loaded.spec.options == spec.options and loaded.spec.slicing == spec.slicing
@@ -426,17 +439,50 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", ["cut", "extend"])
     def test_blob_size_mismatch_raises(self, tmp_path, change):
-        spec, params = build_and_init("mlp", 4, 1, 2)
-        M.save_model(M.TrainedModel(spec, params), tmp_path / "m.model")
-        blob = tmp_path / "m.model.bin"
-        raw = blob.read_bytes()
-        expected = 8 * sum(v.size for v in params.values())
-        assert len(raw) == expected
-        raw = raw[:-3] if change == "cut" else raw + bytes(64)
-        blob.write_bytes(raw)
-        with pytest.raises(BlobSizeError,
-                           match=f"m.model.bin has {len(raw)} bytes.*need {expected}"):
-            M.load_model(tmp_path / "m.model")
+        for arch in M.ARCHITECTURES:
+            spec, params = build_small(arch, Mdims=2, K=3)
+            M.save_model(M.TrainedModel(spec, params), tmp_path / f"{arch}.model")
+            blob = tmp_path / f"{arch}.model.bin"
+            raw = blob.read_bytes()
+            expected = 8 * sum(v.size for v in params.values())
+            assert len(raw) == expected
+            raw = raw[:-3] if change == "cut" else raw + bytes(64)
+            blob.write_bytes(raw)
+            with pytest.raises(BlobSizeError,
+                               match=f"{arch}.model.bin has {len(raw)} bytes.*need {expected}"):
+                M.load_model(tmp_path / f"{arch}.model")
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_gradients_match_declared_names_and_shapes(self, arch):
+        spec, params = build_small(arch, Mdims=2, K=3)
+        x = random_batch((3, spec.input_length, 2), seed=30)
+        y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(31))
+        _, grads = M.backward_batch(spec, params, caches, random_batch(y.shape, seed=32))
+        declared = {name for name, _, _ in M.param_layout(spec) if M.trainable(name)}
+        assert set(grads) == declared
+        for name, g in grads.items():
+            assert g.shape == params[name].shape, name
+
+    # sha256 of the concatenated initial parameters; a change here changes
+    # every seeded run, so it must be deliberate
+    INIT_SHA256 = {
+        "mlp": "f3164ec87b1e5716f676043d1eecba470d7e669ad5f654ee99c051c2ba243647",
+        "fcn": "29bb29278feda9d40bacc878937219baa8fab721b366281e5eab0ddacff3e76f",
+        "resnet": "aa98f997be6478786327fb9c03952b4170f802d7d5bdc0ca039bf20021c0d212",
+        "encoder": "fbd7dd04c8d1e9ff962a91baaa13c5c71d293bf385e3373fed9133b1bed2aa3a",
+        "mcnn": "4fb3dfc0ddda5c9f99a29490fc74d4211276c6814303eb340e48132646a6351d",
+        "tlenet": "45b3e49996f952dbf37b84d191fc650d810f9e250edc7982150bf837a7182c2b",
+        "mcdcnn": "cd577dec50232bdd11345912f4daf275dba3003517441215b0817edf9f139097",
+        "timecnn": "f2ffd99dc243c4c2df0e0e50e914e45e9d6f0ea9845117693a5e41c148b0861a",
+    }
+
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_init_bits_are_pinned(self, arch):
+        spec, params = build_small(arch, Mdims=2, K=3)
+        digest = hashlib.sha256(b"".join(v.tobytes() for v in params.values())).hexdigest()
+        assert digest == self.INIT_SHA256[arch]
 
 
 class TestGapHead:
