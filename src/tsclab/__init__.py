@@ -15,7 +15,6 @@ from .data import (
     load_ucr,
     one_hot,
     split_train_val,
-    window_slice,
     window_warp,
 )
 from .models import (
@@ -94,6 +93,5 @@ __all__ = [
     "twiesn_fit",
     "twiesn_predict",
     "wilcoxon_signed_rank",
-    "window_slice",
     "window_warp",
 ]

@@ -94,9 +94,10 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
     The loss is the monitored loss of the returned epoch (see ``optim.train``);
     for twiesn it is the cross entropy of the training set's posteriors.
 
-    The sliced architectures (mcnn, tlenet) are trained on their augmented
-    slice pools and evaluated by majority vote; mcnn grid-searches its
-    filter length and pooling factor on the validation split.
+    mcnn and mcdcnn hold out whole training series, split here once by the
+    run's seed, and checkpoint on them.  mcnn and tlenet train on slice pools
+    and vote over slices; mcnn validates on the held-out series' own pool and
+    picks its filter length and pooling factor by their vote accuracy.
     """
     overrides = overrides or {}
     T, Mdims, K = train_ds.length, train_ds.dims, train_ds.n_classes
@@ -111,6 +112,9 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
     for key in ("epochs", "batch_size", "learning_rate"):
         if overrides.get(key) is not None:
             setattr(config, key, overrides[key])
+    if config.split_fraction > 0:
+        train_ds, held_out = D.split_train_val(train_ds, config.split_fraction, seed)
+        train_ds.held_out = held_out
 
     if arch in ("mcnn", "tlenet"):
         warps = (1.0, 2.0, 0.5) if arch == "tlenet" else (1.0,)
@@ -121,16 +125,15 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
             spec.slicing = slicing
             model, history = O.train(spec, pool, config, log_fn)
         else:
-            # same stratified split train() derives internally from this seed
-            _, val_part = D.split_train_val(pool, config.split_fraction, seed)
-            best = None
+            pool.held_out = D.build_training_pool(held_out, slicing)[0]
+            best = (-1.0, None, None)  # (held-out vote accuracy, model, history)
             for fl, pf in M.mcnn_grid(slice_len):
                 spec = M.build_mcnn(slice_len, Mdims, K, fl, pf)
                 spec.slicing = slicing
                 candidate, history = O.train(spec, pool, config, log_fn)
-                val_acc = M.accuracy(candidate, val_part)
-                if best is None or val_acc > best[0]:
-                    best = (val_acc, candidate, history)
+                # max keeps the earlier grid point among equally accurate ones
+                best = max(best, (M.accuracy(candidate, held_out), candidate, history),
+                           key=lambda b: b[0])
             _, model, history = best
     else:
         spec = M.build_model(arch, T, Mdims, K)

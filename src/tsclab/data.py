@@ -22,6 +22,7 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataFormatError, IntegrityError, VocabularyError
 from .tensor import SplitMix64
@@ -42,6 +43,7 @@ class TimeSeriesDataset:
     Y: np.ndarray  # [N, K] one-hot
     vocabulary: tuple  # original labels, sorted ascending; index = class id
     meta: DatasetMeta = field(default_factory=DatasetMeta)
+    held_out: TimeSeriesDataset | None = None  # validation series ``optim.train`` checkpoints on
 
     def __post_init__(self):
         if self.X.ndim != 3 or self.Y.ndim != 2 or self.X.shape[0] != self.Y.shape[0]:
@@ -448,49 +450,32 @@ def slice_starts(T: int, length: int, stride: int) -> list[int]:
     return starts
 
 
-def window_slice(dataset: TimeSeriesDataset, config: SlicingConfig,
-                 length: int | None = None):
-    """Fixed-length subsequences of every series, each inheriting its parent label.
-
-    Returns the sliced dataset and the slice -> parent index map.
-    """
-    T = dataset.length
-    L = int(math.ceil(config.fraction * T)) if length is None else int(length)
-    starts = slice_starts(T, L, config.stride)
-    xs, ys, parents = [], [], []
-    for i in range(dataset.n):
-        for s in starts:
-            xs.append(dataset.X[i, s : s + L, :])
-            ys.append(dataset.Y[i])
-            parents.append(i)
-    sliced = TimeSeriesDataset(
-        np.stack(xs), np.stack(ys), dataset.vocabulary, dataset.meta
-    )
-    return sliced, np.asarray(parents, dtype=np.int64)
+def slice_view(X: np.ndarray, length: int, stride: int):
+    """Every window of ``X`` [N, T, M] as a strided view [N, T - length + 1, length, M],
+    and the ``slice_starts`` offsets.  Indexing the view copies only what it takes."""
+    starts = np.asarray(slice_starts(X.shape[1], length, stride))
+    return sliding_window_view(X, length, axis=1).transpose(0, 1, 3, 2), starts
 
 
 def build_training_pool(dataset: TimeSeriesDataset, config: SlicingConfig):
     """Warp every series by each factor, then slice the pool to a common length.
 
     The slice length is ``ceil(fraction * shortest pooled length)`` so that
-    every warped variant can be sliced.  Returns (sliced dataset, slice length).
+    every warped variant can be sliced.  Slices run parent-major, then by
+    warp factor, then by start, and inherit their parent's label.  Returns
+    (sliced dataset, slice length).
     """
-    T = dataset.length
-    pool_lengths = [int(math.floor(f * T + 0.5)) for f in config.warp_factors]
+    pool_lengths = [int(math.floor(f * dataset.length + 0.5)) for f in config.warp_factors]
     L = int(math.ceil(config.fraction * min(pool_lengths)))
-    xs, ys = [], []
-    for i in range(dataset.n):
-        for factor in config.warp_factors:
-            warped = (
-                dataset.X[i]
-                if factor == 1.0
-                else window_warp(dataset.X[i], factor)
-            )
-            for s in slice_starts(warped.shape[0], L, config.stride):
-                xs.append(warped[s : s + L, :])
-                ys.append(dataset.Y[i])
-    pool = TimeSeriesDataset(np.stack(xs), np.stack(ys), dataset.vocabulary, dataset.meta)
-    return pool, L
+    pieces = []
+    for factor in config.warp_factors:
+        X = dataset.X if factor == 1.0 else np.stack([window_warp(x, factor) for x in dataset.X])
+        view, starts = slice_view(X, L, config.stride)
+        pieces.append(view[:, starts])
+    X = np.concatenate(pieces, axis=1)  # [N, slices per series, L, M]
+    Y = np.repeat(dataset.Y, X.shape[1], axis=0)
+    return TimeSeriesDataset(X.reshape(-1, L, dataset.dims), Y, dataset.vocabulary,
+                             dataset.meta), L
 
 
 # ---------------------------------------------------------------------------

@@ -199,15 +199,6 @@ def sigmoid_backward(gy, cache):
     return gy * cache * (1.0 - cache)
 
 
-def tanh_forward(x):
-    y = np.tanh(x)
-    return y, y
-
-
-def tanh_backward(gy, cache):
-    return gy * (1.0 - cache * cache)
-
-
 def softmax_forward(x, axis: int = -1):
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)

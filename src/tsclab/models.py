@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .data import SlicingConfig, TimeSeriesDataset, slice_starts
+from .data import SlicingConfig, TimeSeriesDataset, slice_view
 from .bundle import Bundle, write_bundle
 from .errors import ShapeError, UnsupportedArchitectureError
 from .tensor import SplitMix64, glorot_uniform
@@ -749,48 +749,38 @@ def gap_head(spec: ModelSpec) -> tuple[str, str]:
     return str(n - 3), str(n - 2)
 
 
-def majority_vote(labels: np.ndarray, n_classes: int) -> int:
-    """Most frequent label; ties resolve to the lowest class index."""
-    counts = np.bincount(labels, minlength=n_classes)
-    return int(counts.argmax())
+def _slicing_fault(spec: ModelSpec) -> str:
+    """Why ``spec.slicing`` contradicts the architecture, or ''."""
+    if (spec.slicing is not None) == (spec.architecture_id in ("mcnn", "tlenet")):
+        return ""
+    if spec.slicing is None:
+        return f"is missing; {spec.architecture_id} predicts by majority vote over slices"
+    return f"does not apply to {spec.architecture_id}, which takes whole series"
 
 
 def predict(model: TrainedModel, dataset: TimeSeriesDataset,
             batch_size: int = 256) -> np.ndarray:
-    """Class indices for every series; sliced models vote over their slices.
+    """Class indices for every series, by a vote over its slices.
 
     The window-sliced architectures must carry their slicing config (their
     training pool was sliced, so test series are sliced the same way);
-    whole-series architectures must not.
+    whole-series architectures must not, and vote with one slice, the series.
     """
     spec = model.spec
-    sliced_arch = spec.architecture_id in ("mcnn", "tlenet")
-    if sliced_arch and spec.slicing is None:
-        raise ValueError(f"{spec.architecture_id} predicts by majority vote; "
-                         f"the model is missing its slicing config")
-    if not sliced_arch and spec.slicing is not None:
-        raise ValueError(f"{spec.architecture_id} takes whole series; "
-                         f"slicing does not apply")
-    if spec.slicing is None:
-        out = np.empty(dataset.X.shape[0], dtype=np.int64)
-        for lo in range(0, dataset.X.shape[0], batch_size):
-            y = forward(model, dataset.X[lo : lo + batch_size])
-            out[lo : lo + batch_size] = y.argmax(axis=1)
-        return out
-    # every slice of every series, parent-major, forwarded batch_size at a time
-    n = dataset.X.shape[0]
-    starts = np.asarray(slice_starts(dataset.X.shape[1], spec.input_length,
-                                     spec.slicing.stride))
-    windows = starts[:, None] + np.arange(spec.input_length)  # [S, L]
-    parents = np.repeat(np.arange(n), len(starts))
+    if fault := _slicing_fault(spec):
+        raise ValueError(f"slicing {fault}")
+    L, stride = (spec.input_length, spec.slicing.stride) if spec.slicing else (dataset.length, 1)
+    # every slice of every series, parent-major, gathered batch_size at a time
+    view, starts = slice_view(dataset.X, L, stride)
+    parents = np.repeat(np.arange(dataset.n), len(starts))
     slice_labels = np.empty(parents.size, dtype=np.int64)
     for lo in range(0, parents.size, batch_size):
         flat = np.arange(lo, min(lo + batch_size, parents.size))
-        slices = dataset.X[parents[flat, None], windows[flat % len(starts)]]
+        slices = view[parents[flat], starts[flat % len(starts)]]
         slice_labels[lo : lo + batch_size] = forward(model, slices).argmax(axis=1)
     # per-series vote counts; argmax takes the lowest class among equals
     votes = np.bincount(parents * spec.classes + slice_labels,
-                        minlength=n * spec.classes).reshape(n, spec.classes)
+                        minlength=dataset.n * spec.classes).reshape(dataset.n, spec.classes)
     return votes.argmax(axis=1)
 
 
@@ -847,7 +837,7 @@ def save_model(model: TrainedModel, manifest_path) -> None:
 
 
 def load_model(manifest_path) -> TrainedModel:
-    """Rebuild the spec from the manifest; check the ``param:`` lines against its layout."""
+    """Rebuild the spec from the manifest; check its ``param:`` and ``slicing:`` lines."""
     bundle = Bundle(manifest_path, MODEL_FORMAT, {**_SPEC_FIELDS, **_RUN_FIELDS},
                     optional={"slicing": _read_slicing},
                     repeated={"option": _read_option, "layer": str})
@@ -856,4 +846,7 @@ def load_model(manifest_path) -> TrainedModel:
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
     spec.slicing = f.get("slicing")
     layout = [(name, shape) for name, shape, _ in param_layout(spec)]
-    return TrainedModel(spec, bundle.tensors(layout), **{k: f[k] for k in _RUN_FIELDS})
+    params = bundle.tensors(layout)
+    if fault := _slicing_fault(spec):
+        raise bundle.error("slicing", fault)
+    return TrainedModel(spec, params, **{k: f[k] for k in _RUN_FIELDS})

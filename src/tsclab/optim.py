@@ -2,11 +2,13 @@
 
 Per-architecture defaults mirror the published optimization table: the
 algorithm, epoch count, batch size, initial learning rate, decay, and the
-validation mode that picks the monitored loss.  With ``"train"`` it is the
-epoch's train-mode loss: the mean of the batch losses the optimizer steps
-on, weighted by batch size (Keras' ``loss``).  With ``"split"`` it is the
-infer-mode loss on a held-out stratified split (Keras' ``val_loss``).  The
-parameters of the epoch with the lowest monitored loss are returned.
+fraction of the training series the caller holds out for validation
+(``cli.train_single_run`` makes that split).  ``train`` never splits: when
+its data carries held-out series (``data.held_out``) the monitored loss is
+their infer-mode loss (Keras' ``val_loss``), otherwise it is the epoch's
+train-mode loss, the mean of the batch losses the optimizer steps on,
+weighted by batch size (Keras' ``loss``).  The parameters of the epoch with
+the lowest monitored loss are returned.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TimeSeriesDataset, split_train_val
+from .data import TimeSeriesDataset
 from .errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 from .layers import LOSSES
 from .models import ModelSpec, TrainedModel, backward_batch, forward_batch, init_model, trainable
@@ -42,8 +44,7 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 0.001
     decay: float = 0.0
-    validation: str = "train"  # "train" or "split"
-    split_fraction: float = 0.0
+    split_fraction: float = 0.0  # share of each class held out for validation
     plateau: PlateauConfig | None = None
     seed: int = 0
 
@@ -54,8 +55,6 @@ class TrainConfig:
             raise ValueError(f"decay must be non-negative, got {self.decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.validation not in ("train", "split"):
-            raise ValueError(f"validation must be 'train' or 'split', got {self.validation}")
 
 
 @dataclass
@@ -70,21 +69,21 @@ def default_config(architecture_id: str, seed: int = 0) -> TrainConfig:
     plateau = PlateauConfig()
     table = {
         "mlp": TrainConfig("adadelta", "cross_entropy", 5000, 16, 1.0, 0.0,
-                           "train", 0.0, plateau, seed),
+                           0.0, plateau, seed),
         "fcn": TrainConfig("adam", "cross_entropy", 2000, 16, 0.001, 0.0,
-                           "train", 0.0, plateau, seed),
+                           0.0, plateau, seed),
         "resnet": TrainConfig("adam", "cross_entropy", 1500, 16, 0.001, 0.0,
-                              "train", 0.0, plateau, seed),
+                              0.0, plateau, seed),
         "encoder": TrainConfig("adam", "cross_entropy", 100, 12, 1e-5, 0.0,
-                               "train", 0.0, None, seed),
+                               0.0, None, seed),
         "mcnn": TrainConfig("adam", "cross_entropy", 200, 256, 0.1, 0.0,
-                            "split", 0.2, None, seed),
+                            0.2, None, seed),
         "tlenet": TrainConfig("adam", "cross_entropy", 1000, 256, 0.01, 0.005,
-                              "train", 0.0, None, seed),
+                              0.0, None, seed),
         "mcdcnn": TrainConfig("sgd", "cross_entropy", 120, 16, 0.01, 0.0005,
-                              "split", 0.33, None, seed),
+                              0.33, None, seed),
         "timecnn": TrainConfig("adam", "mse", 2000, 16, 0.001, 0.0,
-                               "train", 0.0, None, seed),
+                               0.0, None, seed),
     }
     if architecture_id not in table:
         raise ValueError(f"no default optimization config for {architecture_id!r}")
@@ -296,9 +295,9 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
           log_fn=None):
     """Train ``spec`` on ``data``; returns the lowest-monitored-loss checkpoint.
 
-    The monitored loss of an epoch is, for ``validation="train"``, the mean
-    train-mode loss of its batches weighted by batch size, and for
-    ``validation="split"`` the infer-mode loss on the held-out split.  It
+    The monitored loss of an epoch is the infer-mode loss on the caller's
+    held-out series ``data.held_out`` when there are any, and otherwise the
+    mean train-mode loss of the epoch's batches weighted by batch size.  It
     drives the checkpoint, the plateau schedule and the non-finite guard.
     Fully deterministic for a fixed config seed: Glorot initialization,
     epoch shuffles, and dropout masks all consume one SplitMix64 stream.
@@ -311,16 +310,11 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
         )
     if data.n_classes != spec.classes:
         raise ShapeError(f"dataset has {data.n_classes} classes, model wants {spec.classes}")
+    if data.held_out is not None and data.held_out.n == 0:
+        raise ValueError("the held-out validation set is empty")
 
     rng = SplitMix64(config.seed)
     params = init_model(spec, rng)
-
-    if config.validation == "split":
-        train_set, val_set = split_train_val(data, config.split_fraction, config.seed)
-        if val_set.n == 0 or train_set.n == 0:
-            raise ValueError("validation split produced an empty subset")
-    else:
-        train_set, val_set = data, None
 
     loss_fn = LOSSES[config.loss]
     optimizer = make_optimizer(config.optimizer)
@@ -330,14 +324,14 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     best_params = {k: v.copy() for k, v in params.items()}
     best_epoch = 0
 
-    order = list(range(train_set.n))
+    order = list(range(data.n))
     for epoch in range(1, config.epochs + 1):
         rng.shuffle(order)
         total = 0.0
         for lo in range(0, len(order), config.batch_size):
             batch = order[lo : lo + config.batch_size]
-            x = train_set.X[batch]
-            y = train_set.Y[batch]
+            x = data.X[batch]
+            y = data.Y[batch]
             pred, caches = forward_batch(spec, params, x, "train", rng)
             loss, gpred = loss_fn(pred, y)
             total += loss * len(batch)
@@ -345,10 +339,10 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             optimizer.step(params, grads, sched.current())
             sched.after_step()
 
-        if val_set is not None:
-            ref_loss = evaluate_loss(spec, params, val_set, config.loss)
+        if data.held_out is not None:
+            ref_loss = evaluate_loss(spec, params, data.held_out, config.loss)
         else:
-            ref_loss = total / train_set.n
+            ref_loss = total / data.n
         if not math.isfinite(ref_loss):
             raise TrainingDivergenceError(f"reference loss became {ref_loss!r} at epoch {epoch}")
         history.losses.append(ref_loss)

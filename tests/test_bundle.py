@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import toy_dataset
 from tsclab import models as M
 from tsclab import reservoir as R
+from tsclab.data import SlicingConfig
 from tsclab.errors import ManifestError
 from tsclab.tensor import SplitMix64
 
@@ -92,6 +93,8 @@ FCN_CASES = common_cases("fcn", "tsclab-model-v1", "classes") + [
     ("repeated-value-twice", repeat("classes:"), "'classes'"),
     ("unbuildable", swap("input_length: 16", "input_length: 3"), "model is invalid"),
     ("bad-slicing", lambda lines: lines + ["slicing: fraction=0.9"], "'slicing'"),
+    ("stray-slicing", lambda lines: lines + ["slicing: fraction=0.9 stride=2 warp=1.0"],
+     "field 'slicing' does not apply to fcn"),
 ]
 
 TWIESN_CASES = common_cases("twiesn", "tsclab-twiesn-v1", "size") + [
@@ -146,6 +149,16 @@ def test_mcnn_without_its_options_is_refused(tmp_path):
     M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp_path / "m.model")
     assert_refused(M.load_model, tmp_path / "m.model", drop("option: pool_factor"),
                    "model is invalid")
+
+
+@pytest.mark.parametrize("arch, T, options", [
+    ("mcnn", 27, {"filter_length": 3, "pool_factor": 3}), ("tlenet", 16, {})])
+def test_sliced_net_without_its_slicing_is_refused(tmp_path, arch, T, options):
+    spec = M.build_model(arch, T, 1, 2, **options)
+    spec.slicing = SlicingConfig(0.9, 2, (1.0,))
+    M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp_path / "m.model")
+    assert_refused(M.load_model, tmp_path / "m.model", drop("slicing:"),
+                   "field 'slicing' is missing")
 
 
 @pytest.fixture(scope="module")

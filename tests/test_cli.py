@@ -148,6 +148,38 @@ class TestTrainCommand:
         model = M.load_model(out / "Synth_mcnn_seed0.model")
         assert model.spec.slicing is not None
 
+    def test_mcnn_held_out_series_never_feed_its_fit_pool(self, tmp_path, monkeypatch):
+        # one series' slices overlap, so a series in both pools leaks into validation
+        train, test = write_ucr_pair(tmp_path, n=10, T=16)
+        series = [np.array([float(v) for v in line.split(",")[1:]])
+                  for line in train.read_text().splitlines()]
+        fit_pools, val_pools = [], []
+        real_train, real_evaluate = O.train, O.evaluate_loss
+
+        def spy_train(spec, data, config, log_fn=None):
+            fit_pools.append(data.X[:, :, 0])
+            return real_train(spec, data, config, log_fn)
+
+        def spy_evaluate(spec, params, dataset, *args, **kwargs):
+            val_pools.append(dataset.X[:, :, 0])
+            return real_evaluate(spec, params, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(cli.O, "train", spy_train)
+        monkeypatch.setattr(O, "evaluate_loss", spy_evaluate)
+        assert run([
+            "train", "--arch", "mcnn", "--train", train, "--test", test,
+            "--runs", "1", "--seed", "0", "--epochs", "1", "--out", tmp_path / "out",
+        ]) == 0
+
+        def parents(pools):
+            windows = lambda row, L: [row[s : s + L] for s in range(row.size - L + 1)]
+            return {i for pool in pools for x in pool for i, row in enumerate(series)
+                    if any(np.array_equal(w, x) for w in windows(row, x.size))}
+
+        fit, val = parents(fit_pools), parents(val_pools)
+        assert fit and val and not fit & val
+        assert fit | val == set(range(len(series)))
+
     def test_tlenet_warped_pool_and_vote(self, tmp_path):
         train, test = write_ucr_pair(tmp_path, T=20)
         out = tmp_path / "out"

@@ -320,6 +320,20 @@ class TestWarp:
             D.window_warp(np.zeros((2, 1)), 0.5)
 
 
+def loop_pool(dataset, config):
+    """Reference pool: the per-slice loop ``build_training_pool`` must match byte for byte."""
+    pool_lengths = [int(np.floor(f * dataset.length + 0.5)) for f in config.warp_factors]
+    L = int(np.ceil(config.fraction * min(pool_lengths)))
+    xs, ys = [], []
+    for i in range(dataset.n):
+        for factor in config.warp_factors:
+            warped = dataset.X[i] if factor == 1.0 else D.window_warp(dataset.X[i], factor)
+            for s in D.slice_starts(warped.shape[0], L, config.stride):
+                xs.append(warped[s : s + L, :])
+                ys.append(dataset.Y[i])
+    return np.stack(xs), np.stack(ys), L
+
+
 class TestSlicing:
     def make(self, n=2, T=10):
         X = np.arange(float(n * T)).reshape(n, T, 1)
@@ -328,16 +342,18 @@ class TestSlicing:
 
     def test_fraction_point_nine_stride_one(self):
         ds = self.make(T=10)
-        sliced, parents = D.window_slice(ds, D.SlicingConfig(0.9, 1))
-        assert sliced.n == 4  # 2 slices per series
-        assert sliced.length == 9
-        assert list(parents) == [0, 0, 1, 1]
+        pool, L = D.build_training_pool(ds, D.SlicingConfig(0.9, 1, (1.0,)))
+        assert pool.n == 4  # 2 slices per series
+        assert pool.length == L == 9
+        # parent-major: series 0's slices at starts 0 and 1, then series 1's
+        expected = [ds.X[i, s : s + 9] for i in (0, 1) for s in (0, 1)]
+        assert np.array_equal(pool.X, np.stack(expected))
 
     def test_fraction_one_is_single_slice(self):
         ds = self.make(T=10)
-        sliced, parents = D.window_slice(ds, D.SlicingConfig(1.0, 1))
-        assert sliced.n == ds.n
-        assert np.array_equal(sliced.X, ds.X)
+        pool, _ = D.build_training_pool(ds, D.SlicingConfig(1.0, 1, (1.0,)))
+        assert pool.n == ds.n
+        assert np.array_equal(pool.X, ds.X)
 
     def test_final_slice_rule_collapses_on_stride_boundary(self):
         assert D.slice_starts(150, 135, 15) == [0, 15]
@@ -351,9 +367,21 @@ class TestSlicing:
 
     def test_slices_inherit_parent_labels(self):
         ds = self.make(T=10)
-        sliced, parents = D.window_slice(ds, D.SlicingConfig(0.9, 1))
-        for i, p in enumerate(parents):
-            assert np.array_equal(sliced.Y[i], ds.Y[p])
+        pool, _ = D.build_training_pool(ds, D.SlicingConfig(0.9, 1, (1.0,)))
+        for i, p in enumerate([0, 0, 1, 1]):
+            assert np.array_equal(pool.Y[i], ds.Y[p])
+
+    def test_pool_matches_per_slice_loop_bytes(self):
+        from conftest import random_batch
+        X = random_batch((5, 23, 2), seed=3)
+        ds = D.TimeSeriesDataset(X, D.one_hot([0, 1, 2, 0, 1], (0, 1, 2)), (0, 1, 2))
+        config = D.SlicingConfig(0.9, 4, (1.0, 2.0, 0.5))
+        X_ref, Y_ref, L_ref = loop_pool(ds, config)
+        assert L_ref == 11 and D.slice_starts(46, 11, 4)[-2:] == [32, 35]  # appended start
+        pool, L = D.build_training_pool(ds, config)
+        assert L == L_ref
+        assert pool.X.shape == X_ref.shape and pool.X.tobytes() == X_ref.tobytes()
+        assert pool.Y.shape == Y_ref.shape and pool.Y.tobytes() == Y_ref.tobytes()
 
     def test_training_pool_with_warping(self):
         ds = self.make(n=1, T=10)

@@ -256,7 +256,7 @@ class TestActivations:
         y_relu, _ = L.relu_forward(x)
         assert np.array_equal(y_prelu, y_relu)
 
-    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "tanh", "softmax"])
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax"])
     def test_gradients_match_finite_differences(self, kind):
         x = random_batch((3, 5), seed=2) + 0.01  # keep relu off the kink
         gy = random_batch((3, 5), seed=3)

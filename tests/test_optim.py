@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import separable_dataset, toy_dataset
 from tsclab import models as M
 from tsclab import optim as O
-from tsclab.data import TimeSeriesDataset, one_hot
+from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
 from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 
 
@@ -202,14 +202,14 @@ class TestLrSchedule:
 class TestDefaults:
     def test_published_table_values(self):
         expected = {
-            "mlp": ("adadelta", "cross_entropy", 5000, 16, 1.0, 0.0, "train", True),
-            "fcn": ("adam", "cross_entropy", 2000, 16, 0.001, 0.0, "train", True),
-            "resnet": ("adam", "cross_entropy", 1500, 16, 0.001, 0.0, "train", True),
-            "encoder": ("adam", "cross_entropy", 100, 12, 1e-5, 0.0, "train", False),
-            "mcnn": ("adam", "cross_entropy", 200, 256, 0.1, 0.0, "split", False),
-            "tlenet": ("adam", "cross_entropy", 1000, 256, 0.01, 0.005, "train", False),
-            "mcdcnn": ("sgd", "cross_entropy", 120, 16, 0.01, 0.0005, "split", False),
-            "timecnn": ("adam", "mse", 2000, 16, 0.001, 0.0, "train", False),
+            "mlp": ("adadelta", "cross_entropy", 5000, 16, 1.0, 0.0, True),
+            "fcn": ("adam", "cross_entropy", 2000, 16, 0.001, 0.0, True),
+            "resnet": ("adam", "cross_entropy", 1500, 16, 0.001, 0.0, True),
+            "encoder": ("adam", "cross_entropy", 100, 12, 1e-5, 0.0, False),
+            "mcnn": ("adam", "cross_entropy", 200, 256, 0.1, 0.0, False),
+            "tlenet": ("adam", "cross_entropy", 1000, 256, 0.01, 0.005, False),
+            "mcdcnn": ("sgd", "cross_entropy", 120, 16, 0.01, 0.0005, False),
+            "timecnn": ("adam", "mse", 2000, 16, 0.001, 0.0, False),
         }
         for arch, row in expected.items():
             cfg = O.default_config(arch)
@@ -219,8 +219,8 @@ class TestDefaults:
             assert cfg.batch_size == row[3], arch
             assert cfg.learning_rate == row[4], arch
             assert cfg.decay == row[5], arch
-            assert cfg.validation == row[6], arch
-            assert (cfg.plateau is not None) == row[7], arch
+            assert (cfg.plateau is not None) == row[6], arch
+            assert (cfg.split_fraction > 0) == (arch in ("mcnn", "mcdcnn")), arch
         assert O.default_config("mcnn").split_fraction == 0.2
         assert O.default_config("mcdcnn").split_fraction == 0.33
 
@@ -241,6 +241,13 @@ class TestDefaults:
 
 def small_config(epochs=5, seed=0, **kw):
     return O.TrainConfig("adam", "cross_entropy", epochs, 4, 0.005, seed=seed, **kw)
+
+
+def with_held_out(ds, fraction, seed=0):
+    """The fit series of a stratified split, carrying the held-out series."""
+    fit, held_out = split_train_val(ds, fraction, seed)
+    fit.held_out = held_out
+    return fit
 
 
 class TestTrain:
@@ -320,29 +327,25 @@ class TestTrain:
 
         monkeypatch.setattr(O, "evaluate_loss", counted)
         ds = toy_dataset(n=12, T=16, seed=5)
-        config = small_config(epochs=4, validation=validation,
-                              split_fraction=0.25 if validation == "split" else 0.0)
-        O.train(M.build_fcn(16, 1, 2), ds, config)
+        if validation == "split":
+            ds = with_held_out(ds, 0.25)
+        O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=4))
         assert len(calls) == passes
 
     def test_checkpoint_with_validation_split(self):
-        ds = toy_dataset(n=12, T=16, seed=5)
-        config = small_config(epochs=6, validation="split", split_fraction=0.25)
-        model, history = O.train(M.build_fcn(16, 1, 2), ds, config)
-        from tsclab.data import split_train_val
-        _, val = split_train_val(ds, 0.25, config.seed)
-        reproduced = O.evaluate_loss(model.spec, model.params, val, "cross_entropy")
+        ds = with_held_out(toy_dataset(n=12, T=16, seed=5), 0.25)
+        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
+        reproduced = O.evaluate_loss(model.spec, model.params, ds.held_out, "cross_entropy")
         assert abs(reproduced - min(history.losses)) < 1e-9
 
     def test_empty_split_rejected(self):
         X = np.zeros((2, 16, 1))
         ds = TimeSeriesDataset(X, one_hot([0, 1], (0, 1)), (0, 1))
         with pytest.warns(UserWarning):
-            with pytest.raises(ValueError):
-                O.train(
-                    M.build_fcn(16, 1, 2), ds,
-                    small_config(validation="split", split_fraction=0.5),
-                )
+            ds = with_held_out(ds, 0.5)
+        assert ds.held_out.n == 0
+        with pytest.raises(ValueError, match="held-out validation set is empty"):
+            O.train(M.build_fcn(16, 1, 2), ds, small_config())
 
     def test_geometry_mismatch_rejected(self):
         ds = toy_dataset(n=4, T=20, seed=6)
@@ -362,10 +365,9 @@ class TestTrain:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_split_reference_loss_raises(self, monkeypatch, bad):
         monkeypatch.setattr(O, "evaluate_loss", lambda *args: bad)
-        ds = toy_dataset(n=12, T=16, seed=5)
-        config = small_config(epochs=2, validation="split", split_fraction=0.25)
+        ds = with_held_out(toy_dataset(n=12, T=16, seed=5), 0.25)
         with pytest.raises(TrainingDivergenceError, match=f"became {bad!r} at epoch 1"):
-            O.train(M.build_mcdcnn(16, 1, 2), ds, config)
+            O.train(M.build_mcdcnn(16, 1, 2), ds, small_config(epochs=2))
 
     def test_epoch_log_lines(self):
         ds = toy_dataset(n=6, T=16, seed=7)
