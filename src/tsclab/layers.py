@@ -19,6 +19,7 @@ from .tensor import SplitMix64
 EPS_NORM = 1e-5
 EPS_LOG = 1e-12
 BN_MOMENTUM = 0.9
+CONV_CHUNK = 1 << 22  # window values copied per conv GEMM: bounds the im2col copy
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,14 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "
     xp = np.pad(x, ((0, 0), (pl, pr), (0, 0))) if (pl or pr) else x
     t_out = xp.shape[1] - length + 1
     win = _windows(xp, length, t_out)
-    y = np.tensordot(win, w, axes=([2, 3], [1, 2])) + b
+    # tensordot's GEMM in near-equal batch chunks of at most CONV_CHUNK copied
+    # window values (a small ragged last chunk could round differently)
+    wt = w.transpose(1, 2, 0).reshape(-1, c_out)
+    y = np.empty((batch, t_out, c_out), np.result_type(xp, w))
+    n = -(-batch // max(1, CONV_CHUNK // (t_out * len(wt))))
+    for lo, hi in ((-(-batch * i // n), -(-batch * (i + 1) // n)) for i in range(n)):
+        np.dot(win[lo:hi].reshape(-1, len(wt)), wt, out=y[lo:hi].reshape(-1, c_out))
+    np.add(y, b, out=y)
     cache = (xp, length, pl, T, x.shape, w)
     return y, cache
 
@@ -106,13 +114,15 @@ def batch_norm_forward(
 ):
     """Per-channel normalization over (batch, time).
 
-    Train mode returns updated running statistics; infer mode normalizes
-    with the running statistics and leaves them untouched.
+    Train mode returns updated running statistics; infer mode normalizes in
+    place with them, leaves them untouched and returns no cache.
     """
     if mode == "infer":
-        inv = 1.0 / np.sqrt(running_var + eps)
-        xhat = (x - running_mean) * inv
-        return xhat * gamma + beta, ("infer", inv, xhat, gamma), running_mean, running_var
+        y = x - running_mean
+        y *= 1.0 / np.sqrt(running_var + eps)
+        y *= gamma
+        y += beta
+        return y, None, running_mean, running_var
     n = x.shape[0] * x.shape[1]
     if n < 2:
         raise DegenerateVarianceError(
@@ -125,18 +135,11 @@ def batch_norm_forward(
     y = xhat * gamma + beta
     new_mean = momentum * running_mean + (1.0 - momentum) * mean
     new_var = momentum * running_var + (1.0 - momentum) * var
-    return y, ("train", inv, xhat, gamma, n), new_mean, new_var
+    return y, (inv, xhat, gamma, n), new_mean, new_var
 
 
 def batch_norm_backward(gy: np.ndarray, cache):
-    kind = cache[0]
-    if kind == "infer":
-        _, inv, xhat, gamma = cache
-        gx = gy * gamma * inv
-        dgamma = (gy * xhat).sum(axis=(0, 1))
-        dbeta = gy.sum(axis=(0, 1))
-        return gx, dgamma, dbeta
-    _, inv, xhat, gamma, n = cache
+    inv, xhat, gamma, n = cache
     dgamma = (gy * xhat).sum(axis=(0, 1))
     dbeta = gy.sum(axis=(0, 1))
     gxhat = gy * gamma

@@ -709,6 +709,13 @@ def build_model(architecture_id: str, T: int, M: int, K: int, **options) -> Mode
 # ---------------------------------------------------------------------------
 # forward / prediction
 
+class _NoCaches(dict):
+    """An infer forward's caches: none are kept, since no backward follows one."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def forward_batch(spec: ModelSpec, params: dict, x: np.ndarray, mode: str,
                   rng: SplitMix64 | None = None, taps: dict | None = None):
     if x.ndim != 3 or x.shape[1] != spec.input_length or x.shape[2] != spec.input_dims:
@@ -716,7 +723,7 @@ def forward_batch(spec: ModelSpec, params: dict, x: np.ndarray, mode: str,
             f"batch {x.shape} does not match model geometry "
             f"(T={spec.input_length}, M={spec.input_dims})"
         )
-    caches: dict = {}
+    caches: dict = _NoCaches() if mode == "infer" else {}
     y = spec.net.forward(x, params, "", mode, rng, caches, taps)
     return y, caches
 

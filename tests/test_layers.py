@@ -103,6 +103,42 @@ class TestConv1d:
         assert_grad_close(gw, central_difference(lambda v: loss(x, v, b), w.copy()))
         assert_grad_close(gb, central_difference(lambda v: loss(x, w, v), b.copy()))
 
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_chunked_contraction_is_byte_equal_to_one_tensordot(self, monkeypatch, padding, c_in):
+        x = random_batch((11, 20, c_in), seed=40 + c_in)
+        w = random_batch((6, 5, c_in), seed=41)
+        b = random_batch((6,), seed=42)
+        xp = np.pad(x, ((0, 0), (2, 2), (0, 0))) if padding == "same" else x
+        win = np.lib.stride_tricks.sliding_window_view(xp, 5, axis=1).transpose(0, 1, 3, 2)
+        expected = np.tensordot(win, w, axes=([2, 3], [1, 2])) + b
+        # three series' windows a chunk: 11 series run as 3 + 3 + 3 + 2
+        monkeypatch.setattr(L, "CONV_CHUNK", 3 * win[0].size + 1)
+        real_dot, rows = np.dot, []
+
+        def dot(a, b, out):
+            rows.append(len(a))
+            return real_dot(a, b, out=out)
+
+        monkeypatch.setattr(np, "dot", dot)
+        y, _ = L.conv1d_forward(x, w, b, padding)
+        assert rows == [3 * win.shape[1]] * 3 + [2 * win.shape[1]]
+        assert y.shape == expected.shape and y.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("c_out", [5, 20])
+    def test_one_series_over_a_whole_chunk_keeps_tensordot_bits(self, c_out):
+        # 2,622 series where 2,621 fill a chunk: a lone last series' GEMM
+        # rounded differently from the whole batch's, so the chunks are
+        # near-equal (1,311 series each)
+        x = random_batch((2622, 40, 8), seed=43)
+        w = random_batch((c_out, 5, 8), seed=44)
+        b = random_batch((c_out,), seed=45)
+        assert L.CONV_CHUNK // (40 * 5 * 8) == 2621
+        win = np.lib.stride_tricks.sliding_window_view(
+            np.pad(x, ((0, 0), (2, 2), (0, 0))), 5, axis=1).transpose(0, 1, 3, 2)
+        expected = np.tensordot(win, w, axes=([2, 3], [1, 2])) + b
+        assert L.conv1d_forward(x, w, b, "same")[0].tobytes() == expected.tobytes()
+
 
 class TestDense:
     def test_identity_weights(self):
@@ -177,10 +213,14 @@ class TestBatchNorm:
     def test_infer_uses_running_stats(self):
         x = random_batch((2, 4, 1), seed=2)
         rm, rv = np.array([0.5]), np.array([4.0])
-        y, _, _, _ = L.batch_norm_forward(
+        y, cache, _, _ = L.batch_norm_forward(
             x, np.ones(1), np.zeros(1), rm, rv, "infer"
         )
         assert np.allclose(y, (x - 0.5) / np.sqrt(4.0 + 1e-5))
+        # normalized in place of its own output: the input is left as it was
+        assert cache is None
+        assert np.array_equal(x, random_batch((2, 4, 1), seed=2))
+        assert rm.tolist() == [0.5] and rv.tolist() == [4.0]
 
     def test_gradients_through_batch_statistics(self):
         x = random_batch((3, 5, 2), seed=3)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import random_batch, toy_dataset
 from tsclab import layers as L
 from tsclab import models as M
+from tsclab import reservoir as R
 from tsclab.data import SlicingConfig, slice_starts
 from tsclab.errors import BlobSizeError, ShapeError, UnsupportedArchitectureError
 from tsclab.tensor import SplitMix64
@@ -385,6 +387,71 @@ class TestPredict:
         fcn_spec.slicing = SlicingConfig(0.9, 1, (1.0,))
         with pytest.raises(ValueError, match="whole series"):
             M.predict(M.TrainedModel(fcn_spec, fcn_params), ds)
+
+
+def digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestInferPath:
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_infer_forward_keeps_no_caches(self, arch):
+        spec, params = build_small(arch, Mdims=2, K=3)
+        x = random_batch((4, spec.input_length, 2), seed=50)
+        assert len(M.forward_batch(spec, params, x, "infer")[1]) == 0
+        assert len(M.forward_batch(spec, params, x, "train", SplitMix64(51))[1]) > 0
+
+    # sha256 of the infer posteriors of 300 series (M=2, K=3, batch-norm
+    # running statistics set away from 0 and 1), computed before infer
+    # forwards dropped their caches and conv contracted in chunks; at T=64
+    # each net with a wide conv spans several chunks.  A change in these
+    # bits must be deliberate
+    POSTERIOR_SHA256 = {
+        "mlp": "e362873c75edef5cb05d6cd3cd26acd136c9e2a5282a4ef749d1aa40ccbc7544",
+        "fcn": "e75037fb4d3a12629e7b6d430f9d5afdb4ace2c90a238eadb76c93f12245162f",
+        "resnet": "4c07d8bcd2d6ebe27bf7706f465e26c309a216bf6ff1900dbb6cf9315ac56b2a",
+        "encoder": "1c9af806c35e073c99e0da3a55fa523ac0540a0d3b43bd7a875dbcee19af7fb5",
+        "mcnn": "e1c56c66cd28838ecac12ed419639061fcc8f89dc377d0ed32930d517ffd3983",
+        "tlenet": "ac6739e10c23465bad34dac0867f754445c63d57da444ac7c0d922f19f5898a4",
+        "mcdcnn": "a36506a3c1046599d5c8c3a3d275781d30e5aa7150e29c76386651f0e8c91d0a",
+        "timecnn": "657d6fe7e8ed2d3aca9ebe514d5c1b2ffcaafe0fbf7076a63f45d9324301c1d4",
+        "twiesn": "3d126589e46d61fbbd910bbefedd3683b1265b29b9b9b544b37929ce161b3ed3",
+    }
+
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES + ("twiesn",))
+    def test_infer_posteriors_are_pinned(self, arch):
+        x = random_batch((300, 64, 2), seed=52)
+        if arch == "twiesn":
+            fit = toy_dataset(n=12, T=64, M=2, K=3, seed=53)
+            model = R.twiesn_train_single(R.ReservoirConfig(size=32, seed=3), fit)
+            assert digest(R.twiesn_posteriors(model, x)) == self.POSTERIOR_SHA256[arch]
+            return
+        options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
+        spec, params = build_and_init(arch, 64, 2, 3, seed=54, **options)
+        for name, value in params.items():
+            if ".running_" in name:
+                shift = 1.0 if name.endswith("var") else 0.0
+                params[name] = shift + 0.5 * random_batch(value.shape, seed=55)
+        y, _ = M.forward_batch(spec, params, x, "infer")
+        assert digest(y) == self.POSTERIOR_SHA256[arch]
+
+    # encoder at T=150 on 150 series, one batch: the peak traced above the
+    # live set was 425,003,702 bytes (405.3 MiB) before infer forwards
+    # dropped their caches and conv contracted its windows in chunks
+    PARENT_PEAK = 425_003_702
+
+    def test_predict_memory_peak_is_bounded(self):
+        spec, params = build_and_init("encoder", 150, 1, 2, seed=56)
+        model = M.TrainedModel(spec, params)
+        ds = toy_dataset(n=150, T=150, K=2, seed=57)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            M.predict(model, ds)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.4 * self.PARENT_PEAK, f"predict peaked {peak / 1e6:.1f} MB above the live set"
 
 
 class TestSerialization:
