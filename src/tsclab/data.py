@@ -155,11 +155,10 @@ def _ucr_dataset(rows, vocabulary, name) -> TimeSeriesDataset:
     return TimeSeriesDataset(X, Y, vocabulary, DatasetMeta(name, length_range=(T, T)))
 
 
-def load_ucr_file(path, vocabulary: tuple | None = None) -> TimeSeriesDataset:
-    """A single UCR-format file; the vocabulary defaults to its own labels."""
+def load_ucr_file(path) -> TimeSeriesDataset:
+    """A single UCR-format file; the vocabulary is its own labels."""
     rows = _ucr_rows(path)
-    if vocabulary is None:
-        vocabulary = tuple(sorted({label for label, _ in rows}))
+    vocabulary = tuple(sorted({label for label, _ in rows}))
     return _ucr_dataset(rows, vocabulary, dataset_name_from_path(path))
 
 
@@ -348,19 +347,6 @@ def load_mts_long_pair(train_path, test_path):
     _check_test_labels(test_path, test[1], vocabulary)
     return (_long_dataset(train_path, *train, target, vocabulary),
             _long_dataset(test_path, *test, target, vocabulary))
-
-
-def save_mts_long(dataset: TimeSeriesDataset, path) -> None:
-    """Serialize an equal-length dataset back to the long format."""
-    lines = [MTS_HEADER]
-    labels = dataset.labels()
-    for i in range(dataset.n):
-        label = dataset.vocabulary[labels[i]]
-        label_tok = repr(label) if isinstance(label, float) else str(label)
-        for dim in range(dataset.dims):
-            for t in range(dataset.length):
-                lines.append(f"{i},{dim},{t},{float(dataset.X[i, t, dim])!r},{label_tok}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def detect_format(path) -> str:

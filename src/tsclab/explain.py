@@ -9,13 +9,13 @@ average plus the class bias reproduces the class logit exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import TimeSeriesDataset
 from .errors import NumericError
-from .models import TrainedModel, forward_batch, gap_head
+from .models import Sequential, TrainedModel, forward_batch, gap_head
 
 
 @dataclass
@@ -41,10 +41,11 @@ class MdsEmbedding:
 # GAP features and CAM
 
 def _final_feature_map(model: TrainedModel, x: np.ndarray) -> np.ndarray:
+    # the layers before the GAP, run as a net of their own
     gap_prefix, _ = gap_head(model.spec)
-    taps: dict = {}
-    forward_batch(model.spec, model.params, x, "infer", taps=taps)
-    return taps[gap_prefix]
+    body = Sequential(model.spec.net.children[: int(gap_prefix)])
+    y, _ = forward_batch(replace(model.spec, net=body), model.params, x, "infer")
+    return y
 
 
 def gap_features(model: TrainedModel, dataset: TimeSeriesDataset,
@@ -98,38 +99,16 @@ def _check_distance_matrix(d: np.ndarray) -> None:
         raise ValueError("distances must be non-negative")
 
 
-def _top_eigenpair(B: np.ndarray, iterations: int = 1000, tol: float = 1e-13):
-    n = B.shape[0]
-    v = np.arange(1.0, n + 1.0)
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(iterations):
-        w = B @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0, v
-        new_value = float(v @ w)
-        v = w / norm
-        if abs(new_value - value) <= tol * max(1.0, abs(new_value)):
-            value = new_value
-            break
-        value = new_value
-    return value, v
-
-
 def _classical_init(d: np.ndarray) -> np.ndarray:
-    n = d.shape[0]
     d2 = d * d
     # double centering: B = -1/2 J D^2 J
     row = d2.mean(axis=0)
     grand = d2.mean()
     B = -0.5 * (d2 - row[None, :] - row[:, None] + grand)
-    lam1, v1 = _top_eigenpair(B)
-    B2 = B - lam1 * np.outer(v1, v1)
-    lam2, v2 = _top_eigenpair(B2)
-    x1 = v1 * np.sqrt(max(lam1, 0.0))
-    x2 = v2 * np.sqrt(max(lam2, 0.0))
-    return np.stack([x1, x2], axis=1)
+    # the two largest eigenpairs (eigh sorts ascending); a non-Euclidean d
+    # can leave them negative, and those axes start at 0
+    values, vectors = np.linalg.eigh(B)
+    return vectors[:, [-1, -2]] * np.sqrt(np.maximum(values[[-1, -2]], 0.0))
 
 
 def stress_value(d: np.ndarray, points: np.ndarray) -> float:

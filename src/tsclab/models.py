@@ -75,7 +75,7 @@ class Node:
         kernel = getattr(L, f"{self.kernel}_forward")
         return kernel(x, *(params[f"{prefix}.{n}"] for n in self.names), *self.args(mode, rng))
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         y, caches[prefix] = self._run(x, params, prefix, mode, rng)
         return y
 
@@ -100,7 +100,7 @@ class Flatten(Node):
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         caches[prefix] = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -169,7 +169,7 @@ class BatchNorm(Node):
     def args(self, mode, rng):
         return (mode,)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         y, caches[prefix], new_mean, new_var = self._run(x, params, prefix, mode, rng)
         if mode == "train":
             params[f"{prefix}.running_mean"] = new_mean
@@ -249,11 +249,6 @@ class Gap(Node):
     def out_shape(self, in_shape):
         return (in_shape[1],)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        if taps is not None:
-            taps[prefix] = x
-        return super().forward(x, params, prefix, mode, rng, caches)
-
     def describe(self):
         return "gap"
 
@@ -317,7 +312,7 @@ class AlignTime(Node):
     def out_shape(self, in_shape):
         return (self.target, in_shape[1])
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         T = x.shape[1]
         caches[prefix] = T
         if T == self.target:
@@ -355,9 +350,9 @@ class Sequential(Composite):
             in_shape = child.layout(in_shape, _child_prefix(prefix, i), entries)
         return in_shape
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         for i, child in enumerate(self.children):
-            x = child.forward(x, params, _child_prefix(prefix, i), mode, rng, caches, taps)
+            x = child.forward(x, params, _child_prefix(prefix, i), mode, rng, caches)
         return x
 
     def backward(self, gy, params, prefix, caches, grads):
@@ -386,10 +381,10 @@ class Residual(Composite):
             raise ShapeError(f"residual: identity shortcut needs {in_shape} == {out}")
         return out
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
-        yb = self.body.forward(x, params, _child_prefix(prefix, "body"), mode, rng, caches, taps)
+    def forward(self, x, params, prefix, mode, rng, caches):
+        yb = self.body.forward(x, params, _child_prefix(prefix, "body"), mode, rng, caches)
         ys = x if self.shortcut is None else self.shortcut.forward(
-            x, params, _child_prefix(prefix, "sc"), mode, rng, caches, taps)
+            x, params, _child_prefix(prefix, "sc"), mode, rng, caches)
         return L.residual_add(yb, ys)
 
     def backward(self, gy, params, prefix, caches, grads):
@@ -424,9 +419,9 @@ class ConcatChannels(Composite):
             raise ShapeError(f"branch time extents differ: {sorted(times)}")
         return (outs[0][0], sum(o[1] for o in outs))
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         ys = [
-            b.forward(x, params, _child_prefix(prefix, f"br{i}"), mode, rng, caches, taps)
+            b.forward(x, params, _child_prefix(prefix, f"br{i}"), mode, rng, caches)
             for i, b in enumerate(self.branches)
         ]
         caches[prefix] = [y.shape[2] for y in ys]
@@ -464,11 +459,9 @@ class SplitDims(Composite):
         ]
         return ConcatChannels._merge(outs)
 
-    def forward(self, x, params, prefix, mode, rng, caches, taps=None):
+    def forward(self, x, params, prefix, mode, rng, caches):
         ys = [
-            b.forward(
-                x[:, :, i : i + 1], params, _child_prefix(prefix, f"dim{i}"), mode, rng, caches, taps
-            )
+            b.forward(x[:, :, i : i + 1], params, _child_prefix(prefix, f"dim{i}"), mode, rng, caches)
             for i, b in enumerate(self.branches)
         ]
         caches[prefix] = (x.shape, [y.shape[2] for y in ys])
@@ -717,14 +710,14 @@ class _NoCaches(dict):
 
 
 def forward_batch(spec: ModelSpec, params: dict, x: np.ndarray, mode: str,
-                  rng: SplitMix64 | None = None, taps: dict | None = None):
+                  rng: SplitMix64 | None = None):
     if x.ndim != 3 or x.shape[1] != spec.input_length or x.shape[2] != spec.input_dims:
         raise ShapeError(
             f"batch {x.shape} does not match model geometry "
             f"(T={spec.input_length}, M={spec.input_dims})"
         )
     caches: dict = _NoCaches() if mode == "infer" else {}
-    y = spec.net.forward(x, params, "", mode, rng, caches, taps)
+    y = spec.net.forward(x, params, "", mode, rng, caches)
     return y, caches
 
 

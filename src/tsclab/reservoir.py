@@ -18,9 +18,6 @@ from .bundle import Bundle, write_bundle
 from .errors import NumericError
 from .tensor import SplitMix64
 
-# fixed internal stream for the iteration start block; not user-visible
-_POWER_SEED = 0xD1B54A32D192ED03
-
 
 @dataclass
 class ReservoirConfig:
@@ -62,33 +59,9 @@ def default_grid(seed: int = 0) -> list[ReservoirConfig]:
     return grid
 
 
-def spectral_radius(W: np.ndarray, iterations: int = 200, tol: float = 1e-9,
-                    block: int = 16) -> float:
-    """Largest |eigenvalue| via block power iteration with Rayleigh-Ritz extraction.
-
-    Random reservoir matrices routinely carry a complex-conjugate dominant
-    pair, so the iterated subspace is kept ``block`` wide and the estimate
-    is read off the projected matrix; a single vector would not converge.
-    """
-    n = W.shape[0]
-    m = min(block, n)
-    rng = SplitMix64(_POWER_SEED)
-    V = (2.0 * rng.uniform(n * m) - 1.0).reshape(n, m)
-    V, _ = np.linalg.qr(V)
-    rho = 0.0
-    rho_prev = np.inf
-    for _ in range(iterations):
-        Z = W @ V
-        H = V.T @ Z
-        rho = float(np.max(np.abs(np.linalg.eigvals(H))))
-        if abs(rho - rho_prev) <= tol * max(1.0, rho):
-            return rho
-        rho_prev = rho
-        Q, R = np.linalg.qr(Z)
-        if np.min(np.abs(np.diag(R))) < 1e-300:
-            return rho  # iterated block collapsed (zero/nilpotent matrix)
-        V = Q
-    return rho
+def spectral_radius(W: np.ndarray) -> float:
+    """Largest |eigenvalue| of W, from LAPACK's general eigensolver."""
+    return float(np.abs(np.linalg.eigvals(W)).max())
 
 
 def _draw_reservoir(config: ReservoirConfig, dims: int):
@@ -130,11 +103,6 @@ def reservoir_states_batch(W_in: np.ndarray, W: np.ndarray, X: np.ndarray) -> np
         current = np.tanh(X[:, t, :] @ W_in.T + current @ W.T)
         states[:, t, :] = current
     return states
-
-
-def reservoir_states(W_in: np.ndarray, W: np.ndarray, series: np.ndarray) -> np.ndarray:
-    """[T, M] -> [T, N_r] state trajectory from the zero initial state."""
-    return reservoir_states_batch(W_in, W, series[None, :, :])[0]
 
 
 def fit_ridge(features: np.ndarray, targets: np.ndarray, lam) -> np.ndarray:
@@ -230,7 +198,7 @@ def _grid_accuracies(grid: list[ReservoirConfig], fit_part: TimeSeriesDataset,
     """Validation accuracy of each grid entry, doing shared work once.
 
     Entries that differ only in spectral radius and ridge penalty share one
-    reservoir draw and its power iteration; entries that differ only in the
+    reservoir draw and its spectral radius; entries that differ only in the
     penalty also share the state passes, the design rows and the Gram
     matrix.  Each accuracy is bit-identical to fitting its entry alone with
     ``twiesn_train_single`` and scoring it with ``twiesn_accuracy``.

@@ -14,6 +14,7 @@ in-module so results do not depend on any external statistics library.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -363,28 +364,13 @@ def compare_classifiers(table: ResultsTable, alpha: float = 0.05) -> ComparisonR
 # ---------------------------------------------------------------------------
 # grouped ranks
 
+# each band but the last is keyed by its inclusive upper edge
 def _length_band(T: int) -> str:
-    if T < 81:
-        return "<81"
-    if T <= 250:
-        return "81-250"
-    if T <= 450:
-        return "251-450"
-    if T <= 700:
-        return "451-700"
-    if T <= 1000:
-        return "701-1000"
-    return ">1000"
+    return LENGTH_BANDS[bisect.bisect_left((80, 250, 450, 700, 1000), T)]
 
 
 def _train_size_band(n: int) -> str:
-    if n < 100:
-        return "<100"
-    if n <= 399:
-        return "100-399"
-    if n <= 799:
-        return "400-799"
-    return ">799"
+    return TRAIN_SIZE_BANDS[bisect.bisect_left((99, 399, 799), n)]
 
 
 def grouped_ranks(runs: list[RunRecord], key: str, metadata: dict,

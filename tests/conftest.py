@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tsclab.data import TimeSeriesDataset, one_hot
+from tsclab.data import MTS_HEADER, TimeSeriesDataset, one_hot
 from tsclab.tensor import SplitMix64
 
 
@@ -60,6 +62,19 @@ def separable_dataset(n=20, T=16, M=1, seed=3, margin=1.0):
             labels.append(0)
     vocab = (0, 1)
     return TimeSeriesDataset(X, one_hot(labels, vocab), vocab)
+
+
+def save_mts_long(dataset: TimeSeriesDataset, path) -> None:
+    """Serialize an equal-length dataset back to the long format."""
+    lines = [MTS_HEADER]
+    labels = dataset.labels()
+    for i in range(dataset.n):
+        label = dataset.vocabulary[labels[i]]
+        label_tok = repr(label) if isinstance(label, float) else str(label)
+        for dim in range(dataset.dims):
+            for t in range(dataset.length):
+                lines.append(f"{i},{dim},{t},{float(dataset.X[i, t, dim])!r},{label_tok}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_mts_long
 from tsclab import data as D
 from tsclab.errors import DataFormatError, IntegrityError, VocabularyError
 
@@ -122,7 +123,7 @@ class TestLongLoader:
         path = write(tmp_path, "rt.csv", LONG_HEADER + "\n".join(rows) + "\n")
         ds = D.load_mts_long(path)
         out = tmp_path / "rt2.csv"
-        D.save_mts_long(ds, out)
+        save_mts_long(ds, out)
         ds2 = D.load_mts_long(out)
         assert np.array_equal(ds.X, ds2.X)
         assert np.array_equal(ds.Y, ds2.Y)

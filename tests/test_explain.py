@@ -157,6 +157,15 @@ class TestMds:
         s2 = E.mds_embed(d[np.ix_(perm, perm)]).stress
         assert abs(s1 - s2) < 1e-9
 
+    def test_non_euclidean_start_keeps_two_axes(self):
+        # B's eigenvalues are -0.382, -0.023, 0, 0.350 and 3.973: the start
+        # takes 3.973 and 0.350, not the larger-magnitude -0.382, which
+        # would zero the second axis and leave SMACOF on a line
+        d = E.distance_matrix(random_batch((5, 2), seed=3)) ** 1.5
+        emb = E.mds_embed(d)
+        assert np.any(emb.points[:, 1] != 0.0)
+        assert emb.stress < 0.1
+
     def test_all_zero_matrix_rejected(self):
         with pytest.raises(NumericError):
             E.mds_embed(np.zeros((4, 4)))

@@ -12,6 +12,16 @@ def dense_spectral_radius(W):
     return float(np.max(np.abs(np.linalg.eigvals(W))))
 
 
+def loop_states(W_in, W, series):
+    """I(t) = tanh(W_in X(t) + W I(t-1)) one step at a time, from I(0) = 0."""
+    state = np.zeros(W.shape[0])
+    states = []
+    for x in series:
+        state = np.tanh(W_in @ x + W @ state)
+        states.append(state)
+    return np.array(states)
+
+
 def sign_of_mean_dataset(n=40, T=20, seed=5, margin=1.0):
     X = random_batch((n, T, 1), seed=seed) * 0.3
     labels = []
@@ -52,6 +62,13 @@ class TestSpectralRadius:
                     assert abs(dense_spectral_radius(W) - rho) < 1e-6
                     assert abs(R.spectral_radius(W) - dense_spectral_radius(W)) < 1e-6
 
+    @pytest.mark.parametrize("seed", [5, 37])
+    def test_default_grid_draws_meet_requested_radius_exactly(self, seed):
+        # one grid entry per (size, sparsity) draw, sizes 32 to 256
+        for config in R.default_grid(seed)[::12]:
+            _, W = R.init_reservoir(config, 1)
+            assert abs(dense_spectral_radius(W) - config.spectral_radius) < 1e-9, config
+
     def test_sparsity_fraction_within_tolerance(self):
         config = R.ReservoirConfig(size=64, sparsity=0.8, spectral_radius=0.5, seed=7)
         _, W = R.init_reservoir(config, 1)
@@ -74,14 +91,14 @@ class TestStates:
     def test_zero_input_stays_at_zero(self):
         W_in = np.zeros((6, 1))
         W = random_batch((6, 6), seed=0) * 0.1
-        states = R.reservoir_states(W_in, W, np.zeros((10, 1)))
+        states = R.reservoir_states_batch(W_in, W, np.zeros((1, 10, 1)))
         assert not states.any()
 
     def test_single_step_base_case(self):
         config = R.ReservoirConfig(size=10, sparsity=0.5, spectral_radius=0.9, seed=1)
         W_in, W = R.init_reservoir(config, 2)
         x = random_batch((1, 2), seed=2)
-        states = R.reservoir_states(W_in, W, x)
+        states = R.reservoir_states_batch(W_in, W, x[None])[0]
         assert np.allclose(states[0], np.tanh(W_in @ x[0]))
 
     def test_echo_state_contraction(self):
@@ -102,7 +119,7 @@ class TestStates:
         X = random_batch((3, 15, 1), seed=8)
         batch = R.reservoir_states_batch(W_in, W, X)
         for i in range(3):
-            single = R.reservoir_states(W_in, W, X[i])
+            single = loop_states(W_in, W, X[i])
             assert np.max(np.abs(batch[i] - single)) < 1e-12
 
 
