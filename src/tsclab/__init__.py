@@ -10,9 +10,8 @@ maps and metric MDS of the learned feature space).
 from .data import (
     SlicingConfig,
     TimeSeriesDataset,
-    load_mts_long,
     load_pair,
-    load_ucr,
+    load_single,
     one_hot,
     split_train_val,
     window_warp,
@@ -79,9 +78,8 @@ __all__ = [
     "glorot_uniform",
     "holm_correction",
     "load_model",
-    "load_mts_long",
     "load_pair",
-    "load_ucr",
+    "load_single",
     "mds_embed",
     "one_hot",
     "predict",

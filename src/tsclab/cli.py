@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,17 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _positive(kind, below=math.inf):
+    """An argparse type: a ``kind`` number above 0 and below ``below``."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < below:
+            raise argparse.ArgumentTypeError(f"{text} is not in (0, {below})")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _default_out() -> str:
@@ -108,10 +120,9 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
         loss, _ = cross_entropy_loss(model.fit_posterior, train_ds.Y)
         return model, acc, loss
 
-    config = O.default_config(arch, seed)
-    for key in ("epochs", "batch_size", "learning_rate"):
-        if overrides.get(key) is not None:
-            setattr(config, key, overrides[key])
+    config = replace(O.default_config(arch, seed), **{
+        key: overrides[key] for key in ("epochs", "batch_size", "learning_rate")
+        if overrides.get(key) is not None})
     if config.split_fraction > 0:
         train_ds, held_out = D.split_train_val(train_ds, config.split_fraction, seed)
         train_ds.held_out = held_out
@@ -215,75 +226,73 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_metadata(path) -> dict:
-    """Dataset -> theme, length and train size; a bad row names its line and column."""
+def _load_metadata(path, column: str, datasets) -> dict:
+    """Dataset -> theme, length and train size; each of ``datasets`` needs a
+    row with ``column`` filled, and a bad row names its line and column."""
     path = Path(path)
     reader = csv.reader(io.StringIO(D.read_text(path), newline=""))
     header = next(reader, [])
-    if "dataset" not in header:
-        raise DataFormatError(f"{path.name} line 1: no column dataset in the header")
+    for name in ("dataset", column):
+        if name not in header:
+            raise DataFormatError(f"{path.name} line 1: no column {name} in the header")
     meta = {}
     for row in filter(None, reader):
         where = f"{path.name} line {reader.line_num}"
         if len(row) != len(header):
             raise DataFormatError(f"{where}: {len(row)} cells, expected {len(header)}")
         cells = dict(zip(header, row))
+        if not cells[column] and cells["dataset"] in datasets:
+            raise DataFormatError(f"{where}, column {column}: empty for ranked dataset "
+                                  f"{cells['dataset']!r}")
         entry = {"theme": cells.get("theme", "")}
-        for column in ("length", "train_size"):
+        for name in ("length", "train_size"):
             try:
-                entry[column] = int(cells[column]) if cells.get(column) else 0
+                entry[name] = int(cells[name]) if cells.get(name) else 0
             except ValueError:
-                raise DataFormatError(f"{where}, column {column}: cannot read "
-                                      f"{cells[column]!r} as int") from None
+                raise DataFormatError(f"{where}, column {name}: cannot read "
+                                      f"{cells[name]!r} as int") from None
         meta[cells["dataset"]] = entry
+    if missing := sorted(set(datasets) - meta.keys()):
+        raise DataFormatError(f"{path.name}: no row for ranked dataset {missing[0]!r}")
     return meta
 
 
 def _cmd_compare(args) -> int:
-    runs: list[S.RunRecord] = []
-    for path in args.results:
-        runs.extend(S.load_runs(path))
-    table = S.aggregate(runs, args.aggregate)
-    report = S.compare_classifiers(table, args.alpha)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(S.render_cd_diagram(report))
+    if args.group and not args.meta:
+        raise _UsageError("--group needs --meta <csv> with dataset metadata")
+    runs = [r for path in args.results for r in S.load_runs(path)]
+    report = S.compare_classifiers(S.aggregate(runs, args.aggregate), args.alpha)
     text = S.render_text_report(report)
     if args.group:
-        key = {"trainsize": "trainsize", "length": "length", "theme": "theme"}[args.group]
-        if not args.meta:
-            raise _UsageError("--group needs --meta <csv> with dataset metadata")
-        grouped = S.grouped_ranks(runs, key, _load_metadata(args.meta), args.aggregate)
-        lines = [f"grouped ranks by {key}:"]
-        for band, (ranks, n) in grouped.items():
+        column = "train_size" if args.group == "trainsize" else args.group
+        metadata = _load_metadata(args.meta, column, {r.dataset for r in runs})
+        lines = [f"grouped ranks by {args.group}:"]
+        for band, (ranks, n) in S.grouped_ranks(runs, args.group, metadata,
+                                                args.aggregate).items():
             lines.append(f"  {band} ({n} dataset(s)):")
             for cname in sorted(ranks, key=lambda v: (ranks[v], v)):
                 lines.append(f"    {cname}: {ranks[cname]:.4f}")
         text += "\n".join(lines) + "\n"
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(S.render_cd_diagram(report))
     out.with_suffix(".txt").write_text(text)
     print(text, end="")
     return 0
 
 
-def _check_geometry(model: M.TrainedModel, dataset: D.TimeSeriesDataset) -> None:
-    if dataset.n_classes != model.spec.classes:
-        raise ShapeError(
-            f"dataset has {dataset.n_classes} classes but the model was trained "
-            f"with {model.spec.classes}"
-        )
-    if dataset.length != model.spec.input_length or dataset.dims != model.spec.input_dims:
-        raise ShapeError(
-            f"dataset geometry (T={dataset.length}, M={dataset.dims}) does not "
-            f"match model (T={model.spec.input_length}, M={model.spec.input_dims})"
-        )
+def _explain_inputs(args):
+    """``cam``/``mds``: the model, the dataset checked to fit it, the output folder made."""
+    model = M.load_model(args.model)
+    dataset = D.load_single(args.data)
+    M.check_geometry(model.spec, dataset)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return model, dataset, out_dir
 
 
 def _cmd_cam(args) -> int:
-    model = M.load_model(args.model)
-    dataset = D.load_single(args.data)
-    _check_geometry(model, dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    model, dataset, out_dir = _explain_inputs(args)
     for i in range(dataset.n):
         cam = E.compute_cam(model, dataset.X[i], args.class_index)
         (out_dir / f"cam_{i:04d}.svg").write_text(
@@ -295,11 +304,7 @@ def _cmd_cam(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    model = M.load_model(args.model)
-    dataset = D.load_single(args.data)
-    _check_geometry(model, dataset)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    model, dataset, out_dir = _explain_inputs(args)
     features = E.gap_features(model, dataset)
     embedding = E.mds_embed(E.distance_matrix(features))
     labels = dataset.labels()
@@ -320,20 +325,20 @@ def build_parser() -> _Parser:
     p_train.add_argument("--arch", required=True, choices=ALL_ARCHITECTURES)
     p_train.add_argument("--train", required=True, help="train split file")
     p_train.add_argument("--test", required=True, help="test split file")
-    p_train.add_argument("--runs", type=int, default=10)
+    p_train.add_argument("--runs", type=_positive(int), default=10)
     p_train.add_argument("--seed", type=int, default=0, help="base seed; run r uses seed+r")
     p_train.add_argument("--out", default=_default_out())
-    p_train.add_argument("--epochs", type=int, default=None)
-    p_train.add_argument("--batch", type=int, default=None)
-    p_train.add_argument("--lr", type=float, default=None)
-    p_train.add_argument("--jobs", type=int, default=1)
+    p_train.add_argument("--epochs", type=_positive(int), default=None)
+    p_train.add_argument("--batch", type=_positive(int), default=None)
+    p_train.add_argument("--lr", type=_positive(float), default=None)
+    p_train.add_argument("--jobs", type=_positive(int), default=1)
     p_train.add_argument("--log", action="store_true", help="write per-epoch loss/lr logs")
     p_train.set_defaults(fn=_cmd_train)
 
     p_cmp = sub.add_parser("compare", help="statistical comparison + CD diagram")
     p_cmp.add_argument("--results", action="append", required=True,
                        help="results csv (repeatable; run records or baselines)")
-    p_cmp.add_argument("--alpha", type=float, default=0.05)
+    p_cmp.add_argument("--alpha", type=_positive(float, 1), default=0.05)
     p_cmp.add_argument("--aggregate", default="mean",
                        choices=("mean", "median", "min", "max"))
     p_cmp.add_argument("--out", required=True, help="output svg path")

@@ -108,36 +108,30 @@ def _parse_label(token: str):
         return token
 
 
-def _ucr_rows(path) -> list[tuple[float, list[float]]]:
+def _read_ucr(path):
+    """One UCR text file as ([T, 1] arrays, labels, line numbers), in file order."""
     path = Path(path)
     text = read_text(path)
-    rows = []
-    width = None
+    rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        if "\t" in line:
-            parts = line.split("\t")
-        elif "," in line:
-            parts = line.split(",")
-        else:
-            parts = line.split()
+        parts = line.split("\t" if "\t" in line else "," if "," in line else None)
         try:
             values = [float(p) for p in parts if p != ""]
         except ValueError as exc:
             raise DataFormatError(f"{path.name}:{lineno}: {exc}") from None
         if len(values) < 2:
             raise DataFormatError(f"{path.name}:{lineno}: need a label and at least one value")
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
+        if rows and len(values) != len(rows[0]):
             raise DataFormatError(
-                f"{path.name}:{lineno}: ragged row ({len(values)} fields, expected {width})"
+                f"{path.name}:{lineno}: ragged row ({len(values)} fields, expected {len(rows[0])})"
             )
-        rows.append((values[0], values[1:]))
+        rows.append(values)
+        linenos.append(f"line {lineno}")
     if not rows:
         raise DataFormatError(f"{path.name}: empty file")
-    return rows
+    return [np.asarray(r[1:])[:, None] for r in rows], [r[0] for r in rows], linenos
 
 
 def dataset_name_from_path(path) -> str:
@@ -146,38 +140,6 @@ def dataset_name_from_path(path) -> str:
         if stem.endswith(suffix):
             return stem[: -len(suffix)]
     return stem
-
-
-def _ucr_dataset(rows, vocabulary, name) -> TimeSeriesDataset:
-    X = np.asarray([values for _, values in rows])[:, :, None]
-    Y = one_hot([label for label, _ in rows], vocabulary)
-    T = X.shape[1]
-    return TimeSeriesDataset(X, Y, vocabulary, DatasetMeta(name, length_range=(T, T)))
-
-
-def load_ucr_file(path) -> TimeSeriesDataset:
-    """A single UCR-format file; the vocabulary is its own labels."""
-    rows = _ucr_rows(path)
-    vocabulary = tuple(sorted({label for label, _ in rows}))
-    return _ucr_dataset(rows, vocabulary, dataset_name_from_path(path))
-
-
-def _check_test_labels(test_path, labels, vocabulary: tuple) -> None:
-    for label in labels:
-        if label not in vocabulary:
-            raise VocabularyError(
-                f"{Path(test_path).name}: test label {label!r} absent from train "
-                f"vocabulary {list(vocabulary)!r}"
-            )
-
-
-def load_ucr(train_path, test_path) -> tuple[TimeSeriesDataset, TimeSeriesDataset]:
-    """Univariate archive pair; the label vocabulary is fixed by the train split."""
-    train = load_ucr_file(train_path)
-    test_rows = _ucr_rows(test_path)
-    _check_test_labels(test_path, [label for label, _ in test_rows], train.vocabulary)
-    test = _ucr_dataset(test_rows, train.vocabulary, dataset_name_from_path(test_path))
-    return train, test
 
 
 # ---------------------------------------------------------------------------
@@ -312,42 +274,8 @@ def _series_fault(where: str, contiguous_by_dim: dict, all_dims) -> IntegrityErr
     return IntegrityError(f"{where}: dimensions disagree on length")
 
 
-def load_mts_long(path, target_length: int | None = None,
-                  vocabulary: tuple | None = None) -> TimeSeriesDataset:
-    """Load a long-format file; series are linearly interpolated to a shared length.
-
-    ``target_length`` defaults to the longest series in the file.
-    """
-    return _long_dataset(path, *_read_long(path), target_length, vocabulary)
-
-
-def _long_dataset(path, raws, labels, names, target=None, vocabulary=None) -> TimeSeriesDataset:
-    lengths = [r.shape[0] for r in raws]
-    target = max(lengths) if target is None else int(target)
-    if target > 1 and 1 in lengths:
-        raise IntegrityError(f"{Path(path).name}: series {names[lengths.index(1)]!r} has one "
-                             f"timestamp; interpolating it to length {target} needs at least 2")
-    X = np.stack([linear_interpolate(r, target) if r.shape[0] != target else r
-                  for r in raws])
-    if vocabulary is None:
-        vocabulary = tuple(sorted(set(labels)))
-    meta = DatasetMeta(dataset_name_from_path(path),
-                       length_range=(min(lengths), max(lengths)))
-    return TimeSeriesDataset(X, one_hot(labels, vocabulary), vocabulary, meta)
-
-
-def load_mts_long_pair(train_path, test_path):
-    """Train/test pair sharing the interpolation target and the label vocabulary.
-
-    Each file is read once.
-    """
-    train, test = _read_long(train_path), _read_long(test_path)
-    target = max(r.shape[0] for r in train[0] + test[0])
-    vocabulary = tuple(sorted(set(train[1])))
-    _check_test_labels(test_path, test[1], vocabulary)
-    return (_long_dataset(train_path, *train, target, vocabulary),
-            _long_dataset(test_path, *test, target, vocabulary))
-
+# ---------------------------------------------------------------------------
+# loaders
 
 def detect_format(path) -> str:
     with open(path, "rb") as fh:
@@ -355,18 +283,47 @@ def detect_format(path) -> str:
     return "long" if first and first[0].strip() == MTS_HEADER else "ucr"
 
 
+def _reader(path):
+    """The reader of ``path``'s format, told by its first line."""
+    return _read_long if detect_format(path) == "long" else _read_ucr
+
+
+def _dataset(path, raws, labels, names, target=None, vocabulary=None) -> TimeSeriesDataset:
+    """A reader's ([T_i, M] arrays, labels, names) as a dataset, the series
+    interpolated to ``target`` (default: the longest)."""
+    lengths = [r.shape[0] for r in raws]
+    target = max(lengths) if target is None else int(target)
+    if target > 1 and 1 in lengths:
+        raise IntegrityError(f"{Path(path).name}: series {names[lengths.index(1)]!r} has one "
+                             f"timestamp; interpolating it to length {target} needs at least 2")
+    X = np.stack([linear_interpolate(r, target) if r.shape[0] != target else r
+                  for r in raws])
+    vocabulary = vocabulary or tuple(sorted(set(labels)))
+    meta = DatasetMeta(dataset_name_from_path(path),
+                       length_range=(min(lengths), max(lengths)))
+    return TimeSeriesDataset(X, one_hot(labels, vocabulary), vocabulary, meta)
+
+
 def load_pair(train_path, test_path):
-    """Auto-detect the file format and load a train/test pair."""
-    if detect_format(train_path) == "long":
-        return load_mts_long_pair(train_path, test_path)
-    return load_ucr(train_path, test_path)
+    """A train/test pair; the test file is read as the train file's format.
+
+    The train split fixes the label vocabulary.  A long-format pair is
+    interpolated to its longest series; each UCR file keeps its own width.
+    """
+    read = _reader(train_path)
+    train, test = read(train_path), read(test_path)
+    target = max(r.shape[0] for r in train[0] + test[0]) if read is _read_long else None
+    vocabulary = tuple(sorted(set(train[1])))
+    if unseen := [label for label in test[1] if label not in vocabulary]:
+        raise VocabularyError(f"{Path(test_path).name}: test label {unseen[0]!r} absent from "
+                              f"train vocabulary {list(vocabulary)!r}")
+    return (_dataset(train_path, *train, target, vocabulary),
+            _dataset(test_path, *test, target, vocabulary))
 
 
 def load_single(path) -> TimeSeriesDataset:
-    """Auto-detect the file format and load one standalone file."""
-    if detect_format(path) == "long":
-        return load_mts_long(path)
-    return load_ucr_file(path)
+    """One standalone file; its own labels are the vocabulary."""
+    return _dataset(path, *_reader(path)(path))
 
 
 # ---------------------------------------------------------------------------

@@ -400,86 +400,68 @@ class Residual(Composite):
 
 
 class ConcatChannels(Composite):
-    """Feed the same input to every branch; concatenate outputs over channels."""
+    """Feed the same input to every branch; concatenate outputs over channels.
+
+    A subclass changes what a branch sees (``_branch_shape``, ``_branch_input``)
+    and how the branches' input gradients combine (``_combine``: in-order sum)."""
+
+    tag, label = "br", "concat_branches"  # parameter prefix, ``describe`` key
 
     def __init__(self, branches: list):
         self.branches = list(branches)
 
-    def layout(self, in_shape, prefix, entries):
-        outs = [
-            b.layout(in_shape, _child_prefix(prefix, f"br{i}"), entries)
-            for i, b in enumerate(self.branches)
-        ]
-        return self._merge(outs)
+    def _branch_shape(self, in_shape):
+        return in_shape
 
-    @staticmethod
-    def _merge(outs):
+    def _branch_input(self, x, i):
+        return x
+
+    def _combine(self, gxs):
+        return sum(gxs[1:], gxs[0])
+
+    def _children(self, prefix):
+        return [(i, b, _child_prefix(prefix, f"{self.tag}{i}"))
+                for i, b in enumerate(self.branches)]
+
+    def layout(self, in_shape, prefix, entries):
+        shape = self._branch_shape(in_shape)
+        outs = [b.layout(shape, p, entries) for _, b, p in self._children(prefix)]
         times = {o[0] for o in outs}
         if len(times) != 1:
             raise ShapeError(f"branch time extents differ: {sorted(times)}")
         return (outs[0][0], sum(o[1] for o in outs))
 
     def forward(self, x, params, prefix, mode, rng, caches):
-        ys = [
-            b.forward(x, params, _child_prefix(prefix, f"br{i}"), mode, rng, caches)
-            for i, b in enumerate(self.branches)
-        ]
-        caches[prefix] = [y.shape[2] for y in ys]
+        ys = [b.forward(self._branch_input(x, i), params, p, mode, rng, caches)
+              for i, b, p in self._children(prefix)]
+        caches[prefix] = np.cumsum([0] + [y.shape[2] for y in ys])
         return np.concatenate(ys, axis=2)
 
     def backward(self, gy, params, prefix, caches, grads):
-        widths = caches[prefix]
-        gx = None
-        at = 0
-        for i, b in enumerate(self.branches):
-            g = b.backward(
-                gy[:, :, at : at + widths[i]], params, _child_prefix(prefix, f"br{i}"), caches, grads
-            )
-            gx = g if gx is None else gx + g
-            at += widths[i]
-        return gx
+        at = caches[prefix]
+        return self._combine([b.backward(gy[:, :, at[i] : at[i + 1]], params, p, caches, grads)
+                              for i, b, p in self._children(prefix)])
 
     def describe(self):
-        return {"concat_branches": [b.describe() for b in self.branches]}
+        return {self.label: [b.describe() for b in self.branches]}
 
 
-class SplitDims(Composite):
+class SplitDims(ConcatChannels):
     """One branch per input dimension; branch i sees channel i alone."""
 
-    def __init__(self, branches: list):
-        self.branches = list(branches)
+    tag, label = "dim", "per_dimension"
 
-    def layout(self, in_shape, prefix, entries):
+    def _branch_shape(self, in_shape):
         T, c = in_shape
         if c != len(self.branches):
             raise ShapeError(f"expected {len(self.branches)} input dims, got {c}")
-        outs = [
-            b.layout((T, 1), _child_prefix(prefix, f"dim{i}"), entries)
-            for i, b in enumerate(self.branches)
-        ]
-        return ConcatChannels._merge(outs)
+        return (T, 1)
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        ys = [
-            b.forward(x[:, :, i : i + 1], params, _child_prefix(prefix, f"dim{i}"), mode, rng, caches)
-            for i, b in enumerate(self.branches)
-        ]
-        caches[prefix] = (x.shape, [y.shape[2] for y in ys])
-        return np.concatenate(ys, axis=2)
+    def _branch_input(self, x, i):
+        return x[:, :, i : i + 1]
 
-    def backward(self, gy, params, prefix, caches, grads):
-        x_shape, widths = caches[prefix]
-        gx = np.zeros(x_shape)
-        at = 0
-        for i, b in enumerate(self.branches):
-            gx[:, :, i : i + 1] = b.backward(
-                gy[:, :, at : at + widths[i]], params, _child_prefix(prefix, f"dim{i}"), caches, grads
-            )
-            at += widths[i]
-        return gx
-
-    def describe(self):
-        return {"per_dimension": [b.describe() for b in self.branches]}
+    def _combine(self, gxs):
+        return np.concatenate(gxs, axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +501,15 @@ def param_layout(spec: ModelSpec) -> list[tuple[str, tuple, object]]:
     if out != (spec.classes,):
         raise ShapeError(f"network emits {out}, expected ({spec.classes},)")
     return entries
+
+
+def check_geometry(spec: ModelSpec, dataset: TimeSeriesDataset) -> None:
+    """Refuse a dataset whose length, dimensions or class count are not the model's."""
+    have = (dataset.length, dataset.dims, dataset.n_classes)
+    want = (spec.input_length, spec.input_dims, spec.classes)
+    if have != want:
+        raise ShapeError("dataset geometry (T={}, M={}, K={}) does not match "
+                         "model (T={}, M={}, K={})".format(*have, *want))
 
 
 def init_model(spec: ModelSpec, rng: SplitMix64) -> dict:

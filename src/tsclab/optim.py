@@ -21,7 +21,8 @@ import numpy as np
 from .data import TimeSeriesDataset
 from .errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 from .layers import LOSSES
-from .models import ModelSpec, TrainedModel, backward_batch, forward_batch, init_model, trainable
+from .models import (ModelSpec, TrainedModel, backward_batch, check_geometry, forward_batch,
+                     init_model, trainable)
 from .tensor import SplitMix64
 
 
@@ -39,7 +40,6 @@ class PlateauConfig:
 @dataclass
 class TrainConfig:
     optimizer: str = "adam"
-    loss: str = "cross_entropy"
     epochs: int = 100
     batch_size: int = 16
     learning_rate: float = 0.001
@@ -49,6 +49,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epoch count must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
         if self.decay < 0:
@@ -68,22 +70,14 @@ def default_config(architecture_id: str, seed: int = 0) -> TrainConfig:
     """Published optimization hyperparameters for the eight gradient-trained nets."""
     plateau = PlateauConfig()
     table = {
-        "mlp": TrainConfig("adadelta", "cross_entropy", 5000, 16, 1.0, 0.0,
-                           0.0, plateau, seed),
-        "fcn": TrainConfig("adam", "cross_entropy", 2000, 16, 0.001, 0.0,
-                           0.0, plateau, seed),
-        "resnet": TrainConfig("adam", "cross_entropy", 1500, 16, 0.001, 0.0,
-                              0.0, plateau, seed),
-        "encoder": TrainConfig("adam", "cross_entropy", 100, 12, 1e-5, 0.0,
-                               0.0, None, seed),
-        "mcnn": TrainConfig("adam", "cross_entropy", 200, 256, 0.1, 0.0,
-                            0.2, None, seed),
-        "tlenet": TrainConfig("adam", "cross_entropy", 1000, 256, 0.01, 0.005,
-                              0.0, None, seed),
-        "mcdcnn": TrainConfig("sgd", "cross_entropy", 120, 16, 0.01, 0.0005,
-                              0.33, None, seed),
-        "timecnn": TrainConfig("adam", "mse", 2000, 16, 0.001, 0.0,
-                               0.0, None, seed),
+        "mlp": TrainConfig("adadelta", 5000, 16, 1.0, 0.0, 0.0, plateau, seed),
+        "fcn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, plateau, seed),
+        "resnet": TrainConfig("adam", 1500, 16, 0.001, 0.0, 0.0, plateau, seed),
+        "encoder": TrainConfig("adam", 100, 12, 1e-5, 0.0, 0.0, None, seed),
+        "mcnn": TrainConfig("adam", 200, 256, 0.1, 0.0, 0.2, None, seed),
+        "tlenet": TrainConfig("adam", 1000, 256, 0.01, 0.005, 0.0, None, seed),
+        "mcdcnn": TrainConfig("sgd", 120, 16, 0.01, 0.0005, 0.33, None, seed),
+        "timecnn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, None, seed),
     }
     if architecture_id not in table:
         raise ValueError(f"no default optimization config for {architecture_id!r}")
@@ -278,9 +272,9 @@ class LrSchedule:
 # training loop
 
 def evaluate_loss(spec: ModelSpec, params: dict, dataset: TimeSeriesDataset,
-                  loss_kind: str, batch_size: int = 256) -> float:
-    """Mean loss over a dataset in infer mode."""
-    loss_fn = LOSSES[loss_kind]
+                  batch_size: int = 256) -> float:
+    """Mean ``spec.loss`` over a dataset in infer mode."""
+    loss_fn = LOSSES[spec.loss]
     total = 0.0
     for lo in range(0, dataset.n, batch_size):
         x = dataset.X[lo : lo + batch_size]
@@ -303,20 +297,14 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     epoch shuffles, and dropout masks all consume one SplitMix64 stream.
     ``log_fn``, when given, receives one ``"epoch,loss,lr"`` line per epoch.
     """
-    if data.length != spec.input_length or data.dims != spec.input_dims:
-        raise ShapeError(
-            f"dataset geometry (T={data.length}, M={data.dims}) does not match "
-            f"model (T={spec.input_length}, M={spec.input_dims})"
-        )
-    if data.n_classes != spec.classes:
-        raise ShapeError(f"dataset has {data.n_classes} classes, model wants {spec.classes}")
+    check_geometry(spec, data)
     if data.held_out is not None and data.held_out.n == 0:
         raise ValueError("the held-out validation set is empty")
 
     rng = SplitMix64(config.seed)
     params = init_model(spec, rng)
 
-    loss_fn = LOSSES[config.loss]
+    loss_fn = LOSSES[spec.loss]
     optimizer = make_optimizer(config.optimizer)
     sched = LrSchedule(config.learning_rate, config.decay, config.plateau)
     history = TrainHistory()
@@ -340,7 +328,7 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             sched.after_step()
 
         if data.held_out is not None:
-            ref_loss = evaluate_loss(spec, params, data.held_out, config.loss)
+            ref_loss = evaluate_loss(spec, params, data.held_out)
         else:
             ref_loss = total / data.n
         if not math.isfinite(ref_loss):

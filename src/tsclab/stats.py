@@ -455,6 +455,8 @@ def load_runs(path) -> list[RunRecord]:
                                           f"as {kind.__name__}") from None
             if header == BASELINE_HEADER:
                 values = [values[0], values[1], 0, values[2], math.nan, math.nan]
+            if not 0.0 <= values[3] <= 1.0:
+                raise DataFormatError(f"{where}, column accuracy: {values[3]!r} is not in [0, 1]")
             runs.append(RunRecord(*values))
     return runs
 

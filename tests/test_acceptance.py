@@ -25,7 +25,7 @@ from tsclab import optim as O
 from tsclab import reservoir as R
 from tsclab import stats as S
 from tsclab.cli import ExperimentConfig, run_experiment, train_single_run
-from tsclab.data import load_mts_long_pair, load_ucr, one_hot
+from tsclab.data import load_pair, one_hot
 from tsclab.layers import LOSSES
 from tsclab.tensor import SplitMix64
 
@@ -57,7 +57,7 @@ def load_public_dataset(name):
     ]
     for train, test in candidates:
         if train.exists() and test.exists():
-            return load_ucr(train, test)
+            return load_pair(train, test)
     pytest.fail(
         f"{name} split not found under {DATA_DIR}. This environment has no "
         f"route to the public archive (no general network; the package mirror "
@@ -388,7 +388,7 @@ def test_criterion_10_mts_pipeline(tmp_path):
     test_path = tmp_path / "ecg_test.csv"
     write_ecg_shaped_fixture(train_path, 12, seed=0)
     write_ecg_shaped_fixture(test_path, 8, seed=1)
-    train_ds, test_ds = load_mts_long_pair(train_path, test_path)
+    train_ds, test_ds = load_pair(train_path, test_path)
 
     assert train_ds.dims == 2 and test_ds.dims == 2
     assert train_ds.length == test_ds.length  # shared post-interpolation length

@@ -266,8 +266,29 @@ class TestTrainCommand:
         assert code == 3
         assert "reference loss became inf at epoch 1" in capsys.readouterr().err
 
-    def test_usage_error_exit_code(self):
+    def test_overrides_pass_the_config_checks(self, tmp_path):
+        from tsclab import data as D
+        train_ds, test_ds = D.load_pair(*write_ucr_pair(tmp_path, n=4))
+        with pytest.raises(ValueError, match="epoch count must be >= 1, got 0"):
+            cli.train_single_run("fcn", train_ds, test_ds, 0, {"epochs": 0})
+
+    def test_usage_error_exit_code(self, tmp_path, capsys):
         assert run(["train", "--arch", "bogus"]) == 1
+        # numeric flags out of range are refused as parsed: no file is read
+        # (the missing train file would exit 2) and no output is written
+        train = ["train", "--arch", "fcn", "--train", tmp_path / "none_TRAIN.txt",
+                 "--test", tmp_path / "none_TEST.txt", "--out", tmp_path / "out"]
+        compare = ["compare", "--results", tmp_path / "none.csv", "--out", tmp_path / "out/cd.svg"]
+        capsys.readouterr()
+        for argv in ([*train, "--epochs", "0"], [*train, "--epochs", "-2"],
+                     [*train, "--batch", "0"], [*train, "--lr", "0"], [*train, "--lr", "-0.1"],
+                     [*train, "--runs", "0"], [*train, "--jobs", "0"],
+                     [*compare, "--alpha", "1.5"], [*compare, "--alpha", "0"],
+                     [*compare, "--alpha", "1"]):
+            assert run(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: argument") and err.count("\n") == 1, argv
+            assert not (tmp_path / "out").exists()
 
     def test_twiesn_end_to_end(self, tmp_path):
         train, test = write_ucr_pair(tmp_path, n=10)
@@ -364,13 +385,21 @@ class TestCompareCommand:
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert "(d2, b)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row, message", [
-        ("d1,b,0,0.6", "r.csv line 3: 4 cells, expected 6"),
-        ("d1,b,0,abc,0.1,1.0", "r.csv line 3, column accuracy: cannot read 'abc' as float"),
-    ], ids=["too-few-cells", "non-numeric"])
-    def test_malformed_results_row_exits_2(self, tmp_path, capsys, row, message):
+    @pytest.mark.parametrize("header, row, message", [
+        (S.RESULTS_HEADER, "d1,b,0,0.6", "r.csv line 3: 4 cells, expected 6"),
+        (S.RESULTS_HEADER, "d1,b,0,abc,0.1,1.0",
+         "r.csv line 3, column accuracy: cannot read 'abc' as float"),
+        (S.RESULTS_HEADER, "d1,b,0,-0.5,0.1,1.0",
+         "r.csv line 3, column accuracy: -0.5 is not in [0, 1]"),
+        (S.RESULTS_HEADER, "d1,b,0,nan,0.1,1.0",
+         "r.csv line 3, column accuracy: nan is not in [0, 1]"),
+        (S.BASELINE_HEADER, "Synth,x,1.5", "r.csv line 3, column accuracy: 1.5 is not in [0, 1]"),
+    ], ids=["too-few-cells", "non-numeric", "negative-accuracy", "nan-accuracy",
+            "baseline-accuracy-above-1"])
+    def test_malformed_results_row_exits_2(self, tmp_path, capsys, header, row, message):
         path = tmp_path / "r.csv"
-        path.write_text(",".join(S.RESULTS_HEADER) + "\nd1,a,0,0.5,0.1,1.0\n" + row + "\n")
+        first = "d1,a,0,0.5,0.1,1.0" if header == S.RESULTS_HEADER else "Synth,y,0.5"
+        path.write_text(",".join(header) + f"\n{first}\n{row}\n")
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert f"data error: {message}" in capsys.readouterr().err
 
@@ -380,21 +409,47 @@ class TestCompareCommand:
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert "data error: r.csv:2: byte 0x80 is not UTF-8" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, message", [
-        ("name,theme\nd0,ECG\n", "meta.csv line 1: no column dataset in the header"),
-        ("dataset,theme,length,train_size\nd0,ECG,50,100\nd1,ECG,abc,100\n",
+    @pytest.mark.parametrize("group, text, message", [
+        ("theme", "name,theme\nd0,ECG\n", "meta.csv line 1: no column dataset in the header"),
+        ("theme", "dataset,theme,length,train_size\nd0,ECG,50,100\nd1,ECG,abc,100\n",
          "meta.csv line 3, column length: cannot read 'abc' as int"),
-        ("dataset,theme,length,train_size\nd0,ECG,50\n", "meta.csv line 2: 3 cells, expected 4"),
-    ], ids=["no-dataset-column", "non-integer-length", "too-few-cells"])
-    def test_malformed_meta_exits_2(self, tmp_path, capsys, text, message):
+        ("theme", "dataset,theme,length,train_size\nd0,ECG,50\n",
+         "meta.csv line 2: 3 cells, expected 4"),
+        ("length", "dataset,theme\nd0,ECG\nd1,ECG\n",
+         "meta.csv line 1: no column length in the header"),
+        ("trainsize", "dataset,theme,length\nd0,ECG,50\nd1,ECG,60\n",
+         "meta.csv line 1: no column train_size in the header"),
+        ("length", "dataset,theme,length\nd0,ECG,50\nd1,ECG,\n",
+         "meta.csv line 3, column length: empty for ranked dataset 'd1'"),
+        ("trainsize", "dataset,train_size\nd0,\nd1,100\n",
+         "meta.csv line 2, column train_size: empty for ranked dataset 'd0'"),
+        ("theme", "dataset,theme\nd0,ECG\nd1,\n",
+         "meta.csv line 3, column theme: empty for ranked dataset 'd1'"),
+        ("theme", "dataset,theme\nd0,ECG\nd7,ECG\n", "meta.csv: no row for ranked dataset 'd1'"),
+    ], ids=["no-dataset-column", "non-integer-length", "too-few-cells", "no-length-column",
+            "no-train-size-column", "empty-length", "empty-train-size", "empty-theme",
+            "dataset-without-row"])
+    def test_malformed_meta_exits_2(self, tmp_path, capsys, group, text, message):
         path = self.write_results(tmp_path, {"a": 0.0, "b": 0.2}, n_datasets=2)
         meta = tmp_path / "meta.csv"
         meta.write_text(text)
         assert run([
             "compare", "--results", path, "--out", tmp_path / "cd.svg",
-            "--group", "theme", "--meta", meta,
+            "--group", group, "--meta", meta,
         ]) == 2
         assert f"data error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "cd.svg").exists()
+
+    def test_unranked_dataset_may_leave_its_group_cell_empty(self, tmp_path, capsys):
+        path = self.write_results(tmp_path, {"a": 0.0, "b": 0.2}, n_datasets=2)
+        meta = tmp_path / "meta.csv"
+        meta.write_text("dataset,theme,length\nd0,ECG,50\nd1,ECG,500\nd9,ECG,\n")
+        assert run([
+            "compare", "--results", path, "--out", tmp_path / "cd.svg",
+            "--group", "length", "--meta", meta,
+        ]) == 0
+        text = capsys.readouterr().out
+        assert "<81 (1 dataset(s))" in text and "451-700 (1 dataset(s))" in text
 
     def test_external_baselines_merge(self, tmp_path):
         path = self.write_results(tmp_path, {"resnet": 0.2})
@@ -517,6 +572,22 @@ class TestExplainCommands:
         err = capsys.readouterr().err
         assert "data error:" in err and broken.name in err
         assert "'param'" in err and "10.x" in err and "expected 10.w" in err
+
+    @pytest.mark.parametrize("command", ["cam", "mds"])
+    @pytest.mark.parametrize("T, labels, geometry", [
+        (20, (1, 2), "(T=20, M=1, K=2)"), (16, (1, 2, 3), "(T=16, M=1, K=3)"),
+    ], ids=["length", "classes"])
+    def test_explain_refuses_dataset_of_other_geometry(self, trained_fcn, tmp_path, capsys,
+                                                       command, T, labels, geometry):
+        manifest, _ = trained_fcn
+        data = tmp_path / "other.txt"
+        data.write_text("".join(f"{labels[i % len(labels)]}," + ",".join(["0.5"] * T) + "\n"
+                                for i in range(6)))
+        argv = [command, "--model", manifest, "--data", data, "--out", tmp_path / "o"]
+        assert run(argv + (["--class", "0"] if command == "cam" else [])) == 2
+        assert (f"data error: dataset geometry {geometry} does not match model "
+                f"(T=16, M=1, K=2)") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mds_outputs(self, trained_fcn, tmp_path):
         manifest, test_file = trained_fcn

@@ -18,44 +18,72 @@ class TestUcrLoader:
     def test_two_line_comma_file(self, tmp_path):
         train = write(tmp_path, "Toy_TRAIN.txt", "1,0.0,1.0\n2,1.0,0.0\n")
         test = write(tmp_path, "Toy_TEST.txt", "1,0.5,0.5\n2,0.25,0.75\n")
-        tr, te = D.load_ucr(train, test)
+        tr, te = D.load_pair(train, test)
         assert tr.n == 2 and tr.length == 2 and tr.dims == 1 and tr.n_classes == 2
         assert np.array_equal(tr.Y, [[1, 0], [0, 1]])
         assert tr.vocabulary == (1.0, 2.0)
         assert tr.meta.name == "Toy"
 
+    def test_pair_files_keep_their_own_width(self, tmp_path):
+        train = write(tmp_path, "W_TRAIN.txt", "1,0.0,1.0\n2,1.0,0.0\n")
+        test = write(tmp_path, "W_TEST.txt", "1,0.5,0.5,0.5\n")
+        tr, te = D.load_pair(train, test)
+        assert (tr.length, te.length) == (2, 3)
+        assert te.meta.length_range == (3, 3) and te.X[0, :, 0].tolist() == [0.5] * 3
+
     def test_tab_delimited_variant_is_identical(self, tmp_path):
         comma = write(tmp_path, "a.txt", "1,0.0,1.0\n2,1.0,0.0\n")
         tab = write(tmp_path, "b.txt", "1\t0.0\t1.0\n2\t1.0\t0.0\n")
-        ds_comma = D.load_ucr_file(comma)
-        ds_tab = D.load_ucr_file(tab)
+        ds_comma = D.load_single(comma)
+        ds_tab = D.load_single(tab)
         assert np.array_equal(ds_comma.X, ds_tab.X)
         assert np.array_equal(ds_comma.Y, ds_tab.Y)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         path = write(tmp_path, "bad.txt", "1,0.0,1.0\n2,1.0\n")
         with pytest.raises(DataFormatError, match="bad.txt:2"):
-            D.load_ucr_file(path)
+            D.load_single(path)
 
     def test_non_numeric_reports_line_number(self, tmp_path):
         path = write(tmp_path, "bad.txt", "1,0.0,oops\n")
         with pytest.raises(DataFormatError, match="bad.txt:1"):
-            D.load_ucr_file(path)
+            D.load_single(path)
 
     def test_unseen_test_label_rejected(self, tmp_path):
         train = write(tmp_path, "t_TRAIN.txt", "1,0.0,1.0\n")
         test = write(tmp_path, "t_TEST.txt", "3,0.0,1.0\n")
         with pytest.raises(VocabularyError):
-            D.load_ucr(train, test)
+            D.load_pair(train, test)
 
     def test_label_vocabulary_sorted_ascending(self, tmp_path):
         path = write(tmp_path, "v.txt", "5,0.0,1.0\n-1,1.0,0.0\n2,0.5,0.5\n")
-        ds = D.load_ucr_file(path)
+        ds = D.load_single(path)
         assert ds.vocabulary == (-1.0, 2.0, 5.0)
         assert np.array_equal(ds.labels(), [2, 0, 1])
 
 
 LONG_HEADER = "series_id,dimension,timestamp,value,label\n"
+
+
+def test_ucr_and_long_pairs_of_the_same_series_load_identically(tmp_path):
+    rng = np.random.default_rng(3)
+    splits = {"TRAIN": (rng.normal(size=(5, 7)).tolist(), [2, 1, 2, 3, 1]),
+              "TEST": (rng.normal(size=(4, 7)).tolist(), [1, 3, 3, 2])}
+    pairs = {"ucr": [], "long": []}
+    for split, (X, labels) in splits.items():
+        ucr = [",".join([str(label)] + [repr(v) for v in row]) for row, label in zip(X, labels)]
+        long = [f"s{i},0,{t},{v!r},{label}"
+                for i, (row, label) in enumerate(zip(X, labels)) for t, v in enumerate(row)]
+        pairs["ucr"].append(write(tmp_path, f"Toy_{split}.txt", "\n".join(ucr) + "\n"))
+        pairs["long"].append(write(tmp_path, f"Toy_{split}.csv",
+                                   LONG_HEADER + "\n".join(long) + "\n"))
+    ucr, long = D.load_pair(*pairs["ucr"]), D.load_pair(*pairs["long"])
+    for a, b in zip(ucr, long):
+        assert a.X.tobytes() == b.X.tobytes() and a.X.shape == b.X.shape
+        assert a.Y.tobytes() == b.Y.tobytes() and a.Y.shape == b.Y.shape
+        assert a.vocabulary == b.vocabulary == (1.0, 2.0, 3.0)
+        assert a.meta.length_range == b.meta.length_range == (7, 7)
+    assert ucr[1].X.tobytes() == np.array(splits["TEST"][0]).tobytes()
 
 
 class TestLongLoader:
@@ -65,7 +93,7 @@ class TestLongLoader:
             "s1,1,0,1.0,a", "s1,1,1,1.1,a", "s1,1,2,1.2,a",
         ]
         path = write(tmp_path, "one.csv", LONG_HEADER + "\n".join(rows) + "\n")
-        ds = D.load_mts_long(path)
+        ds = D.load_single(path)
         assert ds.X.shape == (1, 3, 2)
         assert np.allclose(ds.X[0, :, 0], [0.1, 0.2, 0.3])
         assert ds.vocabulary == ("a",)
@@ -77,7 +105,7 @@ class TestLongLoader:
         for t in range(5):
             rows.append(f"s2,0,{t},{float(t)},y")
         path = write(tmp_path, "var.csv", LONG_HEADER + "\n".join(rows) + "\n")
-        ds = D.load_mts_long(path)
+        ds = D.load_single(path)
         assert ds.X.shape == (2, 5, 1)
         assert np.allclose(ds.X[0, :, 0], [0.0, 0.5, 1.0, 1.5, 2.0])
         assert ds.meta.length_range == (3, 5)
@@ -86,13 +114,13 @@ class TestLongLoader:
         rows = ["s1,0,0,0.1,a", "s1,0,0,0.2,a", "s1,0,1,0.3,a"]
         path = write(tmp_path, "dup.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError, match="duplicate"):
-            D.load_mts_long(path)
+            D.load_single(path)
 
     def test_conflicting_label_rejected(self, tmp_path):
         rows = ["s1,0,0,0.1,a", "s1,0,1,0.2,b"]
         path = write(tmp_path, "lab.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError, match="conflicting"):
-            D.load_mts_long(path)
+            D.load_single(path)
 
     def test_missing_dimension_rejected(self, tmp_path):
         rows = [
@@ -101,18 +129,19 @@ class TestLongLoader:
         ]
         path = write(tmp_path, "md.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError, match="missing dimension"):
-            D.load_mts_long(path)
+            D.load_single(path)
 
     def test_non_contiguous_timestamps_rejected(self, tmp_path):
         rows = ["s1,0,0,0.1,a", "s1,0,2,0.2,a"]
         path = write(tmp_path, "tc.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError, match="contiguous"):
-            D.load_mts_long(path)
+            D.load_single(path)
 
     def test_wrong_header_rejected(self, tmp_path):
+        train = write(tmp_path, "tr.csv", LONG_HEADER + "s1,0,0,0.1,a\n")
         path = write(tmp_path, "h.csv", "id,dim,t,v,y\ns1,0,0,0.1,a\n")
         with pytest.raises(DataFormatError, match="header"):
-            D.load_mts_long(path)
+            D.load_pair(train, path)
 
     def test_round_trip(self, tmp_path):
         rows = []
@@ -121,10 +150,10 @@ class TestLongLoader:
                 for t in range(4):
                     rows.append(f"{sid},{dim},{t},{0.1 * t + dim + (sid == 's2')},{label}")
         path = write(tmp_path, "rt.csv", LONG_HEADER + "\n".join(rows) + "\n")
-        ds = D.load_mts_long(path)
+        ds = D.load_single(path)
         out = tmp_path / "rt2.csv"
         save_mts_long(ds, out)
-        ds2 = D.load_mts_long(out)
+        ds2 = D.load_single(out)
         assert np.array_equal(ds.X, ds2.X)
         assert np.array_equal(ds.Y, ds2.Y)
         assert ds.vocabulary == ds2.vocabulary
@@ -139,7 +168,7 @@ class TestLongLoader:
         test = write(
             tmp_path, "te.csv", LONG_HEADER + "\n".join(series("c", 9, "x")) + "\n"
         )
-        tr, te = D.load_mts_long_pair(train, test)
+        tr, te = D.load_pair(train, test)
         assert tr.length == te.length == 9
         assert tr.vocabulary == te.vocabulary == ("x", "y")
 
@@ -173,28 +202,28 @@ class TestLongLoader:
     def test_single_fault_message(self, tmp_path, edit, error, message):
         path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(edit(self.GOOD)) + "\n")
         with pytest.raises(error) as info:
-            D.load_mts_long(path)
+            D.load_single(path)
         assert str(info.value) == message
 
     def test_series_fault_in_test_file_names_test_file(self, tmp_path):
         train = write(tmp_path, "tr.csv", LONG_HEADER + "\n".join(self.GOOD) + "\n")
         test = write(tmp_path, "te.csv", LONG_HEADER + "\n".join(self.GOOD[:6]) + "\n")
         with pytest.raises(IntegrityError) as info:
-            D.load_mts_long_pair(train, test)
+            D.load_pair(train, test)
         assert str(info.value) == "te.csv: series 's2' is missing dimension 1"
 
     def test_fault_line_counts_blank_lines(self, tmp_path):
         rows = self.GOOD[:3] + ["", "  ", "s1,1,1,oops,a"] + self.GOOD[4:]
         path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(DataFormatError, match="^f.csv:7: could not"):
-            D.load_mts_long(path)
+            D.load_single(path)
 
     @pytest.mark.parametrize("first, second, line", [("a", "1", 6), ("1", "a", 6)])
     def test_labels_mixing_numbers_and_text_are_refused(self, tmp_path, first, second, line):
         rows = [r.replace(",a", f",{first}").replace(",b", f",{second}") for r in self.GOOD]
         path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(DataFormatError) as info:
-            D.load_mts_long(path)
+            D.load_single(path)
         assert str(info.value) == f"f.csv:{line}: labels mix numbers and text ('1' and 'a')"
 
     @pytest.mark.parametrize("pair", [False, True])
@@ -202,13 +231,13 @@ class TestLongLoader:
         rows = self.GOOD[:4] + ["s2,0,0,0.5,b", "s2,1,0,1.5,b"]
         path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(IntegrityError) as info:
-            D.load_mts_long_pair(path, path) if pair else D.load_mts_long(path)
+            D.load_pair(path, path) if pair else D.load_single(path)
         assert str(info.value) == ("f.csv: series 's2' has one timestamp; "
                                    "interpolating it to length 2 needs at least 2")
 
     def test_all_one_timestamp_series_need_no_interpolation(self, tmp_path):
         rows = ["s1,0,0,0.5,a", "s2,0,0,1.5,b"]
-        ds = D.load_mts_long(write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n"))
+        ds = D.load_single(write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n"))
         assert ds.X.shape == (2, 1, 1)
 
     def test_unseen_test_label_names_test_file(self, tmp_path):
@@ -216,7 +245,7 @@ class TestLongLoader:
         rows = [r.replace(",b", ",z") for r in self.GOOD]
         test = write(tmp_path, "te.csv", LONG_HEADER + "\n".join(rows) + "\n")
         with pytest.raises(VocabularyError, match="^te.csv: test label 'z' absent"):
-            D.load_mts_long_pair(train, test)
+            D.load_pair(train, test)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -241,7 +270,7 @@ class TestLongLoader:
             first.setdefault(line.split(",")[0], len(first))
         reference = [r[3] for r in sorted(rows, key=lambda r: (first[r[0]], r[1], r[2]))]
         folder = tmp_path_factory.mktemp("order")
-        loaded = [D.load_mts_long(write(folder, name, LONG_HEADER + "\n".join(lines) + "\n"))
+        loaded = [D.load_single(write(folder, name, LONG_HEADER + "\n".join(lines) + "\n"))
                   for name, lines in (("ref.csv", reference), ("shuffled.csv", shuffled))]
         assert loaded[0].X.tobytes() == loaded[1].X.tobytes()
         assert loaded[0].Y.tobytes() == loaded[1].Y.tobytes()
@@ -251,8 +280,8 @@ class TestLongLoader:
 
 class TestNotUtf8:
     @pytest.mark.parametrize("name, text, load", [
-        ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n", D.load_ucr_file),
-        ("l.csv", LONG_HEADER.encode() + b"s1,0,0,0.1,a\ns1,0,1,0.2,a%s\n", D.load_mts_long),
+        ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n", D.load_single),
+        ("l.csv", LONG_HEADER.encode() + b"s1,0,0,0.1,a\ns1,0,1,0.2,a%s\n", D.load_single),
         ("d.txt", b"1,0.0,%s1.0\n2,1.0,0.0\n", D.detect_format),
     ], ids=["ucr", "long", "detect-format"])
     def test_reader_names_file_and_line(self, tmp_path, name, text, load):

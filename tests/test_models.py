@@ -298,6 +298,25 @@ class TestForward:
         assert np.array_equal(out1[:, :, 8:], out2[:, :, 8:])  # dim-1 branch untouched
         assert not np.array_equal(out1[:, :, :8], out2[:, :, :8])
 
+    @pytest.mark.parametrize("node", [M.ConcatChannels, M.SplitDims])
+    def test_branch_node_input_gradient_matches_finite_differences(self, node):
+        # the branches' input gradients are summed (ConcatChannels) or
+        # concatenated by channel (SplitDims)
+        branches = [M.Sequential([M.Conv1d(2, 3, "same"), M.Act("sigmoid")]) for _ in range(3)]
+        net = M.Sequential([node(branches), M.Flatten(), M.Dense(2)])
+        spec = M.ModelSpec("branches", 5, 3, 2, "mse", net)
+        params = M.init_model(spec, SplitMix64(16))
+        x, gy = random_batch((2, 5, 3), seed=17), random_batch((2, 2), seed=18)
+        _, caches = M.forward_batch(spec, params, x, "train")
+        gx, _ = M.backward_batch(spec, params, caches, gy)
+        h = 1e-6
+        for idx in np.ndindex(x.shape):
+            step = np.zeros_like(x)
+            step[idx] = h
+            up, _ = M.forward_batch(spec, params, x + step, "infer")
+            down, _ = M.forward_batch(spec, params, x - step, "infer")
+            assert abs(((up - down) * gy).sum() / (2 * h) - gx[idx]) < 1e-7, idx
+
     def test_mcnn_identity_branch_with_delta_filter_is_pooled_sigmoid(self):
         spec, params = build_and_init("mcnn", 32, 1, 2, filter_length=5, pool_factor=2)
         x = random_batch((1, 32, 1), seed=13)

@@ -214,7 +214,8 @@ class TestDefaults:
         for arch, row in expected.items():
             cfg = O.default_config(arch)
             assert cfg.optimizer == row[0], arch
-            assert cfg.loss == row[1], arch
+            spec = M.build_model(arch, 64, 1, 2, filter_length=3, pool_factor=2)
+            assert spec.loss == row[1], arch
             assert cfg.epochs == row[2], arch
             assert cfg.batch_size == row[3], arch
             assert cfg.learning_rate == row[4], arch
@@ -235,12 +236,15 @@ class TestDefaults:
             O.TrainConfig(decay=-1.0)
         with pytest.raises(ValueError):
             O.TrainConfig(batch_size=0)
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match="epoch count"):
+                O.TrainConfig(epochs=epochs)
         with pytest.raises(ValueError):
             O.PlateauConfig(factor=1.0)
 
 
 def small_config(epochs=5, seed=0, **kw):
-    return O.TrainConfig("adam", "cross_entropy", epochs, 4, 0.005, seed=seed, **kw)
+    return O.TrainConfig("adam", epochs, 4, 0.005, seed=seed, **kw)
 
 
 def with_held_out(ds, fraction, seed=0):
@@ -271,7 +275,7 @@ class TestTrain:
     def test_separable_toy_reaches_full_train_accuracy(self):
         ds = separable_dataset(n=20, T=16)
         spec = M.build_fcn(16, 1, 2)
-        config = O.TrainConfig("adam", "cross_entropy", 100, 16, 0.001, seed=0,
+        config = O.TrainConfig("adam", 100, 16, 0.001, seed=0,
                                plateau=O.PlateauConfig())
         model, history = O.train(spec, ds, config)
         assert M.accuracy(model, ds) == 1.0
@@ -335,7 +339,7 @@ class TestTrain:
     def test_checkpoint_with_validation_split(self):
         ds = with_held_out(toy_dataset(n=12, T=16, seed=5), 0.25)
         model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
-        reproduced = O.evaluate_loss(model.spec, model.params, ds.held_out, "cross_entropy")
+        reproduced = O.evaluate_loss(model.spec, model.params, ds.held_out)
         assert abs(reproduced - min(history.losses)) < 1e-9
 
     def test_empty_split_rejected(self):
@@ -348,9 +352,11 @@ class TestTrain:
             O.train(M.build_fcn(16, 1, 2), ds, small_config())
 
     def test_geometry_mismatch_rejected(self):
-        ds = toy_dataset(n=4, T=20, seed=6)
-        with pytest.raises(Exception):
-            O.train(M.build_fcn(16, 1, 2), ds, small_config())
+        for ds, have in ((toy_dataset(n=4, T=20, seed=6), "T=20, M=1, K=2"),
+                         (toy_dataset(n=6, T=16, K=3, seed=6), "T=16, M=1, K=3")):
+            with pytest.raises(ShapeError, match=fr"\({have}\) does not match model "
+                                                 r"\(T=16, M=1, K=2\)"):
+                O.train(M.build_fcn(16, 1, 2), ds, small_config())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_reference_loss_raises(self, monkeypatch, bad):
@@ -387,7 +393,7 @@ class TestTrain:
 
     def test_history_lr_trace_records_decay(self):
         ds = toy_dataset(n=4, T=16, seed=9)
-        config = O.TrainConfig("adam", "cross_entropy", 3, 2, 0.01, decay=0.5, seed=0)
+        config = O.TrainConfig("adam", 3, 2, 0.01, decay=0.5, seed=0)
         _, history = O.train(M.build_fcn(16, 1, 2), ds, config)
         assert history.lrs[0] > history.lrs[-1]
 
