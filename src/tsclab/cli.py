@@ -4,13 +4,25 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 The default output directory can be set with the ``TSCLAB_OUT``
 environment variable.  Training runs are reproducible: run ``r`` of a
 sweep uses seed ``base_seed + r`` and identical flags yield bit-identical
-model blobs.
+model blobs on one machine.
+
+The narrow nets (mlp, mcdcnn, timecnn, tlenet: no conv layer of 64 or more
+filters) train with numpy's bundled OpenBLAS held at one thread, serially
+and under ``--jobs`` alike.  Their GEMMs gain little from a second BLAS
+thread, and ``--jobs`` threads that each drive a multi-threaded OpenBLAS
+stall one another.  OpenBLAS rounds differently at 1 and 2 threads,
+so their blobs no longer depend on the machine's thread count.  The wide
+nets (fcn, resnet, encoder, mcnn) and twiesn train at the machine's thread
+count, so their blobs follow it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import io
 import math
 import os
@@ -42,6 +54,8 @@ from .errors import (
 from .layers import cross_entropy_loss
 
 ALL_ARCHITECTURES = M.ARCHITECTURES + ("twiesn",)
+# trained at one BLAS thread; see the module docstring
+ONE_BLAS_THREAD = frozenset({"mlp", "mcdcnn", "timecnn", "tlenet"})
 
 _DATA_ERRORS = (
     DataFormatError, VocabularyError, IntegrityError, MissingCellError,
@@ -93,6 +107,60 @@ class ExperimentConfig:
             raise ValueError(f"run count must be >= 1, got {self.runs}")
         if self.architecture not in ALL_ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+
+
+# ---------------------------------------------------------------------------
+# native helpers: BLAS threads and the C heap
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when this process has no such library loaded."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+        except OSError:  # present on disk but not loaded
+            continue
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+def blas_thread_count() -> int | None:
+    """The bundled OpenBLAS's thread count, or None without that library."""
+    threads = _openblas_threads()
+    return None if threads is None else threads[0]()
+
+
+@contextlib.contextmanager
+def blas_threads(n: int):
+    """Hold the bundled OpenBLAS at ``n`` threads for the block, then restore
+    the count it had; does nothing without that library.  The count is
+    process-wide, so the block should not overlap another in a second thread."""
+    if (threads := _openblas_threads()) is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None with another C library."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +227,9 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     """Train the sweep, persist models and run records, return the records.
 
     Runs may execute concurrently (``jobs``); each is seed-isolated and the
-    results file is written once, after all runs finish.
+    results file is written once, after all runs finish.  The narrow nets
+    (``ONE_BLAS_THREAD``) run with OpenBLAS at one thread, restored after,
+    and the heap's free pages are returned to the system once the runs end.
     """
     train_ds, test_ds = D.load_pair(config.train_path, config.test_path)
     name = train_ds.meta.name
@@ -190,11 +260,16 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
             M.save_model(model, manifest)
         return S.RunRecord(name, arch, seed, acc, loss, elapsed)
 
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(one, range(config.runs)))
-    else:
-        records = [one(r) for r in range(config.runs)]
+    with blas_threads(1) if arch in ONE_BLAS_THREAD else contextlib.nullcontext():
+        if config.jobs > 1:
+            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+                records = list(pool.map(one, range(config.runs)))
+        else:
+            records = [one(r) for r in range(config.runs)]
+    # Runs that trained side by side leave freed memory in their threads'
+    # malloc arenas; hand it back so that it does not add to what runs next.
+    if (trim := _malloc_trim()) is not None:
+        trim(0)
     S.save_runs(records, out_dir / "results.csv")
     return records
 
@@ -281,9 +356,16 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _explain_inputs(args):
-    """``cam``/``mds``: the model, the dataset checked to fit it, the output folder made."""
+def _explain_inputs(args, class_index=None):
+    """``cam``/``mds``: the model, the dataset checked to fit it, the output folder made.
+
+    A ``class_index`` the model does not have is a usage error, raised before
+    anything is written."""
     model = M.load_model(args.model)
+    classes = model.spec.classes
+    if class_index is not None and not 0 <= class_index < classes:
+        raise _UsageError(f"--class {class_index} is out of range: the model has "
+                          f"{classes} classes, 0 to {classes - 1}")
     dataset = D.load_single(args.data)
     M.check_geometry(model.spec, dataset)
     out_dir = Path(args.out)
@@ -292,7 +374,7 @@ def _explain_inputs(args):
 
 
 def _cmd_cam(args) -> int:
-    model, dataset, out_dir = _explain_inputs(args)
+    model, dataset, out_dir = _explain_inputs(args, args.class_index)
     for i in range(dataset.n):
         cam = E.compute_cam(model, dataset.X[i], args.class_index)
         (out_dir / f"cam_{i:04d}.svg").write_text(
@@ -331,7 +413,10 @@ def build_parser() -> _Parser:
     p_train.add_argument("--epochs", type=_positive(int), default=None)
     p_train.add_argument("--batch", type=_positive(int), default=None)
     p_train.add_argument("--lr", type=_positive(float), default=None)
-    p_train.add_argument("--jobs", type=_positive(int), default=1)
+    p_train.add_argument("--jobs", type=_positive(int), default=1,
+                         help="runs trained at once, as threads of this process; "
+                              "mlp, mcdcnn, timecnn and tlenet hold OpenBLAS at one "
+                              "thread (serially too), so their blobs match across --jobs")
     p_train.add_argument("--log", action="store_true", help="write per-epoch loss/lr logs")
     p_train.set_defaults(fn=_cmd_train)
 

@@ -128,10 +128,16 @@ def _read_ucr(path):
                 f"{path.name}:{lineno}: ragged row ({len(values)} fields, expected {len(rows[0])})"
             )
         rows.append(values)
-        linenos.append(f"line {lineno}")
+        linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{path.name}: empty file")
-    return [np.asarray(r[1:])[:, None] for r in rows], [r[0] for r in rows], linenos
+    table = np.array(rows)
+    if not (finite := np.isfinite(table)).all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataFormatError(f"{path.name}:{linenos[r]}: field {c + 1} is {table[r, c]}, "
+                              "not a finite number")
+    return ([row[1:, None] for row in table], [r[0] for r in rows],
+            [f"line {no}" for no in linenos])
 
 
 def dataset_name_from_path(path) -> str:
@@ -158,8 +164,9 @@ def _read_long(path):
        is wrong, or the file has no data rows;
     2. the first line without 5 fields, then the first line with a
        ``dimension``, ``timestamp`` or ``value`` that does not parse (or an
-       integer beyond 64 bits), then the first line whose label is a number
-       where the first row's is text, or text where it is a number;
+       integer beyond 64 bits), then the first line whose value is ``nan``
+       or infinite, then the first line whose label is a number where the
+       first row's is text, or text where it is a number;
     3. the first line whose label conflicts with its series' first label,
        or that repeats an earlier (series, dimension, timestamp);
     4. the first series, in order of appearance, missing a dimension,
@@ -183,6 +190,10 @@ def _read_long(path):
         values = np.fromiter(map(float, tokens[3::5]), np.float64, n)
     except (ValueError, OverflowError):
         raise _bad_row(path, lines) from None
+    if not (finite := np.isfinite(values)).all():
+        r = int(np.argmin(finite))
+        raise DataFormatError(f"{path.name}:{_lineno(lines, r)}: value {values[r]} "
+                              "is not a finite number")
 
     numbers: dict[str, int] = {}
     sid_col, label_col = tokens[0::5], tokens[4::5]

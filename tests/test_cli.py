@@ -30,6 +30,30 @@ def run(args):
     return cli.main([str(a) for a in args])
 
 
+needs_openblas = pytest.mark.skipif(cli.blas_thread_count() is None,
+                                    reason="numpy's bundled OpenBLAS is not loaded")
+
+
+def layer_nodes(node):
+    """``node`` and every layer below it."""
+    yield node
+    for value in vars(node).values():
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, M.Node):
+                yield from layer_nodes(child)
+
+
+def test_one_blas_thread_set_is_the_nets_without_wide_convs():
+    wide = set()
+    mcnn_options = dict(zip(("filter_length", "pool_factor"), M.mcnn_grid(64)[0]))
+    for arch in M.ARCHITECTURES:
+        spec = M.build_model(arch, 64, 2, 3, **mcnn_options)
+        if any(isinstance(n, M.Conv1d) and n.filters >= 64 for n in layer_nodes(spec.net)):
+            wide.add(arch)
+    assert wide == {"fcn", "resnet", "encoder", "mcnn"}
+    assert cli.ONE_BLAS_THREAD == set(M.ARCHITECTURES) - wide
+
+
 class TestTrainCommand:
     def test_repeat_run_is_bit_identical(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)
@@ -205,6 +229,53 @@ class TestTrainCommand:
             name = f"Synth_mlp_seed{seed}.model.bin"
             assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
+    @pytest.mark.parametrize("arch", ["tlenet", "mcdcnn", "timecnn"])
+    def test_narrow_nets_match_across_jobs(self, tmp_path, arch):
+        train, test = write_ucr_pair(tmp_path, T=40)
+        for jobs in (1, 2):
+            assert run([
+                "train", "--arch", arch, "--train", train, "--test", test,
+                "--runs", "2", "--seed", "0", "--epochs", "2", "--out", tmp_path / f"j{jobs}",
+                "--jobs", jobs,
+            ]) == 0
+        for seed in (0, 1):
+            name = f"Synth_{arch}_seed{seed}.model.bin"
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+
+    @needs_openblas
+    def test_pinned_blob_ignores_the_starting_thread_count(self, tmp_path):
+        # (16 x 300) @ (300 x 500) is large enough for OpenBLAS to split over
+        # two threads, and it rounds differently when it does
+        train, test = write_ucr_pair(tmp_path, n=16, T=300)
+        for threads in (1, 2):
+            config = cli.ExperimentConfig(
+                str(train), str(test), "mlp", runs=1, out_dir=str(tmp_path / f"t{threads}"),
+                overrides={"epochs": 2, "batch_size": 16})
+            with cli.blas_threads(threads):
+                cli.run_experiment(config)
+                assert cli.blas_thread_count() == threads
+        name = "Synth_mlp_seed0.model.bin"
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
+
+    @needs_openblas
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_thread_count_restored_when_a_run_raises(self, tmp_path, monkeypatch, jobs):
+        train, test = write_ucr_pair(tmp_path)
+        seen = set()
+
+        def failing_run(arch, *args):
+            seen.add((arch, cli.blas_thread_count()))
+            raise RuntimeError("run failed")
+
+        monkeypatch.setattr(cli, "train_single_run", failing_run)
+        with cli.blas_threads(2):
+            for arch in ("mlp", "fcn"):
+                with pytest.raises(RuntimeError, match="run failed"):
+                    cli.run_experiment(cli.ExperimentConfig(
+                        str(train), str(test), arch, runs=2, out_dir=str(tmp_path), jobs=jobs))
+                assert cli.blas_thread_count() == 2
+        assert seen == {("mlp", 1), ("fcn", 2)}
+
     def test_epoch_log_file(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)
         out = tmp_path / "out"
@@ -289,6 +360,22 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert err.startswith("usage error: argument") and err.count("\n") == 1, argv
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("arch", ["fcn", "twiesn"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_file_and_line(self, tmp_path, capsys, arch, cell):
+        train, test = write_ucr_pair(tmp_path)
+        lines = train.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[5] = cell
+        lines[3] = ",".join(fields)
+        train.write_text("\n".join(lines) + "\n")
+        code = run(["train", "--arch", arch, "--train", train, "--test", test,
+                    "--runs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert (f"data error: Synth_TRAIN.txt:4: field 6 is {cell}, not a finite number"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_twiesn_end_to_end(self, tmp_path):
         train, test = write_ucr_pair(tmp_path, n=10)
@@ -522,6 +609,17 @@ class TestExplainCommands:
         assert len(svgs) == 6
         for name in svgs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("class_index", ["5", "-1"])
+    def test_cam_class_out_of_range_is_usage_error(self, trained_fcn, tmp_path, capsys,
+                                                   class_index):
+        manifest, test_file = trained_fcn
+        out = tmp_path / "cams"
+        assert run(["cam", "--model", manifest, "--data", test_file,
+                    "--class", class_index, "--out", out]) == 1
+        assert capsys.readouterr().err == (f"usage error: --class {class_index} is out of "
+                                           "range: the model has 2 classes, 0 to 1\n")
+        assert not out.exists()
 
     def test_cam_refuses_non_gap_model(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)

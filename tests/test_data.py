@@ -49,6 +49,14 @@ class TestUcrLoader:
         with pytest.raises(DataFormatError, match="bad.txt:1"):
             D.load_single(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_value_reports_line_and_field(self, tmp_path, cell):
+        path = write(tmp_path, "bad.txt", f"1,0.0,1.0\n\n2,1.0,{cell}\n")
+        with pytest.raises(DataFormatError) as info:
+            D.load_single(path)
+        assert str(info.value) == (f"bad.txt:3: field 3 is {float(cell)}, "
+                                   "not a finite number")
+
     def test_unseen_test_label_rejected(self, tmp_path):
         train = write(tmp_path, "t_TRAIN.txt", "1,0.0,1.0\n")
         test = write(tmp_path, "t_TEST.txt", "3,0.0,1.0\n")
@@ -186,6 +194,14 @@ class TestLongLoader:
          "f.csv:5: invalid literal for int() with base 10: 'one'"),
         (lambda r: r[:3] + ["s1,x,1,1.1,a"] + r[4:], DataFormatError,
          "f.csv:5: invalid literal for int() with base 10: 'x'"),
+        (lambda r: r[:3] + ["s1,1,1,nan,a"] + r[4:], DataFormatError,
+         "f.csv:5: value nan is not a finite number"),
+        (lambda r: r[:6] + ["s2,1,0,inf,b"] + r[7:], DataFormatError,
+         "f.csv:8: value inf is not a finite number"),
+        (lambda r: r[:3] + ["s1,1,1,-inf,a", "s1,x,1,1.1,a"] + r[4:], DataFormatError,
+         "f.csv:6: invalid literal for int() with base 10: 'x'"),
+        (lambda r: r + ["s1,1,0,-inf,a"], DataFormatError,
+         "f.csv:10: value -inf is not a finite number"),
         (lambda r: r + ["s1,1,0,9.9,a"], IntegrityError,
          "f.csv:10: duplicate entry for series 's1' dim 1 t 0"),
         (lambda r: r[:6] + ["s2,1,0,1.5,a"] + r[7:], IntegrityError,
@@ -196,7 +212,8 @@ class TestLongLoader:
         (lambda r: r + ["s2,1,2,1.7,b"], IntegrityError,
          "f.csv: series 's2': dimensions disagree on length"),
         (lambda r: [], DataFormatError, "f.csv: no data rows"),
-    ], ids=["4-fields", "6-fields", "value", "timestamp", "dimension", "duplicate",
+    ], ids=["4-fields", "6-fields", "value", "timestamp", "dimension", "nan", "inf",
+            "parse-before-finite", "non-finite-before-duplicate", "duplicate",
             "conflicting-label", "missing-dimension", "non-contiguous", "lengths-disagree",
             "no-rows"])
     def test_single_fault_message(self, tmp_path, edit, error, message):
@@ -258,7 +275,8 @@ class TestLongLoader:
             label = data.draw(st.sampled_from(labels))
             for t in range(data.draw(st.integers(2, 6))):
                 for m in range(dims):
-                    value = data.draw(st.floats(allow_nan=False, width=64))
+                    value = data.draw(st.floats(allow_nan=False, allow_infinity=False,
+                                                width=64))
                     rows.append((f"s{i}", m, t, f"s{i},{m},{t},{value!r},{label}"))
         shuffled = [r[3] for r in data.draw(st.permutations(rows))]
         for _ in range(data.draw(st.integers(0, 5))):
