@@ -359,9 +359,10 @@ def _cmd_compare(args) -> int:
 def _explain_inputs(args, class_index=None):
     """``cam``/``mds``: the model, the dataset checked to fit it, the output folder made.
 
-    A ``class_index`` the model does not have is a usage error, raised before
-    anything is written."""
+    A model with no GAP head, or a ``class_index`` it does not have, is
+    refused before anything is read or written."""
     model = M.load_model(args.model)
+    M.gap_head(model.spec)
     classes = model.spec.classes
     if class_index is not None and not 0 <= class_index < classes:
         raise _UsageError(f"--class {class_index} is out of range: the model has "

@@ -46,7 +46,11 @@ class Node:
     - ``shapes(in_shape)``: a ``(shape, fill)`` per name; a ``(fan_in,
       fan_out)`` fill is a Glorot draw, a number a constant
     - ``args(mode, rng)``: the static kernel arguments
-    - ``out_shape`` (default: the input shape) and ``describe``
+    - ``describe``
+
+    ``out_shape`` is derived from the kernel on an empty batch: an infer
+    forward of ``[0, *in_shape]`` with every parameter a zero-stride zero
+    array, so the kernel's own checks refuse a geometry it cannot run.
 
     Kernels are looked up on ``layers`` at each call, not bound when the
     class is made, so that a wrapper put on the module's kernels (a
@@ -63,7 +67,10 @@ class Node:
         return ()
 
     def out_shape(self, in_shape):
-        return in_shape
+        params = {f".{n}": np.broadcast_to(0.0, shape)
+                  for n, (shape, _) in zip(self.names, self.shapes(in_shape))}
+        y = self.forward(np.zeros((0, *in_shape)), params, "", "infer", None, _NoCaches())
+        return y.shape[1:]
 
     def layout(self, in_shape, prefix, entries: list):
         """Append ``(name, shape, fill)`` per parameter to ``entries``; return the out shape."""
@@ -97,12 +104,9 @@ def _accumulate(grads: dict, key: str, g: np.ndarray) -> None:
 
 
 class Flatten(Node):
-    def out_shape(self, in_shape):
-        return (int(np.prod(in_shape)),)
-
     def forward(self, x, params, prefix, mode, rng, caches):
         caches[prefix] = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, gy, params, prefix, caches, grads):
         return gy.reshape(caches[prefix])
@@ -116,11 +120,6 @@ class Dense(Node):
 
     def __init__(self, units: int):
         self.units = units
-
-    def out_shape(self, in_shape):
-        if len(in_shape) != 1:
-            raise ShapeError(f"dense expects flat input, got shape {in_shape}")
-        return (self.units,)
 
     def shapes(self, in_shape):
         w = (in_shape[0], self.units)
@@ -137,15 +136,6 @@ class Conv1d(Node):
         self.filters = filters
         self.length = length
         self.padding = padding
-
-    def out_shape(self, in_shape):
-        T, _ = in_shape
-        if self.padding == "same":
-            return (T, self.filters)
-        t_out = T - self.length + 1
-        if t_out < 1:
-            raise ValueError(f"valid convolution of length {self.length} on series length {T}")
-        return (t_out, self.filters)
 
     def shapes(self, in_shape):
         c_in = in_shape[1]
@@ -229,13 +219,6 @@ class Pool1d(Node):
         self.kind = kind
         self.window = window
 
-    def out_shape(self, in_shape):
-        T, c = in_shape
-        t_out = T // self.window
-        if self.window > T or t_out < 1:
-            raise ValueError(f"pool window {self.window} invalid for series length {T}")
-        return (t_out, c)
-
     def args(self, mode, rng):
         return self.window, self.kind
 
@@ -246,21 +229,12 @@ class Pool1d(Node):
 class Gap(Node):
     kernel = "gap"
 
-    def out_shape(self, in_shape):
-        return (in_shape[1],)
-
     def describe(self):
         return "gap"
 
 
 class Attention(Node):
     kernel = "attention"
-
-    def out_shape(self, in_shape):
-        T, c = in_shape
-        if c % 2 != 0:
-            raise ValueError(f"attention needs an even channel count, got {c}")
-        return (c // 2,)
 
     def describe(self):
         return "attention"
@@ -271,10 +245,6 @@ class Downsample(Node):
 
     def __init__(self, factor: int):
         self.factor = factor
-
-    def out_shape(self, in_shape):
-        T, c = in_shape
-        return (-(-T // self.factor), c)
 
     def args(self, mode, rng):
         return (self.factor,)
@@ -289,13 +259,6 @@ class MovingAvg(Node):
     def __init__(self, window: int):
         self.window = window
 
-    def out_shape(self, in_shape):
-        T, c = in_shape
-        t_out = T - self.window + 1
-        if t_out < 1:
-            raise ValueError(f"moving average window {self.window} on series length {T}")
-        return (t_out, c)
-
     def args(self, mode, rng):
         return (self.window,)
 
@@ -308,9 +271,6 @@ class AlignTime(Node):
 
     def __init__(self, target: int):
         self.target = target
-
-    def out_shape(self, in_shape):
-        return (self.target, in_shape[1])
 
     def forward(self, x, params, prefix, mode, rng, caches):
         T = x.shape[1]

@@ -2,9 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tsclab.data import MTS_HEADER, TimeSeriesDataset, one_hot
 from tsclab.tensor import SplitMix64
+
+# one fixed profile: the same examples on every run, no per-example time limit
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def central_difference(f, x, h=1e-5):

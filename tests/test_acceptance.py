@@ -361,6 +361,7 @@ def test_criterion_9_table_conformance():
     defaults = TestDefaults()
     defaults.test_published_table_values()
     defaults.test_plateau_defaults()
+    defaults.test_numeric_constants()
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def saved(tmp_path_factory):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @given(data=st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_any_line_order_loads_the_same_tensors(saved, kind, data):
     """Lines may be shuffled freely; ``param:`` lines keep their order, which is the blob's."""
     manifest, tensors = saved[kind]

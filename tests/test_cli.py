@@ -634,6 +634,21 @@ class TestExplainCommands:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["cam", "mds"])
+    def test_explain_refuses_non_gap_model_before_writing(self, tmp_path, capsys, command):
+        train, test = write_ucr_pair(tmp_path)
+        models = tmp_path / "models"
+        assert run(["train", "--arch", "mlp", "--train", train, "--test", test,
+                    "--runs", "1", "--epochs", "1", "--out", models]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        argv = [command, "--model", models / "Synth_mlp_seed0.model", "--data", test,
+                "--out", out]
+        assert run(argv + (["--class", "0"] if command == "cam" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n") and "'mlp'" in err
+        assert not out.exists()
+
     def test_cam_refuses_twiesn_manifest(self, trained_fcn, tmp_path, capsys):
         manifest, test_file = trained_fcn
         from tsclab import reservoir as R

@@ -265,7 +265,7 @@ class TestLongLoader:
             D.load_pair(train, test)
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_row_order_and_blank_lines_do_not_change_the_load(self, tmp_path_factory, data):
         n = data.draw(st.integers(1, 5))
         dims = data.draw(st.integers(1, 3))
@@ -338,7 +338,7 @@ class TestInterpolation:
         length=st.integers(2, 10), target_extra=st.integers(0, 12),
         seed=st.integers(0, 10 ** 6),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_convex_hull_property(self, length, target_extra, seed):
         from conftest import random_batch
         series = random_batch((length, 2), seed=seed)
@@ -505,7 +505,7 @@ class TestOneHot:
             D.one_hot([3], (1, 2))
 
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_argmax_round_trip(self, labels):
         vocab = tuple(range(5))
         oh = D.one_hot(labels, vocab)

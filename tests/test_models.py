@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_batch, toy_dataset
 from tsclab import explain as E
@@ -217,6 +219,90 @@ class TestGeometry:
         lengths = sorted({fl for fl, _ in grid})
         assert lengths == [5, 10, 20]
         assert sorted({pf for _, pf in grid}) == [2, 3, 5]
+
+
+# every leaf kind at a geometry its kernel accepts: draw(data, T, C) -> (node, in_shape)
+LEAF_CASES = {
+    "flatten": lambda d, T, C: (M.Flatten(), (T, C)),
+    "dense": lambda d, T, C: (M.Dense(d.draw(st.integers(1, 5))), (T * C,)),
+    "conv_same": lambda d, T, C: (M.Conv1d(d.draw(st.integers(1, 4)),
+                                           d.draw(st.integers(1, 9)), "same"), (T, C)),
+    "conv_valid": lambda d, T, C: (M.Conv1d(d.draw(st.integers(1, 4)),
+                                            d.draw(st.integers(1, T)), "valid"), (T, C)),
+    "batch_norm": lambda d, T, C: (M.BatchNorm(), (T, C)),
+    "instance_norm": lambda d, T, C: (M.InstanceNorm(), (T, C)),
+    "relu": lambda d, T, C: (M.Act("relu"), (T, C)),
+    "sigmoid": lambda d, T, C: (M.Act("sigmoid"), (T, C)),
+    "softmax": lambda d, T, C: (M.Act("softmax"), (T * C,)),
+    "prelu": lambda d, T, C: (M.PRelu(), (T, C)),
+    "dropout": lambda d, T, C: (M.Dropout(0.5), (T, C)),
+    "pool_max": lambda d, T, C: (M.Pool1d("max", d.draw(st.integers(1, T))), (T, C)),
+    "pool_avg": lambda d, T, C: (M.Pool1d("avg", d.draw(st.integers(1, T))), (T, C)),
+    "gap": lambda d, T, C: (M.Gap(), (T, C)),
+    "attention": lambda d, T, C: (M.Attention(), (T, 2 * C)),
+    "downsample": lambda d, T, C: (M.Downsample(d.draw(st.integers(1, 6))), (T, C)),
+    "moving_avg": lambda d, T, C: (M.MovingAvg(d.draw(st.integers(1, T))), (T, C)),
+    "align_time": lambda d, T, C: (M.AlignTime(d.draw(st.integers(1, 2 * T))), (T, C)),
+}
+# the shortest series each builder accepts
+MIN_LENGTH = {"mlp": 1, "fcn": 8, "resnet": 8, "encoder": 8, "mcnn": 11,
+              "tlenet": 8, "mcdcnn": 4, "timecnn": 33}
+
+
+def forward_shapes(node, params, prefix, x):
+    """``node``'s output shape after a real forward of ``x``, in train and infer mode."""
+    return [node.forward(x, dict(params), prefix, mode, SplitMix64(1), {}).shape[1:]
+            for mode in ("train", "infer")]
+
+
+class TestKernelGeometry:
+    """``out_shape`` is the kernels' own geometry: it agrees with real forwards."""
+
+    @pytest.mark.parametrize("kind", sorted(LEAF_CASES))
+    @settings(max_examples=8)
+    @given(data=st.data(), T=st.integers(2, 24), C=st.integers(1, 4))
+    def test_leaf_out_shape_matches_forward(self, kind, data, T, C):
+        node, in_shape = LEAF_CASES[kind](data, T, C)
+        entries = []
+        out = node.layout(in_shape, "n", entries)
+        params = {name: np.full(shape, 0.5) for name, shape, _ in entries}
+        x = random_batch((2, *in_shape), seed=T)
+        assert out == node.out_shape(in_shape)
+        assert forward_shapes(node, params, "n", x) == [out, out]
+
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    @settings(max_examples=3)
+    @given(data=st.data(), Mdims=st.integers(1, 3), K=st.integers(1, 4))
+    def test_builder_out_shapes_match_forward(self, arch, data, Mdims, K):
+        T = data.draw(st.integers(MIN_LENGTH[arch], MIN_LENGTH[arch] + 24))
+        options = {}
+        if arch == "mcnn":
+            options = dict(zip(("filter_length", "pool_factor"),
+                               data.draw(st.sampled_from(M.mcnn_grid(T)))))
+        spec, params = build_and_init(arch, T, Mdims, K, **options)
+        x = random_batch((2, T, Mdims), seed=T)
+        shape = (T, Mdims)
+        for i, child in enumerate(spec.net.children):
+            shape = child.out_shape(shape)
+            assert forward_shapes(child, params, str(i), x) == [shape, shape]
+            x = child.forward(x, dict(params), str(i), "infer", None, {})
+        assert shape == (K,)
+
+    @pytest.mark.parametrize("node, in_shape", [
+        (M.Conv1d(4, 9, "valid"), (8, 2)),
+        (M.Pool1d("max", 9), (8, 2)),
+        (M.Pool1d("avg", 9), (8, 2)),
+        (M.MovingAvg(9), (8, 2)),
+        (M.Attention(), (8, 3)),
+        (M.Dense(4), (8, 2)),
+    ], ids=["valid_conv", "max_pool", "avg_pool", "moving_avg", "odd_attention",
+            "non_flat_dense"])
+    def test_geometry_the_kernel_refuses_is_refused_at_layout(self, node, in_shape):
+        with pytest.raises(ValueError):
+            node.out_shape(in_shape)
+        net = M.Sequential([node, M.Flatten(), M.Dense(2)])
+        with pytest.raises(ValueError):
+            M.param_layout(M.ModelSpec("probe", *in_shape, 2, "mse", net))
 
 
 class TestForward:

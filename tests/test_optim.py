@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import separable_dataset, toy_dataset
+from tsclab import layers as L
 from tsclab import models as M
 from tsclab import optim as O
 from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
 from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
+from tsclab.tensor import SplitMix64, glorot_uniform
 
 
 class TestOptimizers:
@@ -229,6 +232,29 @@ class TestDefaults:
         p = O.default_config("fcn").plateau
         assert p.factor == 0.5 and p.patience == 50 and p.min_lr == 1e-4
 
+    def test_numeric_constants(self):
+        """The README "Constants" table, value by value."""
+        assert (L.EPS_NORM, L.BN_MOMENTUM, L.EPS_LOG) == (1e-5, 0.9, 1e-12)
+        kernel_defaults = {name: p.default for f in (L.batch_norm_forward,
+                                                     L.instance_norm_forward)
+                           for name, p in inspect.signature(f).parameters.items()
+                           if name in ("eps", "momentum")}
+        assert kernel_defaults == {"eps": 1e-5, "momentum": 0.9}
+        assert M.BatchNorm().shapes((6, 3)) == (((3,), 1.0), ((3,), 0.0),
+                                                ((3,), 0.0), ((3,), 1.0))
+        assert M.InstanceNorm().shapes((6, 3)) == (((3,), 1.0), ((3,), 0.0))
+        assert (O.ADAM_BETA1, O.ADAM_BETA2, O.ADAM_EPS) == (0.9, 0.999, 1e-8)
+        assert (O.ADADELTA_RHO, O.ADADELTA_EPS) == (0.95, 1e-8)
+        assert O.PlateauConfig() == O.PlateauConfig(0.5, 50, 1e-4)
+        assert M.PRelu().shapes((6, 3)) == (((3,), 0.25),)
+        # Glorot fans are receptive-field sizes; biases start at 0
+        assert M.Dense(4).shapes((3,)) == (((3, 4), (3, 4)), ((4,), 0.0))
+        assert M.Conv1d(4, 5).shapes((9, 2)) == (((4, 5, 2), (10, 20)), ((4,), 0.0))
+        w = glorot_uniform(3, 5, (3, 5), SplitMix64(7))
+        u = SplitMix64(7).uniform(15).reshape(3, 5)
+        assert np.array_equal(w, (2.0 * u - 1.0) * math.sqrt(6.0 / 8.0))
+        assert (L.CONV_CHUNK, O.CHUNK) == (1 << 22, 16384)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             O.TrainConfig(learning_rate=0.0)
@@ -399,7 +425,7 @@ class TestTrain:
 
 
 @given(st.floats(0.01, 0.2), st.integers(0, 10 ** 6))
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 def test_sgd_bowl_descent_property(lr, seed):
     w = float(seed % 7) - 3.0
     params = {"w": np.array([w])}

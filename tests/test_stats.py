@@ -95,7 +95,7 @@ class TestRanks:
     @given(
         st.integers(2, 6), st.integers(2, 8), st.integers(0, 10 ** 6),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_rank_sum_conservation(self, k, n_datasets, seed):
         rng = np.random.default_rng(seed)
         values = rng.integers(0, 4, size=(n_datasets, k)) / 4.0  # force ties
@@ -238,7 +238,7 @@ class TestHolm:
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=10),
            st.floats(0.01, 0.2))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_holm_rejections_subset_of_unadjusted(self, ps, alpha):
         reject, adjusted = S.holm_correction(ps, alpha)
         for r, p, adj in zip(reject, ps, adjusted):
