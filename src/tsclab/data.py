@@ -33,7 +33,6 @@ MTS_HEADER = "series_id,dimension,timestamp,value,label"
 @dataclass
 class DatasetMeta:
     name: str = "dataset"
-    theme: str | None = None
     length_range: tuple[int, int] | None = None
 
 

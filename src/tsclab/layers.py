@@ -10,8 +10,10 @@ Gradients are hand-derived per layer; there is no autodiff graph.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateVarianceError, ShapeError
 from .tensor import SplitMix64
@@ -37,15 +39,9 @@ def _conv_padding(length: int, padding: str, T: int) -> tuple[int, int]:
     raise ValueError(f"unknown padding {padding!r}")
 
 
-def _windows(xp: np.ndarray, length: int, t_out: int) -> np.ndarray:
-    # read-only sliding view [batch, t_out, length, C]
-    s0, s1, s2 = xp.strides
-    return as_strided(
-        xp,
-        shape=(xp.shape[0], t_out, length, xp.shape[2]),
-        strides=(s0, s1, s1, s2),
-        writeable=False,
-    )
+def _windows(xp: np.ndarray, length: int) -> np.ndarray:
+    # read-only sliding view [batch, t_out, length, C], as ``data.slice_view``
+    return sliding_window_view(xp, length, axis=1).transpose(0, 1, 3, 2)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "same"):
@@ -56,8 +52,8 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "
     c_out, length, _ = w.shape
     pl, pr = _conv_padding(length, padding, T)
     xp = np.pad(x, ((0, 0), (pl, pr), (0, 0))) if (pl or pr) else x
-    t_out = xp.shape[1] - length + 1
-    win = _windows(xp, length, t_out)
+    win = _windows(xp, length)
+    t_out = win.shape[1]
     # tensordot's GEMM in near-equal batch chunks of at most CONV_CHUNK copied
     # window values (a small ragged last chunk could round differently)
     wt = w.transpose(1, 2, 0).reshape(-1, c_out)
@@ -73,7 +69,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "
 def conv1d_backward(gy: np.ndarray, cache):
     xp, length, pl, T, x_shape, w = cache
     t_out = gy.shape[1]
-    win = _windows(xp, length, t_out)
+    win = _windows(xp, length)
     gw = np.tensordot(gy, win, axes=([0, 1], [0, 1]))  # [C_out, l, C_in]
     gb = gy.sum(axis=(0, 1))
     # scatter g*w back over the padded input
@@ -102,6 +98,28 @@ def dense_backward(gy: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # normalization
 
+def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, axes: tuple, eps: float):
+    """Normalize ``x`` over ``axes``, then scale and shift; the statistics keep their axes."""
+    n = math.prod(x.shape[a] for a in axes)  # not x.size // mean.size: the batch may be empty
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gamma + beta, (inv, xhat, gamma, axes, n), mean, var
+
+
+def _normalize_grad(gy: np.ndarray, cache):
+    """``(gx, dgamma, dbeta)`` of :func:`_normalize`, through its statistics."""
+    inv, xhat, gamma, axes, n = cache
+    gxhat = gy * gamma
+    gx = (inv / n) * (
+        n * gxhat
+        - gxhat.sum(axis=axes, keepdims=True)
+        - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True)
+    )
+    return gx, (gy * xhat).sum(axis=(0, 1)), gy.sum(axis=(0, 1))
+
+
 def batch_norm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -123,58 +141,30 @@ def batch_norm_forward(
         y *= gamma
         y += beta
         return y, None, running_mean, running_var
-    n = x.shape[0] * x.shape[1]
-    if n < 2:
+    if x.shape[0] * x.shape[1] < 2:
         raise DegenerateVarianceError(
             "batch norm needs at least 2 values per channel in train mode"
         )
-    mean = x.mean(axis=(0, 1))
-    var = x.var(axis=(0, 1))
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    y = xhat * gamma + beta
-    new_mean = momentum * running_mean + (1.0 - momentum) * mean
-    new_var = momentum * running_var + (1.0 - momentum) * var
-    return y, (inv, xhat, gamma, n), new_mean, new_var
+    y, cache, mean, var = _normalize(x, gamma, beta, (0, 1), eps)
+    new_mean = momentum * running_mean + (1.0 - momentum) * mean.ravel()
+    new_var = momentum * running_var + (1.0 - momentum) * var.ravel()
+    return y, cache, new_mean, new_var
 
 
 def batch_norm_backward(gy: np.ndarray, cache):
-    inv, xhat, gamma, n = cache
-    dgamma = (gy * xhat).sum(axis=(0, 1))
-    dbeta = gy.sum(axis=(0, 1))
-    gxhat = gy * gamma
-    # backward through the batch statistics
-    gx = (inv / n) * (
-        n * gxhat
-        - gxhat.sum(axis=(0, 1))
-        - xhat * (gxhat * xhat).sum(axis=(0, 1))
-    )
-    return gx, dgamma, dbeta
+    return _normalize_grad(gy, cache)
 
 
 def instance_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = EPS_NORM):
     """Normalize each (instance, channel) slice over time; affine per channel."""
-    T = x.shape[1]
-    if T < 2:
+    if x.shape[1] < 2:
         raise DegenerateVarianceError("instance norm needs series length >= 2")
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return xhat * gamma + beta, (inv, xhat, gamma, T)
+    y, cache, _, _ = _normalize(x, gamma, beta, (1,), eps)
+    return y, cache
 
 
 def instance_norm_backward(gy: np.ndarray, cache):
-    inv, xhat, gamma, T = cache
-    dgamma = (gy * xhat).sum(axis=(0, 1))
-    dbeta = gy.sum(axis=(0, 1))
-    gxhat = gy * gamma
-    gx = (inv / T) * (
-        T * gxhat
-        - gxhat.sum(axis=1, keepdims=True)
-        - xhat * (gxhat * xhat).sum(axis=1, keepdims=True)
-    )
-    return gx, dgamma, dbeta
+    return _normalize_grad(gy, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A model is a :class:`ModelSpec` (architecture id + geometry + a tree of
 layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
-accumulates exact gradients.  A leaf node only declares its ``layers``
+stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
 :class:`Node`); :func:`param_layout` lists the declared parameters in layer
 order, the order of the Glorot draws and of the serialized blob.
@@ -48,9 +48,10 @@ class Node:
     - ``args(mode, rng)``: the static kernel arguments
     - ``describe``
 
-    ``out_shape`` is derived from the kernel on an empty batch: an infer
-    forward of ``[0, *in_shape]`` with every parameter a zero-stride zero
-    array, so the kernel's own checks refuse a geometry it cannot run.
+    ``layout`` derives the out shape from the kernel on an empty batch: an
+    infer forward of ``[0, *in_shape]`` with every parameter a zero-stride
+    zero array, so the kernel's own checks refuse a geometry it cannot run.
+    A node over child nodes overrides ``layout`` to walk them instead.
 
     Kernels are looked up on ``layers`` at each call, not bound when the
     class is made, so that a wrapper put on the module's kernels (a
@@ -67,16 +68,15 @@ class Node:
         return ()
 
     def out_shape(self, in_shape):
-        params = {f".{n}": np.broadcast_to(0.0, shape)
-                  for n, (shape, _) in zip(self.names, self.shapes(in_shape))}
-        y = self.forward(np.zeros((0, *in_shape)), params, "", "infer", None, _NoCaches())
-        return y.shape[1:]
+        return self.layout(in_shape, "", [])
 
     def layout(self, in_shape, prefix, entries: list):
         """Append ``(name, shape, fill)`` per parameter to ``entries``; return the out shape."""
-        out = self.out_shape(in_shape)
-        entries += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, self.shapes(in_shape))]
-        return out
+        shapes = self.shapes(in_shape)
+        params = {f".{n}": np.broadcast_to(0.0, shape) for n, (shape, _) in zip(self.names, shapes)}
+        y = self.forward(np.zeros((0, *in_shape)), params, "", "infer", None, _NoCaches())
+        entries += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, shapes)]
+        return y.shape[1:]
 
     def _run(self, x, params, prefix, mode, rng):
         kernel = getattr(L, f"{self.kernel}_forward")
@@ -90,17 +90,12 @@ class Node:
         out = getattr(L, f"{self.kernel}_backward")(gy, caches[prefix])
         if not self.names:
             return out
-        for n, g in zip(self.names, out[1:]):
-            _accumulate(grads, f"{prefix}.{n}", g)
+        # a leaf's prefix is unique in its tree: each gradient is stored once, as it is
+        grads.update((f"{prefix}.{n}", g) for n, g in zip(self.names, out[1:]))
         return out[0]
 
     def describe(self):
         raise NotImplementedError
-
-
-def _accumulate(grads: dict, key: str, g: np.ndarray) -> None:
-    """Add ``g`` to ``grads[key]``; the first gradient is stored as it is."""
-    grads[key] = grads[key] + g if key in grads else g
 
 
 class Flatten(Node):
@@ -294,14 +289,7 @@ class AlignTime(Node):
         return f"align_time target={self.target}"
 
 
-class Composite(Node):
-    """A node over child nodes; its ``layout`` walks them and gives its out shape."""
-
-    def out_shape(self, in_shape):
-        return self.layout(in_shape, "", [])
-
-
-class Sequential(Composite):
+class Sequential(Node):
     def __init__(self, children: list):
         self.children = list(children)
 
@@ -324,7 +312,7 @@ class Sequential(Composite):
         return [child.describe() for child in self.children]
 
 
-class Residual(Composite):
+class Residual(Node):
     """Body branch plus a linear shortcut; both receive the block input."""
 
     def __init__(self, body: Node, shortcut: Node | None = None):
@@ -359,7 +347,7 @@ class Residual(Composite):
         }
 
 
-class ConcatChannels(Composite):
+class ConcatChannels(Node):
     """Feed the same input to every branch; concatenate outputs over channels.
 
     A subclass changes what a branch sees (``_branch_shape``, ``_branch_input``)

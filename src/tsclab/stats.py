@@ -19,6 +19,7 @@ import csv
 import io
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,18 +120,10 @@ def aggregate(runs: list[RunRecord], kind: str = "mean") -> ResultsTable:
 
 def rank_row(values: np.ndarray, descending: bool = True) -> np.ndarray:
     """Ranks 1..k (1 = best); tied values share the mean of their ranks."""
-    keyed = -values if descending else values
-    order = np.argsort(keyed, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and keyed[order[j + 1]] == keyed[order[i]]:
-            j += 1
-        mean_rank = (i + 1 + j + 1) / 2.0
-        ranks[order[i : j + 1]] = mean_rank
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(-values if descending else values,
+                                 return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # a tied group holds ranks end - counts + 1 .. end
+    return ((end - counts + 1 + end) / 2.0)[group]
 
 
 def average_ranks(table: ResultsTable) -> dict:
@@ -140,53 +133,21 @@ def average_ranks(table: ResultsTable) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# chi-square tail (regularized incomplete gamma)
-
-def _gamma_p_series(a: float, x: float) -> float:
-    total = term = 1.0 / a
-    ap = a
-    for _ in range(1000):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0 else 1.0 / tiny
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
+# chi-square tail
 
 def chi2_sf(x: float, df: int) -> float:
-    """P(Chi2_df > x), accurate to ~1e-14."""
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
+    """P(Chi2_df > x) for an integer df: [df odd] erfc(sqrt(h)) + sum of h^a e^-h / a!
+    over a = df/2 - 1, df/2 - 2, ... >= 0, with h = x/2; each term is formed in logs."""
+    if not (df >= 1 and float(df).is_integer()):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {df}")
     if x <= 0:
         return 1.0
-    a, half = df / 2.0, x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_contfrac(a, half)
+    half, a = x / 2.0, df / 2.0 - 1.0
+    total = math.erfc(math.sqrt(half)) if df % 2 else 0.0
+    while a >= 0.0:
+        total += math.exp(a * math.log(half) - half - math.lgamma(a + 1.0))
+        a -= 1.0
+    return total
 
 
 def normal_cdf(z: float) -> float:
@@ -201,7 +162,7 @@ def friedman_test(table: ResultsTable, alpha: float = 0.05):
         raise ValueError(f"friedman test needs >= 3 classifiers, got {k} (use wilcoxon)")
     if n < 2:
         raise ValueError(f"friedman test needs >= 2 datasets, got {n}")
-    mean_ranks = np.stack([rank_row(row) for row in table.values]).mean(axis=0)
+    mean_ranks = np.array(list(average_ranks(table).values()))
     statistic = 12.0 * n / (k * (k + 1)) * (
         float((mean_ranks ** 2).sum()) - k * (k + 1) ** 2 / 4.0
     )
@@ -418,14 +379,19 @@ def save_runs(runs: list[RunRecord], path) -> None:
     for r in runs:
         merged[(r.dataset, r.architecture, r.seed)] = r
     rows = [merged[k] for k in sorted(merged)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [r.dataset, r.architecture, r.seed, repr(r.accuracy), repr(r.loss),
-                 repr(r.train_seconds)]
-            )
+    # write beside the file, then swap it in: a failed write leaves the old file whole
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(RESULTS_HEADER)
+            for r in rows:
+                writer.writerow([r.dataset, r.architecture, r.seed, repr(r.accuracy),
+                                 repr(r.loss), repr(r.train_seconds)])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_runs(path) -> list[RunRecord]:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_grad_close, central_difference, random_batch
 from tsclab import layers as L
+from tsclab import models as M
 from tsclab.errors import DegenerateVarianceError, ShapeError
 from tsclab.tensor import SplitMix64
 
@@ -278,6 +279,122 @@ class TestInstanceNorm:
         assert_grad_close(gx, central_difference(lambda v: loss(v, gamma, beta), x.copy()), 1e-5)
         assert_grad_close(dgamma, central_difference(lambda v: loss(x, v, beta), gamma.copy()), 1e-5)
         assert_grad_close(dbeta, central_difference(lambda v: loss(x, gamma, v), beta.copy()), 1e-5)
+
+
+# The two normalization kernels as they were written before they shared
+# ``layers._normalize``; the shared core must keep their bits.
+
+def reference_batch_norm_train(x, gamma, beta, running_mean, running_var,
+                               momentum=L.BN_MOMENTUM, eps=L.EPS_NORM):
+    n = x.shape[0] * x.shape[1]
+    mean = x.mean(axis=(0, 1))
+    var = x.var(axis=(0, 1))
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    y = xhat * gamma + beta
+    new_mean = momentum * running_mean + (1.0 - momentum) * mean
+    new_var = momentum * running_var + (1.0 - momentum) * var
+    return y, (inv, xhat, gamma, n), new_mean, new_var
+
+
+def reference_batch_norm_backward(gy, cache):
+    inv, xhat, gamma, n = cache
+    dgamma = (gy * xhat).sum(axis=(0, 1))
+    dbeta = gy.sum(axis=(0, 1))
+    gxhat = gy * gamma
+    gx = (inv / n) * (
+        n * gxhat
+        - gxhat.sum(axis=(0, 1))
+        - xhat * (gxhat * xhat).sum(axis=(0, 1))
+    )
+    return gx, dgamma, dbeta
+
+
+def reference_instance_norm(x, gamma, beta, eps=L.EPS_NORM):
+    T = x.shape[1]
+    mean = x.mean(axis=1, keepdims=True)
+    var = x.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gamma + beta, (inv, xhat, gamma, T)
+
+
+def reference_instance_norm_backward(gy, cache):
+    inv, xhat, gamma, T = cache
+    dgamma = (gy * xhat).sum(axis=(0, 1))
+    dbeta = gy.sum(axis=(0, 1))
+    gxhat = gy * gamma
+    gx = (inv / T) * (
+        T * gxhat
+        - gxhat.sum(axis=1, keepdims=True)
+        - xhat * (gxhat * xhat).sum(axis=1, keepdims=True)
+    )
+    return gx, dgamma, dbeta
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+norm_case = st.tuples(st.integers(1, 6), st.integers(2, 40), st.integers(1, 9),
+                      st.integers(0, 2 ** 31), st.sampled_from([1e-3, 1.0, 40.0]))
+
+
+class TestNormalizationCore:
+    @given(norm_case)
+    @settings(max_examples=40)
+    def test_batch_norm_keeps_the_bits_of_its_own_formulas(self, case):
+        batch, T, C, seed, scale = case
+        x = random_batch((batch, T, C), seed=seed, scale=scale) + 0.25
+        gamma, beta, rm = (random_batch((C,), seed=seed + i) for i in (1, 2, 3))
+        rv = random_batch((C,), seed=seed + 4) + 2.0
+        gy = random_batch(x.shape, seed=seed + 5)
+        y, cache, new_mean, new_var = L.batch_norm_forward(x, gamma, beta, rm, rv, "train")
+        want_y, want_cache, want_mean, want_var = reference_batch_norm_train(x, gamma, beta, rm, rv)
+        assert_same_bits((y, new_mean, new_var), (want_y, want_mean, want_var))
+        assert_same_bits(L.batch_norm_backward(gy, cache),
+                         reference_batch_norm_backward(gy, want_cache))
+
+    @given(norm_case)
+    @settings(max_examples=40)
+    def test_instance_norm_keeps_the_bits_of_its_own_formulas(self, case):
+        batch, T, C, seed, scale = case
+        x = random_batch((batch, T, C), seed=seed, scale=scale) - 0.5
+        gamma, beta = random_batch((C,), seed=seed + 1), random_batch((C,), seed=seed + 2)
+        gy = random_batch(x.shape, seed=seed + 3)
+        y, cache = L.instance_norm_forward(x, gamma, beta)
+        want_y, want_cache = reference_instance_norm(x, gamma, beta)
+        assert_same_bits((y,), (want_y,))
+        assert_same_bits(L.instance_norm_backward(gy, cache),
+                         reference_instance_norm_backward(gy, want_cache))
+
+    @pytest.mark.parametrize("T", [8, 9, 150])
+    def test_instance_norm_lays_out_on_an_empty_batch(self, T):
+        # the empty-batch forward that gives each node its out shape: counting
+        # the reduced values as x.size // mean.size would divide by zero here
+        with np.errstate(all="raise"):
+            y, _ = L.instance_norm_forward(np.zeros((0, T, 3)), np.ones(3), np.zeros(3))
+            spec = M.build_encoder(T, 2, 3)
+            layout = M.param_layout(spec)
+        assert y.shape == (0, T, 3)
+        assert spec.net.out_shape((T, 2)) == (3,)
+        assert [name for name, _, _ in layout if name.startswith("2.")] == ["2.slopes"]
+        assert ("1.gamma", (128,), 1.0) in layout and ("1.beta", (128,), 0.0) in layout
+
+
+def test_kernel_names_pair_up_for_profilers():
+    # a profiler wraps every ``*_forward``/``*_backward`` name of ``layers`` and
+    # files its time under a kernel group by the name's prefix, so each kernel
+    # needs both names, no private helper may carry one, and a function that
+    # answered to two names would be wrapped twice
+    names = [n for n in dir(L) if n.endswith(("_forward", "_backward"))]
+    forwards = {n.removesuffix("_forward") for n in names if n.endswith("_forward")}
+    backwards = {n.removesuffix("_backward") for n in names if n.endswith("_backward")}
+    assert forwards == backwards
+    assert not [n for n in names if n.startswith("_")]
+    assert len({id(getattr(L, n)) for n in names}) == len(names)
 
 
 class TestActivations:

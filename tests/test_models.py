@@ -328,14 +328,26 @@ class TestForward:
         assert np.all((y > 0) & (y < 1))
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) > 1e-6  # unconstrained rows
 
-    def test_accumulate_stores_first_gradient_and_adds_later_ones(self):
-        grads = {}
-        first = np.array([1.0, -0.0])
-        M._accumulate(grads, "0.w", first)
-        assert grads["0.w"] is first  # no `0 + g` copy, and -0.0 keeps its sign
-        M._accumulate(grads, "0.w", np.array([2.0, 0.5]))
-        assert np.array_equal(grads["0.w"], [3.0, 0.5])
-        assert np.array_equal(first, [1.0, -0.0])  # the stored array is not written
+    def test_backward_batch_stores_each_kernel_gradient_as_returned(self, monkeypatch):
+        spec, params = build_and_init("mlp", 20, 1, 3)
+        x = random_batch((4, 20, 1), seed=9)
+        y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(1))
+        returned, real = [], L.dense_backward
+
+        def spy(gy, cache):
+            out = real(gy, cache)
+            returned.append(out)
+            return out
+
+        monkeypatch.setattr(L, "dense_backward", spy)
+        _, grads = M.backward_batch(spec, params, caches, random_batch(y.shape, seed=10))
+        # no copy, no `0 + g`: the stored gradient is the kernel's own array
+        dense = ["11", "8", "5", "2"]  # the dense leaves, in backward order
+        assert len(returned) == len(dense)
+        for prefix, (_, gw, gb) in zip(dense, returned):
+            assert grads[f"{prefix}.w"] is gw and grads[f"{prefix}.b"] is gb
+        names = [name for name, _, _ in M.param_layout(spec) if M.trainable(name)]
+        assert sorted(grads) == sorted(names) and len(set(names)) == len(names)
 
     def test_mlp_forward_matches_unrolled_matmuls(self):
         spec, params = build_and_init("mlp", 20, 1, 2)

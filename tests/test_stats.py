@@ -63,7 +63,31 @@ class TestAggregate:
         assert S.aggregate(runs).run_counts[0, 0] == 5
 
 
+def loop_rank_row(values, descending=True):
+    """``rank_row`` as the tie-scan it was before it took its groups from one sort."""
+    keyed = -values if descending else values
+    order = np.argsort(keyed, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and keyed[order[j + 1]] == keyed[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    return ranks
+
+
 class TestRanks:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1e-300, 0.1 + 0.2]),
+                    min_size=1, max_size=30),
+           st.booleans())
+    @settings(max_examples=200)
+    def test_rank_row_keeps_the_bits_of_the_tie_scan(self, row, descending):
+        values = np.array(row)
+        got = S.rank_row(values, descending)
+        assert got.tobytes() == loop_rank_row(values, descending).tobytes()
+
     def test_two_classifiers_strict_dominance(self):
         runs = []
         for d in range(4):
@@ -127,6 +151,18 @@ class TestChiSquare:
         for df in range(1, 12):
             for x in np.linspace(0.01, 60.0, 40):
                 assert abs(S.chi2_sf(float(x), df) - chi2.sf(x, df)) < 1e-10
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 9, 40, 101, 1500])
+    def test_relative_error_against_scipy_into_the_tail(self, df):
+        from scipy.stats import chi2
+        for x in np.linspace(0.05, df + 40.0, 60):
+            want = chi2.sf(x, df)
+            assert abs(S.chi2_sf(float(x), df) - want) <= 1e-9 * want, (df, x)
+
+    @pytest.mark.parametrize("df", [2.5, 0, -3, math.nan])
+    def test_non_integer_or_small_df_rejected(self, df):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            S.chi2_sf(3.0, df)
 
 
 class TestFriedman:
@@ -429,6 +465,28 @@ class TestPersistence:
         loaded = S.load_runs(path)
         assert len(loaded) == 2
         assert loaded[0].accuracy == 0.9  # rewritten key
+
+    def test_failed_save_leaves_the_earlier_file_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.csv"
+        S.save_runs([record("d1", "a", 0, 0.5), record("d1", "b", 0, 0.25)], path)
+        before = path.read_bytes()
+        real_writer = S.csv.writer
+
+        class Dies:
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                if self.rows == 1:
+                    raise OSError("disk full")
+                self.rows += 1
+                return self.inner.writerow(row)
+
+        monkeypatch.setattr(S.csv, "writer", Dies)
+        with pytest.raises(OSError, match="disk full"):
+            S.save_runs([record("d2", "a", 0, 0.75)], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_baseline_header(self, tmp_path):
         path = tmp_path / "base.csv"
