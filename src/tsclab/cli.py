@@ -239,25 +239,16 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
 
     def one(run_index: int):
         seed = config.base_seed + run_index
-        log_fn = None
-        log_handle = None
-        if config.epoch_log:
-            log_handle = open(out_dir / f"{name}_{arch}_seed{seed}.log", "w")
-            log_fn = lambda line: print(line, file=log_handle)
-        started = time.perf_counter()
-        try:
+        stem = out_dir / f"{name}_{arch}_seed{seed}"
+        with open(f"{stem}.log", "w") if config.epoch_log else contextlib.nullcontext() as log:
+            started = time.perf_counter()
             model, acc, loss = train_single_run(
-                arch, train_ds, test_ds, seed, config.overrides, log_fn
-            )
-        finally:
-            if log_handle is not None:
-                log_handle.close()
+                arch, train_ds, test_ds, seed, config.overrides,
+                None if log is None else lambda line: print(line, file=log))
         elapsed = time.perf_counter() - started
-        manifest = out_dir / f"{name}_{arch}_seed{seed}.model"
-        if isinstance(model, R.TwiesnModel):
-            R.save_twiesn(model, manifest)
-        else:
-            M.save_model(model, manifest)
+        # looked up at each call, so that a wrapper put on either module's function sees it
+        save = R.save_twiesn if isinstance(model, R.TwiesnModel) else M.save_model
+        save(model, f"{stem}.model")
         return S.RunRecord(name, arch, seed, acc, loss, elapsed)
 
     with blas_threads(1) if arch in ONE_BLAS_THREAD else contextlib.nullcontext():

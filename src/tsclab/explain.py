@@ -31,9 +31,7 @@ class CamOutput:
 @dataclass
 class MdsEmbedding:
     points: np.ndarray       # [N, 2]
-    distances: np.ndarray    # [N, N] input distances
     stress: float
-    iterations: int
     stress_trace: list = field(default_factory=list)
 
 
@@ -132,7 +130,6 @@ def mds_embed(d: np.ndarray, max_iterations: int = 300,
     n = d.shape[0]
     x = _classical_init(d)
     trace = [stress_value(d, x)]
-    iterations = 0
     for _ in range(max_iterations):
         e = distance_matrix(x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -141,11 +138,10 @@ def mds_embed(d: np.ndarray, max_iterations: int = 300,
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         x = (b @ x) / n
-        iterations += 1
         trace.append(stress_value(d, x))
         if trace[-2] - trace[-1] < tol * max(trace[-2], 1e-300):
             break
-    return MdsEmbedding(x, d, trace[-1], iterations, trace)
+    return MdsEmbedding(x, trace[-1], trace)
 
 
 # ---------------------------------------------------------------------------

@@ -46,19 +46,24 @@ class Node:
     - ``shapes(in_shape)``: a ``(shape, fill)`` per name; a ``(fan_in,
       fan_out)`` fill is a Glorot draw, a number a constant
     - ``args(mode, rng)``: the static kernel arguments
-    - ``describe``
+    - ``label``: the head of its ``describe`` row, the kernel name if empty
+
+    ``describe`` writes ``label``, then ``name=value`` per constructor
+    attribute in assignment order (a ``kind`` value bare): ``Conv1d(128, 8)``
+    reads ``conv filters=128 length=8 padding=same``.
 
     ``layout`` derives the out shape from the kernel on an empty batch: an
     infer forward of ``[0, *in_shape]`` with every parameter a zero-stride
     zero array, so the kernel's own checks refuse a geometry it cannot run.
-    A node over child nodes overrides ``layout`` to walk them instead.
+    A node over child nodes overrides ``layout`` and ``describe`` to walk
+    them instead.
 
     Kernels are looked up on ``layers`` at each call, not bound when the
     class is made, so that a wrapper put on the module's kernels (a
     profiler's) sees every call.
     """
 
-    kernel = ""
+    kernel = label = ""
     names: tuple = ()
 
     def shapes(self, in_shape):
@@ -95,19 +100,19 @@ class Node:
         return out[0]
 
     def describe(self):
-        raise NotImplementedError
+        fields = (f"{v}" if k == "kind" else f"{k}={v}" for k, v in vars(self).items())
+        return " ".join([self.label or self.kernel, *fields])
 
 
 class Flatten(Node):
+    label = "flatten"
+
     def forward(self, x, params, prefix, mode, rng, caches):
         caches[prefix] = x.shape
         return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, gy, params, prefix, caches, grads):
         return gy.reshape(caches[prefix])
-
-    def describe(self):
-        return "flatten"
 
 
 class Dense(Node):
@@ -120,12 +125,9 @@ class Dense(Node):
         w = (in_shape[0], self.units)
         return (w, w), ((self.units,), 0.0)
 
-    def describe(self):
-        return f"dense units={self.units}"
-
 
 class Conv1d(Node):
-    kernel, names = "conv1d", ("w", "b")
+    kernel, label, names = "conv1d", "conv", ("w", "b")
 
     def __init__(self, filters: int, length: int, padding: str = "same"):
         self.filters = filters
@@ -139,9 +141,6 @@ class Conv1d(Node):
 
     def args(self, mode, rng):
         return (self.padding,)
-
-    def describe(self):
-        return f"conv filters={self.filters} length={self.length} padding={self.padding}"
 
 
 class BatchNorm(Node):
@@ -161,9 +160,6 @@ class BatchNorm(Node):
             params[f"{prefix}.running_var"] = new_var
         return y
 
-    def describe(self):
-        return "batch_norm"
-
 
 class InstanceNorm(Node):
     kernel, names = "instance_norm", ("gamma", "beta")
@@ -172,26 +168,19 @@ class InstanceNorm(Node):
         c = (in_shape[-1],)
         return (c, 1.0), (c, 0.0)
 
-    def describe(self):
-        return "instance_norm"
-
 
 class Act(Node):
-    def __init__(self, kind: str):
-        self.kernel = kind
+    label, kernel = "act", property(lambda self: self.kind)
 
-    def describe(self):
-        return f"act {self.kernel}"
+    def __init__(self, kind: str):
+        self.kind = kind
 
 
 class PRelu(Node):
-    kernel, names = "prelu", ("slopes",)
+    kernel, label, names = "prelu", "act prelu", ("slopes",)
 
     def shapes(self, in_shape):
         return (((in_shape[-1],), 0.25),)
-
-    def describe(self):
-        return "act prelu"
 
 
 class Dropout(Node):
@@ -203,12 +192,9 @@ class Dropout(Node):
     def args(self, mode, rng):
         return self.rate, mode, rng
 
-    def describe(self):
-        return f"dropout rate={self.rate}"
-
 
 class Pool1d(Node):
-    kernel = "pool1d"
+    kernel, label = "pool1d", "pool"
 
     def __init__(self, kind: str, window: int):
         self.kind = kind
@@ -217,22 +203,13 @@ class Pool1d(Node):
     def args(self, mode, rng):
         return self.window, self.kind
 
-    def describe(self):
-        return f"pool {self.kind} window={self.window}"
-
 
 class Gap(Node):
     kernel = "gap"
 
-    def describe(self):
-        return "gap"
-
 
 class Attention(Node):
     kernel = "attention"
-
-    def describe(self):
-        return "attention"
 
 
 class Downsample(Node):
@@ -244,12 +221,9 @@ class Downsample(Node):
     def args(self, mode, rng):
         return (self.factor,)
 
-    def describe(self):
-        return f"downsample factor={self.factor}"
-
 
 class MovingAvg(Node):
-    kernel = "moving_average"
+    kernel, label = "moving_average", "moving_avg"
 
     def __init__(self, window: int):
         self.window = window
@@ -257,12 +231,11 @@ class MovingAvg(Node):
     def args(self, mode, rng):
         return (self.window,)
 
-    def describe(self):
-        return f"moving_avg window={self.window}"
-
 
 class AlignTime(Node):
     """Force the time extent to ``target``: crop the tail or zero-pad it."""
+
+    label = "align_time"
 
     def __init__(self, target: int):
         self.target = target
@@ -284,9 +257,6 @@ class AlignTime(Node):
         if T > self.target:
             return np.pad(gy, ((0, 0), (0, T - self.target), (0, 0)))
         return gy[:, :T, :]
-
-    def describe(self):
-        return f"align_time target={self.target}"
 
 
 class Sequential(Node):
@@ -622,6 +592,7 @@ _BUILDERS = {
     "fcn": build_fcn,
     "resnet": build_resnet,
     "encoder": build_encoder,
+    "mcnn": build_mcnn,
     "tlenet": build_tlenet,
     "mcdcnn": build_mcdcnn,
     "timecnn": build_timecnn,
@@ -629,13 +600,9 @@ _BUILDERS = {
 
 
 def build_model(architecture_id: str, T: int, M: int, K: int, **options) -> ModelSpec:
-    if architecture_id == "mcnn":
-        return build_mcnn(
-            T, M, K, int(options["filter_length"]), int(options["pool_factor"])
-        )
     if architecture_id not in _BUILDERS:
         raise ValueError(f"unknown architecture {architecture_id!r}")
-    return _BUILDERS[architecture_id](T, M, K)
+    return _BUILDERS[architecture_id](T, M, K, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -776,13 +743,15 @@ def save_model(model: TrainedModel, manifest_path) -> None:
 
 
 def load_model(manifest_path) -> TrainedModel:
-    """Rebuild the spec from the manifest; check its ``param:`` and ``slicing:`` lines."""
+    """Rebuild the spec from the manifest; check its ``loss``, ``param`` and ``slicing``."""
     bundle = Bundle(manifest_path, MODEL_FORMAT, {**_SPEC_FIELDS, **_RUN_FIELDS},
                     optional={"slicing": _read_slicing},
                     repeated={"option": _read_option, "layer": str})
     f = bundle.fields
     spec = bundle.build(None, build_model, f["architecture_id"], f["input_length"],
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
+    if f["loss"] != spec.loss:
+        raise bundle.error("loss", f"reads {f['loss']!r}; {spec.architecture_id} uses {spec.loss!r}")
     spec.slicing = f.get("slicing")
     layout = [(name, shape) for name, shape, _ in param_layout(spec)]
     params = bundle.tensors(layout)

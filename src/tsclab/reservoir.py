@@ -259,6 +259,8 @@ def save_twiesn(model: TwiesnModel, manifest_path) -> None:
 def load_twiesn(manifest_path) -> TwiesnModel:
     """Check the blob's layout against ``size`` and the written W_in/W_out dims."""
     bundle = Bundle(manifest_path, TWIESN_FORMAT, {"architecture_id": str, **_CONFIG_FIELDS})
+    if (arch := bundle.fields["architecture_id"]) != "twiesn":
+        raise bundle.error("architecture_id", f"reads {arch!r}; expected 'twiesn'")
     config = bundle.build(None, ReservoirConfig, **{k: bundle.fields[k] for k in _CONFIG_FIELDS})
     shapes = dict(bundle.params)
     n, m, k = config.size, (shapes.get("W_in") or (0,))[-1], (shapes.get("W_out") or (0,))[0]

@@ -67,11 +67,6 @@ class SplitMix64:
         """A decorrelated child stream; advances this stream by one draw."""
         return SplitMix64(self.next_raw())
 
-    def copy(self) -> "SplitMix64":
-        other = SplitMix64(0)
-        other.state = self.state
-        return other
-
 
 def glorot_uniform(fan_in: int, fan_out: int, shape, rng: SplitMix64) -> np.ndarray:
     """Glorot/Xavier uniform sample on [-limit, limit), limit = sqrt(6/(fan_in+fan_out)).

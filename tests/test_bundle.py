@@ -109,6 +109,8 @@ TWIESN_CASES = common_cases("twiesn", "tsclab-twiesn-v1", "size") + [
     ("param-shape-swapped", swap("param: W_in [12,1]", "param: W_in [1,12]"), "'param'"),
     ("readout-shape-swapped", swap("param: W_out [2,14]", "param: W_out [14,2]"), "'param'"),
     ("unbuildable", swap("sparsity: 0.5", "sparsity: 1.5"), "model is invalid"),
+    ("foreign-architecture", swap("architecture_id: twiesn", "architecture_id: fcn"),
+     "field 'architecture_id' reads 'fcn'; expected 'twiesn'"),
 ]
 
 

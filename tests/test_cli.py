@@ -47,7 +47,7 @@ def test_one_blas_thread_set_is_the_nets_without_wide_convs():
     wide = set()
     mcnn_options = dict(zip(("filter_length", "pool_factor"), M.mcnn_grid(64)[0]))
     for arch in M.ARCHITECTURES:
-        spec = M.build_model(arch, 64, 2, 3, **mcnn_options)
+        spec = M.build_model(arch, 64, 2, 3, **(mcnn_options if arch == "mcnn" else {}))
         if any(isinstance(n, M.Conv1d) and n.filters >= 64 for n in layer_nodes(spec.net)):
             wide.add(arch)
     assert wide == {"fcn", "resnet", "encoder", "mcnn"}
@@ -673,6 +673,23 @@ class TestExplainCommands:
         assert run(["mds", "--model", broken, "--data", test_file, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert "data error:" in err and broken.name in err and "'classes' is missing" in err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda line: f"{line}\noption: filter_length=3" if line.startswith("loss:") else line,
+         "'filter_length'"),
+        (lambda line: "loss: mse" if line.startswith("loss:") else line,
+         "field 'loss' reads 'mse'; fcn uses 'cross_entropy'"),
+    ], ids=["option-fcn-does-not-take", "loss-fcn-does-not-use"])
+    def test_mds_refuses_manifest_that_contradicts_its_architecture(
+            self, trained_fcn, tmp_path, capsys, edit, named):
+        manifest, test_file = trained_fcn
+        broken = copy_bundle(manifest, tmp_path, edit)
+        out = tmp_path / "o"
+        assert run(["mds", "--model", broken, "--data", test_file, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"data error: {broken.name}: ")
+        assert named in err
+        assert not out.exists()
 
     def test_cam_refuses_renamed_parameter(self, trained_fcn, tmp_path, capsys):
         manifest, test_file = trained_fcn

@@ -128,6 +128,43 @@ class TestConformance:
             "dense units=2", "act softmax",
         ]
 
+    def test_mcnn_branch_rows(self):
+        spec = M.build_mcnn(90, 1, 2, 9, 3)
+        tail = ["conv filters=256 length=9 padding=same", "act sigmoid"]
+        assert spec.describe()[0] == {"concat_branches": [
+            [*tail, "pool max window=3", "align_time target=30"],
+            *([f"downsample factor={k}", *tail, "pool max window=1", "align_time target=30"]
+              for k in (2, 4, 8)),
+            *([f"moving_avg window={w}", *tail, "pool max window=2", "align_time target=30"]
+              for w in (5, 8, 11)),
+        ]}
+
+    # sha256 (first 16 hex digits) of repr(describe()): mcnn's list over its
+    # whole grid at each slice length, every other net at (T, M, K) = (64, 3, 4)
+    PINNED_TREES = {
+        "mcnn@27": "b11fe92e8e919c71",
+        "mcnn@90": "8fa8232591917919",
+        "mcnn@135": "b638d82e18e0939a",
+        "mlp": "b92493d0aabc9e0e",
+        "fcn": "c68fd0108f5bf7de",
+        "resnet": "7bf70e2d0640f08f",
+        "encoder": "fa122eb0fa4a90f6",
+        "tlenet": "7d66cc3791e63549",
+        "mcdcnn": "8588589f5ad04f15",
+        "timecnn": "054138fe495304be",
+    }
+
+    def test_every_builder_tree_is_pinned(self):
+        def digest(trees):
+            return hashlib.sha256(repr(trees).encode()).hexdigest()[:16]
+
+        got = {f"mcnn@{T}": digest([
+            M.build_model("mcnn", T, 3, 4, filter_length=fl, pool_factor=pf).describe()
+            for fl, pf in M.mcnn_grid(T)]) for T in (27, 90, 135)}
+        got.update((arch, digest(M.build_model(arch, 64, 3, 4).describe()))
+                   for arch in M.ARCHITECTURES if arch != "mcnn")
+        assert got == self.PINNED_TREES
+
 
 class TestGeometry:
     def test_mlp_first_dense_shape_and_hidden_count(self):

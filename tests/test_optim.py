@@ -217,7 +217,8 @@ class TestDefaults:
         for arch, row in expected.items():
             cfg = O.default_config(arch)
             assert cfg.optimizer == row[0], arch
-            spec = M.build_model(arch, 64, 1, 2, filter_length=3, pool_factor=2)
+            options = {"filter_length": 3, "pool_factor": 2} if arch == "mcnn" else {}
+            spec = M.build_model(arch, 64, 1, 2, **options)
             assert spec.loss == row[1], arch
             assert cfg.epochs == row[2], arch
             assert cfg.batch_size == row[3], arch
