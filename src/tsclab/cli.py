@@ -175,12 +175,21 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
     for twiesn it is the cross entropy of the training set's posteriors.
 
     mcnn and mcdcnn hold out whole training series, split here once by the
-    run's seed, and checkpoint on them.  mcnn and tlenet train on slice pools
-    and vote over slices; mcnn validates on the held-out series' own pool and
-    picks its filter length and pooling factor by their vote accuracy.
+    run's seed, and checkpoint on them.  Every net trains through one loop over
+    its candidates: mcnn's (filter length, pooling factor) grid, picked by vote
+    accuracy on the held-out series, or else the one default build.  The nets
+    in ``models.SLICE_WARPS`` train on slice pools and vote over slices.
     """
     overrides = overrides or {}
     T, Mdims, K = train_ds.length, train_ds.dims, train_ds.n_classes
+    slicing = D.default_slicing(T, M.SLICE_WARPS[arch]) if arch in M.SLICE_WARPS else None
+    # a test split the model could not take is refused before anything is fitted
+    if test_ds.dims != Mdims:
+        raise ShapeError(f"{arch}: test dims {test_ds.dims}, train dims {Mdims}")
+    if slicing and test_ds.length < (need := D.slice_length(T, slicing)):
+        raise ShapeError(f"{arch}: test length {test_ds.length} is below its slice length {need}")
+    if not slicing and arch != "twiesn" and test_ds.length != T:
+        raise ShapeError(f"{arch} takes whole series: test length {test_ds.length}, train {T}")
 
     if arch == "twiesn":
         model = R.twiesn_fit(train_ds, R.default_grid(seed), split_seed=seed)
@@ -191,36 +200,27 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
     config = replace(O.default_config(arch, seed), **{
         key: overrides[key] for key in ("epochs", "batch_size", "learning_rate")
         if overrides.get(key) is not None})
+    data, held_out = train_ds, None
     if config.split_fraction > 0:
-        train_ds, held_out = D.split_train_val(train_ds, config.split_fraction, seed)
-        train_ds.held_out = held_out
+        data, held_out = D.split_train_val(train_ds, config.split_fraction, seed)
+        data.held_out = held_out
+    if slicing:
+        data, T = D.build_training_pool(data, slicing)
+        if held_out is not None:
+            data.held_out = D.build_training_pool(held_out, slicing)[0]
 
-    if arch in ("mcnn", "tlenet"):
-        warps = (1.0, 2.0, 0.5) if arch == "tlenet" else (1.0,)
-        slicing = D.default_slicing(T, warps)
-        pool, slice_len = D.build_training_pool(train_ds, slicing)
-        if arch == "tlenet":
-            spec = M.build_tlenet(slice_len, Mdims, K)
-            spec.slicing = slicing
-            model, history = O.train(spec, pool, config, log_fn)
-        else:
-            pool.held_out = D.build_training_pool(held_out, slicing)[0]
-            best = (-1.0, None, None)  # (held-out vote accuracy, model, history)
-            for fl, pf in M.mcnn_grid(slice_len):
-                spec = M.build_mcnn(slice_len, Mdims, K, fl, pf)
-                spec.slicing = slicing
-                candidate, history = O.train(spec, pool, config, log_fn)
-                # max keeps the earlier grid point among equally accurate ones
-                best = max(best, (M.accuracy(candidate, held_out), candidate, history),
-                           key=lambda b: b[0])
-            _, model, history = best
-    else:
-        spec = M.build_model(arch, T, Mdims, K)
-        model, history = O.train(spec, train_ds, config, log_fn)
-
-    acc = M.accuracy(model, test_ds)
-    best_loss = history.losses[history.best_epoch - 1]
-    return model, acc, best_loss
+    candidates = ([{"filter_length": fl, "pool_factor": pf} for fl, pf in M.mcnn_grid(T)]
+                  if arch == "mcnn" else [{}])
+    best = (-1.0, None, None)  # (held-out vote accuracy, model, history)
+    for options in candidates:
+        spec = M.build_model(arch, T, Mdims, K, **options)
+        spec.slicing = slicing
+        candidate, history = O.train(spec, data, config, log_fn)
+        score = M.accuracy(candidate, held_out) if len(candidates) > 1 else 0.0
+        # max keeps the earlier candidate among equally accurate ones
+        best = max(best, (score, candidate, history), key=lambda b: b[0])
+    _, model, history = best
+    return model, M.accuracy(model, test_ds), history.losses[history.best_epoch - 1]
 
 
 def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:

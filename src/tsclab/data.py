@@ -3,7 +3,7 @@
 Two on-disk formats are understood:
 
 * UCR text: one series per line, ``<label><delim><v1><delim>...<vT>``,
-  delimiter comma or tab (auto-detected from the first line).
+  the delimiter picked per line: tab, else comma, else whitespace.
 * Long-format CSV for multivariate data with header
   ``series_id,dimension,timestamp,value,label``; rows may arrive in any
   order but every (series, dimension) must cover timestamps 0..T_i-1.
@@ -115,9 +115,12 @@ def _read_ucr(path):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t" if "\t" in line else "," if "," in line else None)
+        delim = "\t" if "\t" in line else "," if "," in line else None
+        parts = line.rstrip(delim).split(delim)  # a line may end in its delimiter
+        if "" in parts:
+            raise DataFormatError(f"{path.name}:{lineno}: field {parts.index('') + 1} is empty")
         try:
-            values = [float(p) for p in parts if p != ""]
+            values = [float(p) for p in parts]
         except ValueError as exc:
             raise DataFormatError(f"{path.name}:{lineno}: {exc}") from None
         if len(values) < 2:
@@ -410,16 +413,19 @@ def slice_view(X: np.ndarray, length: int, stride: int):
     return sliding_window_view(X, length, axis=1).transpose(0, 1, 3, 2), starts
 
 
-def build_training_pool(dataset: TimeSeriesDataset, config: SlicingConfig):
-    """Warp every series by each factor, then slice the pool to a common length.
+def slice_length(T: int, config: SlicingConfig) -> int:
+    """``ceil(fraction * shortest warped length)``, so that every warped variant can be sliced."""
+    return int(math.ceil(config.fraction * min(int(math.floor(f * T + 0.5))
+                                               for f in config.warp_factors)))
 
-    The slice length is ``ceil(fraction * shortest pooled length)`` so that
-    every warped variant can be sliced.  Slices run parent-major, then by
-    warp factor, then by start, and inherit their parent's label.  Returns
-    (sliced dataset, slice length).
+
+def build_training_pool(dataset: TimeSeriesDataset, config: SlicingConfig):
+    """Warp every series by each factor, then slice the pool to ``slice_length``.
+
+    Slices run parent-major, then by warp factor, then by start, and inherit
+    their parent's label.  Returns (sliced dataset, slice length).
     """
-    pool_lengths = [int(math.floor(f * dataset.length + 0.5)) for f in config.warp_factors]
-    L = int(math.ceil(config.fraction * min(pool_lengths)))
+    L = slice_length(dataset.length, config)
     pieces = []
     for factor in config.warp_factors:
         X = dataset.X if factor == 1.0 else np.stack([window_warp(x, factor) for x in dataset.X])

@@ -22,9 +22,6 @@ from .bundle import Bundle, write_bundle
 from .errors import ShapeError, UnsupportedArchitectureError
 from .tensor import SplitMix64, glorot_uniform
 
-ARCHITECTURES = (
-    "mlp", "fcn", "resnet", "encoder", "mcnn", "tlenet", "mcdcnn", "timecnn",
-)
 MODEL_FORMAT = "tsclab-model-v1"
 
 
@@ -597,6 +594,8 @@ _BUILDERS = {
     "mcdcnn": build_mcdcnn,
     "timecnn": build_timecnn,
 }
+ARCHITECTURES = tuple(_BUILDERS)
+SLICE_WARPS = {"mcnn": (1.0,), "tlenet": (1.0, 2.0, 0.5)}  # sliced nets: their pool's warps
 
 
 def build_model(architecture_id: str, T: int, M: int, K: int, **options) -> ModelSpec:
@@ -657,7 +656,7 @@ def gap_head(spec: ModelSpec) -> tuple[str, str]:
 
 def _slicing_fault(spec: ModelSpec) -> str:
     """Why ``spec.slicing`` contradicts the architecture, or ''."""
-    if (spec.slicing is not None) == (spec.architecture_id in ("mcnn", "tlenet")):
+    if (spec.slicing is not None) == (spec.architecture_id in SLICE_WARPS):
         return ""
     if spec.slicing is None:
         return f"is missing; {spec.architecture_id} predicts by majority vote over slices"

@@ -69,6 +69,28 @@ class TestUcrLoader:
         assert ds.vocabulary == (-1.0, 2.0, 5.0)
         assert np.array_equal(ds.labels(), [2, 0, 1])
 
+    @pytest.mark.parametrize("sep", [",", "\t"])
+    def test_empty_field_is_refused_naming_line_and_field(self, tmp_path, sep):
+        # skipping the empty field would load [0.5, 0.7], the 0.7 a step early
+        path = write(tmp_path, "gap.txt", sep.join(["1", "0.5", "", "0.7"]) + "\n")
+        with pytest.raises(DataFormatError) as info:
+            D.load_single(path)
+        assert str(info.value) == "gap.txt:1: field 3 is empty"
+
+    def test_empty_field_is_blamed_on_its_own_line(self, tmp_path):
+        # the fault is line 1's gap, not line 2's width
+        path = write(tmp_path, "gap.txt", "1,0.5,,0.7\n2,0.1,0.2\n")
+        with pytest.raises(DataFormatError) as info:
+            D.load_single(path)
+        assert str(info.value) == "gap.txt:1: field 3 is empty"
+
+    @pytest.mark.parametrize("ending", [",", ",,", "\t"])
+    def test_row_may_end_in_its_delimiter(self, tmp_path, ending):
+        sep = ending[0]
+        rows = [sep.join(["1", "0.0", "1.0"]) + ending, sep.join(["2", "1.0", "0.0"])]
+        ds = D.load_single(write(tmp_path, "end.txt", "\n".join(rows) + "\n"))
+        assert ds.X[:, :, 0].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
 
 LONG_HEADER = "series_id,dimension,timestamp,value,label\n"
 
