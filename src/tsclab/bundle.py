@@ -98,4 +98,9 @@ class Bundle:
             raise BlobSizeError(f"blob {self.fields['blob']} has {len(blob)} bytes; "
                                 f"manifest shapes need {8 * sum(sizes)}")
         flat = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
+        for (name, _), v in zip(self.params, flat):
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                raise self.error("param", f"{name} holds {v[bad[0]]} in {self.fields['blob']} "
+                                          f"at flat index {bad[0]}")
         return {name: v.reshape(shape).copy() for (name, shape), v in zip(self.params, flat)}

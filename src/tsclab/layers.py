@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateVarianceError, ShapeError
 from .tensor import SplitMix64
@@ -39,9 +39,19 @@ def _conv_padding(length: int, padding: str, T: int) -> tuple[int, int]:
     raise ValueError(f"unknown padding {padding!r}")
 
 
+def pad_time(x: np.ndarray, before: int, after: int) -> np.ndarray:
+    """Zero-pad the time axis of ``x`` [batch, T, C]; ``np.pad``'s values, without its overhead."""
+    batch, T, C = x.shape
+    xp = np.zeros((batch, before + T + after, C), x.dtype)
+    xp[:, before : before + T] = x
+    return xp
+
+
 def _windows(xp: np.ndarray, length: int) -> np.ndarray:
     # read-only sliding view [batch, t_out, length, C], as ``data.slice_view``
-    return sliding_window_view(xp, length, axis=1).transpose(0, 1, 3, 2)
+    (batch, T, C), (s_batch, s_time, s_chan) = xp.shape, xp.strides
+    return as_strided(xp, (batch, T - length + 1, length, C),
+                      (s_batch, s_time, s_time, s_chan), writeable=False)
 
 
 def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "same"):
@@ -51,7 +61,7 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "
     batch, T, _ = x.shape
     c_out, length, _ = w.shape
     pl, pr = _conv_padding(length, padding, T)
-    xp = np.pad(x, ((0, 0), (pl, pr), (0, 0))) if (pl or pr) else x
+    xp = pad_time(x, pl, pr) if (pl or pr) else x
     win = _windows(xp, length)
     t_out = win.shape[1]
     # tensordot's GEMM in near-equal batch chunks of at most CONV_CHUNK copied
@@ -250,8 +260,14 @@ def pool1d_forward(x, window: int, kind: str):
     t_out = T // window
     blocks = x[:, : t_out * window, :].reshape(batch, t_out, window, C)
     if kind == "max":
-        idx = blocks.argmax(axis=2)  # first occurrence on ties
-        y = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
+        # running max, argmax's bits: the index moves only to a strictly greater
+        # value (the first of equal values wins) or onto the first NaN
+        y, idx = blocks[:, :, 0].copy(), np.zeros((batch, t_out, C), np.intp)
+        for j in range(1, window):
+            more = ~(blocks[:, :, j] <= y)
+            more &= y == y
+            np.copyto(y, blocks[:, :, j], where=more)
+            np.copyto(idx, j, where=more)
         return y, ("max", idx, x.shape, window)
     if kind == "avg":
         return blocks.mean(axis=2), ("avg", None, x.shape, window)
@@ -262,13 +278,12 @@ def pool1d_backward(gy, cache):
     kind, idx, x_shape, window = cache
     batch, T, C = x_shape
     t_out = gy.shape[1]
-    gblocks = np.zeros((batch, t_out, window, C))
+    gx = np.zeros(x_shape)
+    gblocks = gx[:, : t_out * window].reshape(batch, t_out, window, C)  # a view of gx
     if kind == "max":
         np.put_along_axis(gblocks, idx[:, :, None, :], gy[:, :, None, :], axis=2)
     else:
         gblocks[:] = (gy / window)[:, :, None, :]
-    gx = np.zeros(x_shape)
-    gx[:, : t_out * window, :] = gblocks.reshape(batch, t_out * window, C)
     return gx
 
 
@@ -331,7 +346,7 @@ def moving_average_forward(x, window: int):
     T = x.shape[1]
     if window < 1 or window > T:
         raise ValueError(f"moving average window {window} invalid for series length {T}")
-    c = np.cumsum(np.pad(x, ((0, 0), (1, 0), (0, 0))), axis=1)
+    c = np.cumsum(pad_time(x, 1, 0), axis=1)
     y = (c[:, window:, :] - c[:, :-window, :]) / window
     return y, (x.shape, window)
 

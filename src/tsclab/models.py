@@ -244,15 +244,14 @@ class AlignTime(Node):
             return x
         if T > self.target:
             return x[:, : self.target, :]
-        pad = self.target - T
-        return np.pad(x, ((0, 0), (0, pad), (0, 0)))
+        return L.pad_time(x, 0, self.target - T)
 
     def backward(self, gy, params, prefix, caches, grads):
         T = caches[prefix]
         if T == self.target:
             return gy
         if T > self.target:
-            return np.pad(gy, ((0, 0), (0, T - self.target), (0, 0)))
+            return L.pad_time(gy, 0, T - self.target)
         return gy[:, :T, :]
 
 

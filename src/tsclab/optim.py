@@ -94,10 +94,11 @@ ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-8
 
 
-# Updates walk each parameter's flat view this many float64 values (128 KiB)
-# at a time, so a chunk's parameter, gradient, moments and scratch stay in L2
-# across the passes of its rule.
-CHUNK = 16384
+# Updates walk each parameter's flat view this many float64 values (512 KiB)
+# at a time, so a chunk's arrays stay in cache across the passes of its rule.
+# Each pass hands the GIL to any other ``--jobs`` thread, so fewer, larger
+# chunks let two runs step side by side (README "Numerics" has the sweep).
+CHUNK = 65536
 
 
 class Optimizer:
@@ -201,10 +202,9 @@ class AdaDelta(Optimizer):
         a *= 1.0 - ADADELTA_RHO
         eg2 *= ADADELTA_RHO
         eg2 += a
-        # dx = -sqrt(edx2 + EPS) / sqrt(eg2 + EPS) * g
+        # dx = -sqrt(edx2 + EPS) / sqrt(eg2 + EPS) * g, held as -dx: negation is exact
         np.add(edx2, ADADELTA_EPS, out=a)
         np.sqrt(a, out=a)
-        np.negative(a, out=a)
         np.add(eg2, ADADELTA_EPS, out=b)
         np.sqrt(b, out=b)
         a /= b
@@ -214,9 +214,9 @@ class AdaDelta(Optimizer):
         b *= 1.0 - ADADELTA_RHO
         edx2 *= ADADELTA_RHO
         edx2 += b
-        # p = p + lr * dx
+        # p = p + lr * dx, which IEEE 754 defines as p - lr * (-dx)
         a *= lr
-        p += a
+        p -= a
 
 
 _OPTIMIZERS = {"sgd": Sgd, "adam": Adam, "adadelta": AdaDelta}

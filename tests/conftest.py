@@ -82,6 +82,18 @@ def save_mts_long(dataset: TimeSeriesDataset, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def poison_blob(manifest, tensors: dict, name: str, index: int, value: float) -> None:
+    """Overwrite flat value ``index`` of tensor ``name`` in the blob of ``manifest``.
+
+    ``tensors`` are the bundle's tensors in blob order."""
+    names = list(tensors)
+    at = sum(tensors[n].size for n in names[: names.index(name)]) + index
+    blob = Path(manifest).with_suffix(".model.bin")
+    data = bytearray(blob.read_bytes())
+    data[8 * at : 8 * at + 8] = np.array(value, "<f8").tobytes()
+    blob.write_bytes(bytes(data))
+
+
 @pytest.fixture
 def rng():
     return SplitMix64(0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_dataset
+from conftest import poison_blob, toy_dataset
 from tsclab import models as M
 from tsclab import reservoir as R
 from tsclab.data import SlicingConfig
@@ -161,6 +161,19 @@ def test_sliced_net_without_its_slicing_is_refused(tmp_path, arch, T, options):
     M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp_path / "m.model")
     assert_refused(M.load_model, tmp_path / "m.model", drop("slicing:"),
                    "field 'slicing' is missing")
+
+
+@pytest.mark.parametrize("kind, name, index, value", [
+    ("fcn", "0.b", 7, float("nan")), ("fcn", "7.running_var", 127, float("inf")),
+    ("twiesn", "W", 5, float("inf")), ("twiesn", "W_out", 0, -float("inf")),
+])
+def test_non_finite_blob_value_is_refused(tmp_path, kind, name, index, value):
+    save, load = KINDS[kind]
+    poison_blob(tmp_path / "m.model", save(tmp_path / "m.model"), name, index, value)
+    with pytest.raises(ManifestError) as info:
+        load(tmp_path / "m.model")
+    assert str(info.value) == (f"m.model: field 'param' {name} holds {value} in m.model.bin "
+                               f"at flat index {index}")
 
 
 @pytest.fixture(scope="module")

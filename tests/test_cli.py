@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import random_batch
+from conftest import poison_blob, random_batch
 from tsclab import cli
 from tsclab import models as M
 from tsclab import optim as O
@@ -702,6 +702,22 @@ class TestExplainCommands:
         err = capsys.readouterr().err
         assert "data error:" in err and broken.name in err
         assert "'param'" in err and "10.x" in err and "expected 10.w" in err
+
+    @pytest.mark.parametrize("command", ["cam", "mds"])
+    @pytest.mark.parametrize("name, index, value", [
+        ("3.w", 17, float("nan")), ("10.b", 1, -float("inf"))])
+    def test_explain_refuses_non_finite_blob_value(self, trained_fcn, tmp_path, capsys,
+                                                   command, name, index, value):
+        manifest, test_file = trained_fcn
+        broken = copy_bundle(manifest, tmp_path, lambda line: line)
+        poison_blob(broken, M.load_model(manifest).params, name, index, value)
+        out = tmp_path / "o"
+        argv = [command, "--model", broken, "--data", test_file, "--out", out]
+        assert run(argv + (["--class", "0"] if command == "cam" else [])) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {broken.name}: field 'param' {name} holds {value} in "
+            f"{broken.name}.bin at flat index {index}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["cam", "mds"])
     @pytest.mark.parametrize("T, labels, geometry", [

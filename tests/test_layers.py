@@ -34,7 +34,49 @@ def naive_conv1d(x, w, b, padding):
     return out
 
 
+def reference_conv1d(x, w, b, padding):
+    """The ``np.pad`` + ``sliding_window_view`` form of the conv kernels: ``y`` and a backward."""
+    c_out, length, _ = w.shape
+    pl, pr = L._conv_padding(length, padding, x.shape[1])
+    xp = np.pad(x, ((0, 0), (pl, pr), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, length, axis=1).transpose(0, 1, 3, 2)
+    wt = w.transpose(1, 2, 0).reshape(-1, c_out)
+    y = np.dot(win.reshape(-1, len(wt)), wt).reshape(*win.shape[:2], c_out) + b
+
+    def backward(gy):
+        gcols = np.tensordot(gy, w, axes=([2], [0]))
+        gxp = np.zeros_like(xp)
+        for j in range(length):
+            gxp[:, j : j + gy.shape[1], :] += gcols[:, :, j, :]
+        gw = np.tensordot(gy, win, axes=([0, 1], [0, 1]))
+        return gxp[:, pl : pl + x.shape[1], :], gw, gy.sum(axis=(0, 1))
+
+    return y, backward
+
+
 class TestConv1d:
+    @pytest.mark.parametrize("view", ["whole", "every-other-step", "every-other-series"])
+    def test_windows_are_a_read_only_view_of_the_input(self, view):
+        x = random_batch((6, 15, 3), seed=9)
+        x = {"whole": x, "every-other-step": x[:, ::2], "every-other-series": x[::2]}[view]
+        win = L._windows(x, 4)
+        want = np.lib.stride_tricks.sliding_window_view(x, 4, axis=1).transpose(0, 1, 3, 2)
+        assert win.shape == want.shape and win.strides == want.strides
+        assert np.array_equal(win, want)
+        assert np.shares_memory(win, x) and not win.flags.writeable
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("length, c_in", [(1, 1), (4, 3), (5, 1), (7, 2)])
+    def test_kernels_keep_the_bits_of_the_pad_and_sliding_view_form(self, padding, length, c_in):
+        x = random_batch((5, 19, c_in), seed=length + c_in)
+        w = random_batch((6, length, c_in), seed=50)
+        b = random_batch((6,), seed=51)
+        y, cache = L.conv1d_forward(x, w, b, padding)
+        want_y, want_backward = reference_conv1d(x, w, b, padding)
+        gy = random_batch(y.shape, seed=52)
+        assert_same_bits((y,), (want_y,))
+        assert_same_bits(L.conv1d_backward(gy, cache), want_backward(gy))
+
     def test_moving_average_filter(self):
         x = random_batch((1, 20, 1), seed=0)
         w = np.full((1, 3, 1), 1.0 / 3.0)
@@ -474,7 +516,47 @@ class TestDropout:
         assert np.array_equal(gx == 0, y == 0)
 
 
+def reference_max_pool(x, window):
+    """The ``argmax`` + ``take_along_axis`` + ``put_along_axis`` form: ``y``, ``idx``, a backward."""
+    batch, T, C = x.shape
+    t_out = T // window
+    blocks = x[:, : t_out * window, :].reshape(batch, t_out, window, C)
+    idx = blocks.argmax(axis=2)
+    y = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
+
+    def backward(gy):
+        gblocks = np.zeros((batch, t_out, window, C))
+        np.put_along_axis(gblocks, idx[:, :, None, :], gy[:, :, None, :], axis=2)
+        gx = np.zeros(x.shape)
+        gx[:, : t_out * window, :] = gblocks.reshape(batch, t_out * window, C)
+        return gx
+
+    return y, idx, backward
+
+
+def pool_input(kind, seed):
+    x = random_batch((4, 23, 5), seed=seed)
+    if kind == "relu":  # many tied zeros, of both signs
+        x = np.maximum(x, 0.0)
+        x.reshape(-1)[::7] = -0.0
+    elif kind == "equal-pairs":  # exact ties between nonzero values
+        x = np.round(x) / 2.0
+    else:  # NaNs, some at a window's start: argmax takes the first NaN it meets
+        x.reshape(-1)[::9] = np.nan
+    return x
+
+
 class TestPooling:
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+    def test_max_pool_keeps_the_bits_of_argmax(self, window, kind):
+        x = pool_input(kind, seed=window)
+        y, cache = L.pool1d_forward(x, window, "max")
+        want_y, want_idx, want_backward = reference_max_pool(x, window)
+        assert np.array_equal(cache[1], want_idx)
+        gy = random_batch(y.shape, seed=60)
+        assert_same_bits((y, L.pool1d_backward(gy, cache)), (want_y, want_backward(gy)))
+
     def test_max_pool_example(self):
         x = np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1)
         y, _ = L.pool1d_forward(x, 2, "max")
@@ -580,6 +662,24 @@ class TestFixedTransforms:
         x = np.arange(6.0).reshape(1, 6, 1)
         y, _ = L.moving_average_forward(x, 3)
         assert np.allclose(y[0, :, 0], [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("before, after", [(0, 0), (1, 0), (0, 3), (2, 5)])
+    def test_time_pad_keeps_the_bits_of_np_pad(self, before, after):
+        x = random_batch((3, 7, 2), seed=before + after)[:, ::-1]  # not contiguous
+        want = np.pad(x, ((0, 0), (before, after), (0, 0)))
+        assert_same_bits((L.pad_time(x, before, after),), (want,))
+
+    def test_moving_average_and_align_time_keep_the_bits_of_np_pad(self):
+        x = random_batch((3, 9, 2), seed=3)
+        c = np.cumsum(np.pad(x, ((0, 0), (1, 0), (0, 0))), axis=1)
+        assert_same_bits((L.moving_average_forward(x, 4)[0],), ((c[:, 4:] - c[:, :-4]) / 4,))
+        align, caches, gy = M.AlignTime(12), {}, random_batch((3, 5, 2), seed=4)
+        assert_same_bits((align.forward(x, {}, "0", "train", None, caches),),
+                         (np.pad(x, ((0, 0), (0, 3), (0, 0))),))
+        crop = M.AlignTime(5)
+        crop.forward(x, {}, "0", "train", None, caches)
+        assert_same_bits((crop.backward(gy, {}, "0", caches, {}),),
+                         (np.pad(gy, ((0, 0), (0, 4), (0, 0))),))
 
     def test_transform_gradients(self):
         x = random_batch((2, 8, 2), seed=0)

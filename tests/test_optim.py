@@ -139,6 +139,8 @@ class ReferenceOptimizer:
 
 @pytest.mark.parametrize("shape", [
     (1,), (O.CHUNK - 1,), (O.CHUNK,), (3 * O.CHUNK + 17,), (211, 160), (7, 41, 123),
+    # a part-filled single chunk, at three sizes
+    (16383,), (16384,), (49169,),
 ], ids=str)
 @pytest.mark.parametrize("kind,lr", [("sgd", 0.01), ("adam", 0.001), ("adadelta", 1.0)])
 def test_in_place_update_matches_reference_bits(kind, lr, shape):
@@ -160,6 +162,13 @@ def test_in_place_update_matches_reference_bits(kind, lr, shape):
         assert len(moments) == len(reference.state.get("0.w", ()))
         for a, b in zip(moments, reference.state.get("0.w", ())):
             assert a.tobytes() == b.tobytes(), f"moment state differs at step {t + 1}"
+
+
+@pytest.mark.parametrize("kind,lr", [("sgd", 0.01), ("adam", 0.001), ("adadelta", 1.0)])
+def test_update_bits_do_not_depend_on_the_chunk(monkeypatch, kind, lr):
+    # 2,517 values walk as two whole chunks of 1,000 and a ragged one of 517
+    monkeypatch.setattr(O, "CHUNK", 1000)
+    test_in_place_update_matches_reference_bits(kind, lr, (2517,))
 
 
 class TestLrSchedule:
@@ -254,7 +263,7 @@ class TestDefaults:
         w = glorot_uniform(3, 5, (3, 5), SplitMix64(7))
         u = SplitMix64(7).uniform(15).reshape(3, 5)
         assert np.array_equal(w, (2.0 * u - 1.0) * math.sqrt(6.0 / 8.0))
-        assert (L.CONV_CHUNK, O.CHUNK) == (1 << 22, 16384)
+        assert (L.CONV_CHUNK, O.CHUNK) == (1 << 22, 65536)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
