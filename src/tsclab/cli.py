@@ -348,10 +348,11 @@ def _cmd_compare(args) -> int:
 
 
 def _explain_inputs(args, class_index=None):
-    """``cam``/``mds``: the model, the dataset checked to fit it, the output folder made.
+    """``cam``/``mds``: the model, the dataset checked to fit it, the output folder.
 
     A model with no GAP head, or a ``class_index`` it does not have, is
-    refused before anything is read or written."""
+    refused before anything is read.  The folder is made by the first
+    :func:`_write`, so a run that fails before it leaves none."""
     model = M.load_model(args.model)
     M.gap_head(model.spec)
     classes = model.spec.classes
@@ -360,19 +361,22 @@ def _explain_inputs(args, class_index=None):
                           f"{classes} classes, 0 to {classes - 1}")
     dataset = D.load_single(args.data)
     M.check_geometry(model.spec, dataset)
-    out_dir = Path(args.out)
+    return model, dataset, Path(args.out)
+
+
+def _write(out_dir: Path, files: dict) -> None:
+    """Write each ``name: text`` into ``out_dir``, making the folder first."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    return model, dataset, out_dir
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
 
 
 def _cmd_cam(args) -> int:
     model, dataset, out_dir = _explain_inputs(args, args.class_index)
     for i in range(dataset.n):
         cam = E.compute_cam(model, dataset.X[i], args.class_index)
-        (out_dir / f"cam_{i:04d}.svg").write_text(
-            E.export_cam_svg(dataset.X[i, :, 0], cam.normalized)
-        )
-        (out_dir / f"cam_{i:04d}.csv").write_text(E.cam_csv(cam))
+        _write(out_dir, {f"cam_{i:04d}.svg": E.export_cam_svg(dataset.X[i, :, 0], cam.normalized),
+                         f"cam_{i:04d}.csv": E.cam_csv(cam)})
     print(f"wrote {dataset.n} CAM svg/csv pairs to {out_dir}")
     return 0
 
@@ -382,8 +386,8 @@ def _cmd_mds(args) -> int:
     features = E.gap_features(model, dataset)
     embedding = E.mds_embed(E.distance_matrix(features))
     labels = dataset.labels()
-    (out_dir / "mds.svg").write_text(E.export_mds_svg(embedding, labels))
-    (out_dir / "mds.csv").write_text(E.mds_csv(embedding, labels))
+    _write(out_dir, {"mds.svg": E.export_mds_svg(embedding, labels),
+                     "mds.csv": E.mds_csv(embedding, labels)})
     print(f"wrote mds.svg and mds.csv to {out_dir} (stress {embedding.stress:.6f})")
     return 0
 

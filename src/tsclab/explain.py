@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import TimeSeriesDataset
 from .errors import NumericError
-from .models import Sequential, TrainedModel, forward_batch, gap_head
+from .models import Sequential, TrainedModel, forward_batch, gap_head, infer_batch
 
 
 @dataclass
@@ -46,12 +46,12 @@ def _final_feature_map(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def gap_features(model: TrainedModel, dataset: TimeSeriesDataset,
-                 batch_size: int = 256) -> np.ndarray:
+def gap_features(model: TrainedModel, dataset: TimeSeriesDataset) -> np.ndarray:
     """[N, C_last] time-averaged final feature map (the softmax layer's input)."""
     chunks = []
-    for lo in range(0, dataset.n, batch_size):
-        a = _final_feature_map(model, dataset.X[lo : lo + batch_size])
+    batch = infer_batch(model.spec)
+    for lo in range(0, dataset.n, batch):
+        a = _final_feature_map(model, dataset.X[lo : lo + batch])
         chunks.append(a.mean(axis=1))
     return np.concatenate(chunks, axis=0)
 

@@ -112,10 +112,13 @@ def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, axes: tuple, 
     """Normalize ``x`` over ``axes``, then scale and shift; the statistics keep their axes."""
     n = math.prod(x.shape[a] for a in axes)  # not x.size // mean.size: the batch may be empty
     mean = x.mean(axis=axes, keepdims=True)
-    var = x.var(axis=axes, keepdims=True)
+    xhat = x - mean
+    var = np.square(xhat).sum(axis=axes, keepdims=True) / n  # ``x.var``'s bits, one ``x - mean``
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv
-    return xhat * gamma + beta, (inv, xhat, gamma, axes, n), mean, var
+    xhat *= inv
+    y = xhat * gamma
+    y += beta
+    return y, (inv, xhat, gamma, axes, n), mean, var
 
 
 def _normalize_grad(gy: np.ndarray, cache):
@@ -280,9 +283,9 @@ def pool1d_backward(gy, cache):
     t_out = gy.shape[1]
     gx = np.zeros(x_shape)
     gblocks = gx[:, : t_out * window].reshape(batch, t_out, window, C)  # a view of gx
-    if kind == "max":
+    if kind == "max" and window > 1:
         np.put_along_axis(gblocks, idx[:, :, None, :], gy[:, :, None, :], axis=2)
-    else:
+    else:  # the mean's gradient, at window 1 the max's too: gy / 1 is gy, bit for bit
         gblocks[:] = (gy / window)[:, :, None, :]
     return gx
 

@@ -6,13 +6,16 @@ kernels in tree order; backward walks the same tree in reverse and
 stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
 :class:`Node`); :func:`param_layout` lists the declared parameters in layer
-order, the order of the Glorot draws and of the serialized blob.
+order, the order of the Glorot draws and of the serialized blob.  A spec is
+laid out once (``ModelSpec.layout``); the same walk sizes every infer batch
+(:func:`infer_batch`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .errors import ShapeError, UnsupportedArchitectureError
 from .tensor import SplitMix64, glorot_uniform
 
 MODEL_FORMAT = "tsclab-model-v1"
+INFER_VALUES = 1 << 17  # layer-output values per infer forward: input and output fill a 2 MiB L2
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +56,7 @@ class Node:
     ``layout`` derives the out shape from the kernel on an empty batch: an
     infer forward of ``[0, *in_shape]`` with every parameter a zero-stride
     zero array, so the kernel's own checks refuse a geometry it cannot run.
-    A node over child nodes overrides ``layout`` and ``describe`` to walk
+    A node over child nodes overrides ``_layout`` and ``describe`` to walk
     them instead.
 
     Kernels are looked up on ``layers`` at each call, not bound when the
@@ -70,14 +74,19 @@ class Node:
         return ()
 
     def out_shape(self, in_shape):
-        return self.layout(in_shape, "", [])
+        return self.layout(in_shape, "", Layout())
 
-    def layout(self, in_shape, prefix, entries: list):
-        """Append ``(name, shape, fill)`` per parameter to ``entries``; return the out shape."""
+    def layout(self, in_shape, prefix, walk: Layout):
+        """Add this node's parameters and output size to ``walk``; return its out shape."""
+        out = self._layout(in_shape, prefix, walk)
+        walk.widest = max(walk.widest, math.prod(out))
+        return out
+
+    def _layout(self, in_shape, prefix, walk):
         shapes = self.shapes(in_shape)
         params = {f".{n}": np.broadcast_to(0.0, shape) for n, (shape, _) in zip(self.names, shapes)}
         y = self.forward(np.zeros((0, *in_shape)), params, "", "infer", None, _NoCaches())
-        entries += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, shapes)]
+        walk.params += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, shapes)]
         return y.shape[1:]
 
     def _run(self, x, params, prefix, mode, rng):
@@ -259,9 +268,9 @@ class Sequential(Node):
     def __init__(self, children: list):
         self.children = list(children)
 
-    def layout(self, in_shape, prefix, entries):
+    def _layout(self, in_shape, prefix, walk):
         for i, child in enumerate(self.children):
-            in_shape = child.layout(in_shape, _child_prefix(prefix, i), entries)
+            in_shape = child.layout(in_shape, _child_prefix(prefix, i), walk)
         return in_shape
 
     def forward(self, x, params, prefix, mode, rng, caches):
@@ -285,10 +294,10 @@ class Residual(Node):
         self.body = body
         self.shortcut = shortcut
 
-    def layout(self, in_shape, prefix, entries):
-        out = self.body.layout(in_shape, _child_prefix(prefix, "body"), entries)
+    def _layout(self, in_shape, prefix, walk):
+        out = self.body.layout(in_shape, _child_prefix(prefix, "body"), walk)
         if self.shortcut is not None:
-            sc = self.shortcut.layout(in_shape, _child_prefix(prefix, "sc"), entries)
+            sc = self.shortcut.layout(in_shape, _child_prefix(prefix, "sc"), walk)
             if sc != out:
                 raise ShapeError(f"residual: body {out} and shortcut {sc} shapes differ")
         elif in_shape != out:
@@ -337,9 +346,9 @@ class ConcatChannels(Node):
         return [(i, b, _child_prefix(prefix, f"{self.tag}{i}"))
                 for i, b in enumerate(self.branches)]
 
-    def layout(self, in_shape, prefix, entries):
+    def _layout(self, in_shape, prefix, walk):
         shape = self._branch_shape(in_shape)
-        outs = [b.layout(shape, p, entries) for _, b, p in self._children(prefix)]
+        outs = [b.layout(shape, p, walk) for _, b, p in self._children(prefix)]
         times = {o[0] for o in outs}
         if len(times) != 1:
             raise ShapeError(f"branch time extents differ: {sorted(times)}")
@@ -382,6 +391,14 @@ class SplitDims(ConcatChannels):
 # model spec and builders
 
 @dataclass
+class Layout:
+    """One walk of a layer tree."""
+
+    params: list = field(default_factory=list)  # (name, shape, fill), the blob's order
+    widest: int = 0  # the largest per-series output of any node, in values
+
+
+@dataclass
 class ModelSpec:
     architecture_id: str
     input_length: int
@@ -394,6 +411,15 @@ class ModelSpec:
 
     def describe(self):
         return self.net.describe()
+
+    @cached_property
+    def layout(self) -> Layout:
+        """The tree laid out once, on first use; refuses a geometry it cannot run."""
+        walk = Layout()
+        out = self.net.layout((self.input_length, self.input_dims), "", walk)
+        if out != (self.classes,):
+            raise ShapeError(f"network emits {out}, expected ({self.classes},)")
+        return walk
 
 
 @dataclass
@@ -410,11 +436,13 @@ def param_layout(spec: ModelSpec) -> list[tuple[str, tuple, object]]:
 
     A ``(fan_in, fan_out)`` fill is a Glorot draw; a number fills the tensor.
     """
-    entries: list = []
-    out = spec.net.layout((spec.input_length, spec.input_dims), "", entries)
-    if out != (spec.classes,):
-        raise ShapeError(f"network emits {out}, expected ({spec.classes},)")
-    return entries
+    return spec.layout.params
+
+
+def infer_batch(spec: ModelSpec) -> int:
+    """Series per infer forward: as many as keep the widest layer output within
+    ``INFER_VALUES``, so each layer's pass stays in cache; at least one."""
+    return max(1, INFER_VALUES // spec.layout.widest)
 
 
 def check_geometry(spec: ModelSpec, dataset: TimeSeriesDataset) -> None:
@@ -538,7 +566,7 @@ def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: in
         "mcnn", slice_T, M, K, "cross_entropy", net,
         options={"filter_length": filter_length, "pool_factor": pool_factor},
     )
-    spec.net.out_shape((slice_T, M))  # surfaces invalid geometry early
+    param_layout(spec)  # surfaces invalid geometry early
     return spec
 
 
@@ -579,7 +607,7 @@ def build_timecnn(T: int, M: int, K: int) -> ModelSpec:
         Flatten(), Dense(K), Act("sigmoid"),
     ])
     spec = ModelSpec("timecnn", T, M, K, "mse", net)
-    spec.net.out_shape((T, M))  # surfaces too-short series as invalid-argument
+    param_layout(spec)  # surfaces too-short series as invalid-argument
     return spec
 
 
@@ -663,16 +691,18 @@ def _slicing_fault(spec: ModelSpec) -> str:
 
 
 def predict(model: TrainedModel, dataset: TimeSeriesDataset,
-            batch_size: int = 256) -> np.ndarray:
+            batch_size: int | None = None) -> np.ndarray:
     """Class indices for every series, by a vote over its slices.
 
     The window-sliced architectures must carry their slicing config (their
     training pool was sliced, so test series are sliced the same way);
     whole-series architectures must not, and vote with one slice, the series.
+    Slices go through ``batch_size`` at a time, :func:`infer_batch` by default.
     """
     spec = model.spec
     if fault := _slicing_fault(spec):
         raise ValueError(f"slicing {fault}")
+    batch_size = batch_size or infer_batch(spec)
     L, stride = (spec.input_length, spec.slicing.stride) if spec.slicing else (dataset.length, 1)
     # every slice of every series, parent-major, gathered batch_size at a time
     view, starts = slice_view(dataset.X, L, stride)

@@ -22,7 +22,7 @@ from .data import TimeSeriesDataset
 from .errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 from .layers import LOSSES
 from .models import (ModelSpec, TrainedModel, backward_batch, check_geometry, forward_batch,
-                     init_model, trainable)
+                     infer_batch, init_model, trainable)
 from .tensor import SplitMix64
 
 
@@ -271,14 +271,14 @@ class LrSchedule:
 # ---------------------------------------------------------------------------
 # training loop
 
-def evaluate_loss(spec: ModelSpec, params: dict, dataset: TimeSeriesDataset,
-                  batch_size: int = 256) -> float:
-    """Mean ``spec.loss`` over a dataset in infer mode."""
+def evaluate_loss(spec: ModelSpec, params: dict, dataset: TimeSeriesDataset) -> float:
+    """Mean ``spec.loss`` over a dataset in infer mode, ``infer_batch`` series a forward."""
     loss_fn = LOSSES[spec.loss]
     total = 0.0
-    for lo in range(0, dataset.n, batch_size):
-        x = dataset.X[lo : lo + batch_size]
-        y = dataset.Y[lo : lo + batch_size]
+    batch = infer_batch(spec)
+    for lo in range(0, dataset.n, batch):
+        x = dataset.X[lo : lo + batch]
+        y = dataset.Y[lo : lo + batch]
         pred, _ = forward_batch(spec, params, x, "infer")
         loss, _ = loss_fn(pred, y)
         total += loss * x.shape[0]

@@ -735,6 +735,16 @@ class TestExplainCommands:
                 f"(T=16, M=1, K=2)") in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_mds_failure_leaves_no_out_folder(self, trained_fcn, tmp_path, capsys):
+        manifest, _ = trained_fcn
+        series = ",".join(f"{0.1 * t!r}" for t in range(16))
+        data = tmp_path / "twins.txt"
+        data.write_text(f"1,{series}\n2,{series}\n")  # one feature row twice: all distances 0
+        out = tmp_path / "o"
+        assert run(["mds", "--model", manifest, "--data", data, "--out", out]) == 3
+        assert "degenerate all-zero distance matrix" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mds_outputs(self, trained_fcn, tmp_path):
         manifest, test_file = trained_fcn
         out = tmp_path / "mds"

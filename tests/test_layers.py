@@ -374,6 +374,15 @@ def reference_instance_norm_backward(gy, cache):
     return gx, dgamma, dbeta
 
 
+def reference_normalize(x, gamma, beta, axes, eps=L.EPS_NORM):
+    """``layers._normalize``'s earlier form: ``x.var`` forms ``x - mean`` a second time."""
+    mean = x.mean(axis=axes, keepdims=True)
+    var = x.var(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv
+    return xhat * gamma + beta, xhat, inv, mean, var
+
+
 def assert_same_bits(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -411,6 +420,15 @@ class TestNormalizationCore:
         assert_same_bits((y,), (want_y,))
         assert_same_bits(L.instance_norm_backward(gy, cache),
                          reference_instance_norm_backward(gy, want_cache))
+
+    @given(norm_case, st.sampled_from([(0, 1), (1,)]), st.sampled_from([0.0, 0.25, -3e3]))
+    @settings(max_examples=40)
+    def test_normalize_keeps_the_bits_of_its_two_pass_form(self, case, axes, offset):
+        batch, T, C, seed, scale = case
+        x = random_batch((batch, T, C), seed=seed, scale=scale) + offset
+        gamma, beta = random_batch((C,), seed=seed + 1), random_batch((C,), seed=seed + 2)
+        y, (inv, xhat, *_), mean, var = L._normalize(x, gamma, beta, axes, L.EPS_NORM)
+        assert_same_bits((y, xhat, inv, mean, var), reference_normalize(x, gamma, beta, axes))
 
     @pytest.mark.parametrize("T", [8, 9, 150])
     def test_instance_norm_lays_out_on_an_empty_batch(self, T):

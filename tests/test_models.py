@@ -300,9 +300,9 @@ class TestKernelGeometry:
     @given(data=st.data(), T=st.integers(2, 24), C=st.integers(1, 4))
     def test_leaf_out_shape_matches_forward(self, kind, data, T, C):
         node, in_shape = LEAF_CASES[kind](data, T, C)
-        entries = []
-        out = node.layout(in_shape, "n", entries)
-        params = {name: np.full(shape, 0.5) for name, shape, _ in entries}
+        walk = M.Layout()
+        out = node.layout(in_shape, "n", walk)
+        params = {name: np.full(shape, 0.5) for name, shape, _ in walk.params}
         x = random_batch((2, *in_shape), seed=T)
         assert out == node.out_shape(in_shape)
         assert forward_shapes(node, params, "n", x) == [out, out]
@@ -606,6 +606,66 @@ class TestInferPath:
         finally:
             tracemalloc.stop()
         assert peak <= 0.4 * self.PARENT_PEAK, f"predict peaked {peak / 1e6:.1f} MB above the live set"
+
+
+class TestInferBatch:
+    """Series per infer forward: ``INFER_VALUES`` over the widest node output."""
+
+    def test_wide_nets_at_the_gunpoint_geometry(self):
+        # 2^17 values over 256 x 150 (fcn), 64 x 150 (resnet), 128 x 150 (encoder)
+        got = {a: M.infer_batch(M.build_model(a, 150, 1, 2)) for a in ("fcn", "resnet", "encoder")}
+        assert got == {"fcn": 3, "resnet": 13, "encoder": 6}
+
+    @pytest.mark.parametrize("arch", ["mlp", "mcdcnn", "timecnn"])
+    def test_small_nets_take_a_120_series_test_split_in_one_forward(self, arch):
+        assert M.infer_batch(M.build_model(arch, 100, 3, 3)) >= 120
+
+    def test_widest_counts_every_node_output(self):
+        # mcnn's concatenated branches, 45 steps x 7 x 256 channels, outgrow
+        # every leaf; mcdcnn's widest is a branch convolution, 8 channels x 100
+        assert M.build_mcnn(135, 1, 2, 7, 3).layout.widest == 45 * 7 * 256
+        assert M.build_mcdcnn(100, 3, 3).layout.widest == 800
+
+    def test_a_spec_is_laid_out_once(self, monkeypatch):
+        walks = []
+        real = M.Node.layout
+        monkeypatch.setattr(M.Node, "layout", lambda self, *a: walks.append(self) or real(self, *a))
+        spec = M.build_model("timecnn", 60, 2, 3)
+        nodes = len(walks)
+        M.init_model(spec, SplitMix64(0))
+        M.param_layout(spec)
+        M.predict(M.TrainedModel(spec, M.init_model(spec, SplitMix64(1))),
+                  toy_dataset(n=4, T=60, M=2, K=3))
+        assert nodes > 0 and len(walks) == nodes
+
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_labels_do_not_depend_on_the_batch(self, arch):
+        # a batch of 256 and the net's own batch split the series (mcnn's and
+        # tlenet's slices) at different places
+        options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
+        T = 57 if arch in M.SLICE_WARPS else 64
+        spec, params = build_and_init(arch, T, 2, 3, seed=58, **options)
+        if arch in M.SLICE_WARPS:
+            spec.slicing = SlicingConfig(0.9, 3, (1.0,))
+        model = M.TrainedModel(spec, params)
+        ds = toy_dataset(n=60 if arch == "mcnn" else 300, T=64, M=2, K=3, seed=59)
+        assert M.infer_batch(spec) != 256
+        assert np.array_equal(M.predict(model, ds), M.predict(model, ds, batch_size=256))
+
+    def test_fcn_predict_peak_is_bounded(self):
+        # one forward of all 150 series at T=150 peaked 143.7 MB above the live
+        # set; 3 series a forward peak at 5.1 MB
+        spec, params = build_and_init("fcn", 150, 1, 2, seed=56)
+        model = M.TrainedModel(spec, params)
+        ds = toy_dataset(n=150, T=150, K=2, seed=57)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            M.predict(model, ds)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, f"predict peaked {peak / 1e6:.1f} MB above the live set"
 
 
 class TestSerialization:

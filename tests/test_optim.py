@@ -263,7 +263,7 @@ class TestDefaults:
         w = glorot_uniform(3, 5, (3, 5), SplitMix64(7))
         u = SplitMix64(7).uniform(15).reshape(3, 5)
         assert np.array_equal(w, (2.0 * u - 1.0) * math.sqrt(6.0 / 8.0))
-        assert (L.CONV_CHUNK, O.CHUNK) == (1 << 22, 65536)
+        assert (L.CONV_CHUNK, O.CHUNK, M.INFER_VALUES) == (1 << 22, 65536, 1 << 17)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
