@@ -46,9 +46,12 @@ class Bundle:
 
     ``fields`` (required), ``optional`` and ``repeated`` (keys that may recur)
     map each key to the function that converts its text; other keys fail.
+    A value is read without its surrounding whitespace, except that keys in
+    ``indented`` keep the indentation after the one separator space.
     """
 
-    def __init__(self, manifest_path, fmt: str, fields: dict, optional=None, repeated=None):
+    def __init__(self, manifest_path, fmt: str, fields: dict, optional=None, repeated=None,
+                 indented=()):
         self.path, self.fields = Path(manifest_path), {}
         repeated = {"param": _param, **(repeated or {})}
         single = {"blob": str, **fields, **(optional or {})}
@@ -57,7 +60,9 @@ class Bundle:
             key, colon, text = line.partition(":")
             if line.strip() and not colon:
                 raise ManifestError(f"{self.path.name}: line {number} {line!r} has no 'field:'")
-            entries += [(key.strip(), text.strip())] if colon else []
+            key = key.strip()
+            text = text.removeprefix(" ").rstrip() if key in indented else text.strip()
+            entries += [(key, text)] if colon else []
         formats = [text for key, text in entries if key == "format"]
         if formats != [fmt]:
             raise self.error("format", f"reads {formats or 'nothing'}; expected [{fmt!r}]")

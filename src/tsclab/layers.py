@@ -243,8 +243,9 @@ def dropout_forward(x, rate: float, mode: str, rng: SplitMix64 | None):
         return x, None
     if rng is None:
         raise ValueError("dropout in train mode needs an rng")
-    u = rng.uniform(x.size).reshape(x.shape)
-    mask = (u >= rate) / (1.0 - rate)
+    mask = rng.uniform(x.size).reshape(x.shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
     return x * mask, mask
 
 

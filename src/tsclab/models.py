@@ -14,6 +14,7 @@ laid out once (``ModelSpec.layout``); the same walk sizes every infer batch
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -771,15 +772,24 @@ def save_model(model: TrainedModel, manifest_path) -> None:
 
 
 def load_model(manifest_path) -> TrainedModel:
-    """Rebuild the spec from the manifest; check its ``loss``, ``param`` and ``slicing``."""
+    """Rebuild the spec from the manifest; check its ``loss``, ``layer``, ``param`` and ``slicing``.
+
+    The ``layer`` rows must be the rebuilt spec's, in any order (a multiset).
+    """
     bundle = Bundle(manifest_path, MODEL_FORMAT, {**_SPEC_FIELDS, **_RUN_FIELDS},
                     optional={"slicing": _read_slicing},
-                    repeated={"option": _read_option, "layer": str})
+                    repeated={"option": _read_option, "layer": str}, indented={"layer"})
     f = bundle.fields
     spec = bundle.build(None, build_model, f["architecture_id"], f["input_length"],
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
     if f["loss"] != spec.loss:
         raise bundle.error("loss", f"reads {f['loss']!r}; {spec.architecture_id} uses {spec.loss!r}")
+    rows, want = Counter(f.get("layer", [])), Counter(_layer_rows(spec.describe()))
+    if rows != want:
+        extra = rows - want
+        row = next(iter(extra or want - rows))
+        why = f"row {row!r} is not" if extra else f"lacks a row {row!r} that is"
+        raise bundle.error("layer", f"{why} in the {spec.architecture_id} the manifest builds")
     spec.slicing = f.get("slicing")
     layout = [(name, shape) for name, shape, _ in param_layout(spec)]
     params = bundle.tensors(layout)

@@ -74,9 +74,14 @@ def _draw_reservoir(config: ReservoirConfig, dims: int):
     n = config.size
     for _ in range(5):
         stream = base.split()
-        W_in = (2.0 * stream.uniform(n * dims) - 1.0).reshape(n, dims) * config.input_scale
+        W_in = stream.uniform(n * dims).reshape(n, dims)
+        W_in *= 2.0
+        W_in -= 1.0
+        W_in *= config.input_scale
         keep = stream.uniform(n * n).reshape(n, n) >= config.sparsity
-        values = (2.0 * stream.uniform(n * n) - 1.0).reshape(n, n)
+        values = stream.uniform(n * n).reshape(n, n)
+        values *= 2.0
+        values -= 1.0
         W = np.where(keep, values, 0.0)
         rho = spectral_radius(W)
         if rho > 1e-12:

@@ -3,7 +3,10 @@
 Tensors are plain ``numpy.ndarray`` values in C (row-major) order with
 dtype float64.  All randomness in the package flows through
 :class:`SplitMix64`, which is bit-exact across platforms for a given
-seed; vectorized draws match the scalar stream element for element.
+seed; vectorized draws match the scalar stream element for element.  A
+vectorized draw mixes its words ``STREAM_CHUNK`` at a time, in place in one
+reused buffer, and scales each chunk straight into the output vector, so it
+allocates the output and two chunk-sized buffers whatever its length.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+STREAM_CHUNK = 1 << 15
+# the golden-ratio offsets of a chunk's words from the state before the chunk
+_OFFSETS = np.arange(1, STREAM_CHUNK + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 class SplitMix64:
@@ -43,19 +49,26 @@ class SplitMix64:
     def next_uniform(self) -> float:
         return (self.next_raw() >> 11) * _INV_2_53
 
-    def raw_array(self, n: int) -> np.ndarray:
-        """Next ``n`` raw words as uint64, advancing the state past them."""
-        inc = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = np.uint64(self.state) + inc
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self.state = (self.state + n * _GOLDEN) & _MASK64
-        return z
-
     def uniform(self, n: int) -> np.ndarray:
-        """Next ``n`` uniforms on [0, 1) as a float64 vector."""
-        return (self.raw_array(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        """Next ``n`` uniforms on [0, 1) as a float64 vector, advancing the state past them."""
+        out = np.empty(n)
+        words = np.empty(min(n, STREAM_CHUNK), np.uint64)
+        shifted = np.empty_like(words)
+        for lo in range(0, n, STREAM_CHUNK):
+            z, s = words[: n - lo], shifted[: n - lo]
+            np.add(_OFFSETS[: z.size], np.uint64(self.state), out=z)
+            self.state = (self.state + z.size * _GOLDEN) & _MASK64
+            np.right_shift(z, np.uint64(30), out=s)
+            z ^= s
+            z *= np.uint64(_MIX1)
+            np.right_shift(z, np.uint64(27), out=s)
+            z ^= s
+            z *= np.uint64(_MIX2)
+            np.right_shift(z, np.uint64(31), out=s)
+            z ^= s
+            z >>= np.uint64(11)
+            np.multiply(z, _INV_2_53, out=out[lo : lo + z.size])
+        return out
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle driven by this stream."""
@@ -78,4 +91,7 @@ def glorot_uniform(fan_in: int, fan_out: int, shape, rng: SplitMix64) -> np.ndar
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     n = int(np.prod(shape)) if len(shape) else 1
     u = rng.uniform(n)
-    return ((2.0 * u - 1.0) * limit).reshape(shape)
+    u *= 2.0
+    u -= 1.0
+    u *= limit
+    return u.reshape(shape)

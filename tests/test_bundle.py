@@ -95,6 +95,11 @@ FCN_CASES = common_cases("fcn", "tsclab-model-v1", "classes") + [
     ("bad-slicing", lambda lines: lines + ["slicing: fraction=0.9"], "'slicing'"),
     ("stray-slicing", lambda lines: lines + ["slicing: fraction=0.9 stride=2 warp=1.0"],
      "field 'slicing' does not apply to fcn"),
+    # a layer edited with its parameter shapes kept
+    ("layer-edited", swap("layer: act relu", "layer: act tanh"),
+     "field 'layer' row 'act tanh' is not in the fcn the manifest builds"),
+    ("layer-dropped", drop("layer: gap"),
+     "field 'layer' lacks a row 'gap' that is in the fcn the manifest builds"),
 ]
 
 TWIESN_CASES = common_cases("twiesn", "tsclab-twiesn-v1", "size") + [
@@ -151,6 +156,19 @@ def test_mcnn_without_its_options_is_refused(tmp_path):
     M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp_path / "m.model")
     assert_refused(M.load_model, tmp_path / "m.model", drop("option: pool_factor"),
                    "model is invalid")
+
+
+def test_layer_row_keeps_its_indentation(tmp_path):
+    """A nested row moved out of its block is a different layer tree, though no shape changes."""
+    spec = M.build_model("resnet", 16, 1, 2)
+    M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp_path / "m.model")
+    row = "layer:   conv filters=64 length=1 padding=same"
+    lines = (tmp_path / "m.model").read_text().splitlines()
+    lines[lines.index(row)] = row.replace(":   ", ": ")
+    (tmp_path / "m.model").write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ManifestError, match="field 'layer' row 'conv filters=64 length=1 "
+                                            "padding=same' is not in the resnet"):
+        M.load_model(tmp_path / "m.model")
 
 
 @pytest.mark.parametrize("arch, T, options", [

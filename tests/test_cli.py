@@ -679,7 +679,9 @@ class TestExplainCommands:
          "'filter_length'"),
         (lambda line: "loss: mse" if line.startswith("loss:") else line,
          "field 'loss' reads 'mse'; fcn uses 'cross_entropy'"),
-    ], ids=["option-fcn-does-not-take", "loss-fcn-does-not-use"])
+        (lambda line: "layer: act tanh" if line == "layer: act relu" else line,
+         "field 'layer' row 'act tanh' is not in the fcn the manifest builds"),
+    ], ids=["option-fcn-does-not-take", "loss-fcn-does-not-use", "layer-fcn-does-not-have"])
     def test_mds_refuses_manifest_that_contradicts_its_architecture(
             self, trained_fcn, tmp_path, capsys, edit, named):
         manifest, test_file = trained_fcn

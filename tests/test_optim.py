@@ -12,7 +12,7 @@ from tsclab import models as M
 from tsclab import optim as O
 from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
 from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
-from tsclab.tensor import SplitMix64, glorot_uniform
+from tsclab.tensor import STREAM_CHUNK, SplitMix64, glorot_uniform
 
 
 class TestOptimizers:
@@ -263,7 +263,8 @@ class TestDefaults:
         w = glorot_uniform(3, 5, (3, 5), SplitMix64(7))
         u = SplitMix64(7).uniform(15).reshape(3, 5)
         assert np.array_equal(w, (2.0 * u - 1.0) * math.sqrt(6.0 / 8.0))
-        assert (L.CONV_CHUNK, O.CHUNK, M.INFER_VALUES) == (1 << 22, 65536, 1 << 17)
+        assert (L.CONV_CHUNK, O.CHUNK, M.INFER_VALUES, STREAM_CHUNK) == (
+            1 << 22, 65536, 1 << 17, 1 << 15)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tsclab.tensor import SplitMix64, glorot_uniform
+from tsclab import layers as L
+from tsclab import reservoir as R
+from tsclab.tensor import STREAM_CHUNK, SplitMix64, glorot_uniform
 
 
 def reference_splitmix64(seed, count):
@@ -17,6 +22,37 @@ def reference_splitmix64(seed, count):
         z ^= z >> 31
         out.append(z)
     return out
+
+
+def reference_glorot_uniform(fan_in, fan_out, shape, rng):
+    """Glorot formed out of place: ``(2u - 1) * limit``."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    u = rng.uniform(int(np.prod(shape)) if len(shape) else 1)
+    return ((2.0 * u - 1.0) * limit).reshape(shape)
+
+
+def reference_draw_reservoir(config, dims):
+    """``reservoir._draw_reservoir``'s first attempt, each array formed out of place."""
+    stream = SplitMix64(config.seed).split()
+    n = config.size
+    W_in = (2.0 * stream.uniform(n * dims) - 1.0).reshape(n, dims) * config.input_scale
+    keep = stream.uniform(n * n).reshape(n, n) >= config.sparsity
+    values = (2.0 * stream.uniform(n * n) - 1.0).reshape(n, n)
+    return W_in, np.where(keep, values, 0.0)
+
+
+def reference_dropout_forward(x, rate, rng):
+    """Train-mode dropout with its mask formed from a boolean and a second float array."""
+    u = rng.uniform(x.size).reshape(x.shape)
+    mask = (u >= rate) / (1.0 - rate)
+    return x * mask, mask
+
+
+# draw sizes around the chunk edges; "mixed" is one stream drawn at several sizes in turn
+DRAWS = {"0": [0], "1": [1], "257": [257], "chunk-1": [STREAM_CHUNK - 1],
+         "chunk": [STREAM_CHUNK], "chunk+1": [STREAM_CHUNK + 1],
+         "2chunk+3": [2 * STREAM_CHUNK + 3],
+         "mixed": [3, STREAM_CHUNK - 1, 0, 2, STREAM_CHUNK + 5, 1, 257]}
 
 
 class TestSplitMix64:
@@ -50,19 +86,38 @@ class TestSplitMix64:
         s2 = [SplitMix64(2).next_uniform() for _ in range(100)]
         assert s1 != s2
 
-    def test_vectorized_matches_scalar(self):
-        scalar = SplitMix64(99)
-        values = [scalar.next_uniform() for _ in range(257)]
-        vec = SplitMix64(99).uniform(257)
-        assert values == list(vec)
+    @pytest.mark.parametrize("sizes", DRAWS.values(), ids=DRAWS.keys())
+    def test_vectorized_matches_scalar(self, sizes):
+        scalar, vec = SplitMix64(99), SplitMix64(99)
+        for n in sizes:
+            values = np.array([scalar.next_uniform() for _ in range(n)], dtype=np.float64)
+            got = vec.uniform(n)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert got.tobytes() == values.tobytes()
 
-    def test_vectorized_advances_state(self):
-        a = SplitMix64(5)
-        a.uniform(10)
-        b = SplitMix64(5)
-        for _ in range(10):
-            b.next_uniform()
-        assert a.state == b.state
+    @pytest.mark.parametrize("sizes", DRAWS.values(), ids=DRAWS.keys())
+    def test_vectorized_advances_state(self, sizes):
+        a, b = SplitMix64(5), SplitMix64(5)
+        for n in sizes:
+            a.uniform(n)
+            for _ in range(n):
+                b.next_uniform()
+            assert a.state == b.state
+
+    @pytest.mark.parametrize("draw", [
+        lambda: SplitMix64(3).uniform(1 << 20),
+        lambda: glorot_uniform(8, 128, (1 << 20,), SplitMix64(3)),
+    ], ids=["uniform", "glorot"])
+    def test_draw_memory_peak_is_bounded(self, draw):
+        """A 2^20-value draw holds its 8 MiB output and at most 2 MiB besides."""
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            draw()
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 + 2) * 2 ** 20, f"draw peaked {peak / 2 ** 20:.1f} MiB above the live set"
 
     def test_uniform_in_unit_interval(self):
         u = SplitMix64(11).uniform(10000)
@@ -98,3 +153,38 @@ class TestGlorot:
         a = glorot_uniform(4, 4, (2, 2), SplitMix64(42))
         b = glorot_uniform(4, 4, (2, 2), SplitMix64(42))
         assert np.array_equal(a, b)
+
+
+class TestInPlaceDraws:
+    """Callers that finish the uniforms in place keep the out-of-place bits."""
+
+    @pytest.mark.parametrize("fans, shape", [
+        ((3, 5), (3, 5)), ((8, 1024), (128, 8, 1)), ((1, 1), ()),
+        ((2816, 2048), (STREAM_CHUNK + 7,)),
+    ])
+    def test_glorot_matches_reference(self, fans, shape):
+        a, b = SplitMix64(21), SplitMix64(21)
+        got, want = glorot_uniform(*fans, shape, a), reference_glorot_uniform(*fans, shape, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert a.state == b.state
+
+    @pytest.mark.parametrize("config, dims", [
+        (R.ReservoirConfig(size=12, sparsity=0.5, spectral_radius=0.9, seed=8), 1),
+        (R.ReservoirConfig(size=200, sparsity=0.9, spectral_radius=0.5, input_scale=0.3,
+                           seed=3), 3),
+    ])
+    def test_reservoir_draw_matches_reference(self, config, dims):
+        W_in, W, _ = R._draw_reservoir(config, dims)
+        want_in, want = reference_draw_reservoir(config, dims)
+        assert W_in.tobytes() == want_in.tobytes() and W_in.shape == want_in.shape
+        assert W.tobytes() == want.tobytes() and W.shape == want.shape
+
+    @pytest.mark.parametrize("rate", [0.1, 0.2, 0.5, 0.9])
+    def test_dropout_matches_reference(self, rate):
+        x = 2.0 * SplitMix64(4).uniform(3 * 50 * 7).reshape(3, 50, 7) - 1.0
+        a, b = SplitMix64(6), SplitMix64(6)
+        y, mask = L.dropout_forward(x, rate, "train", a)
+        want_y, want_mask = reference_dropout_forward(x, rate, b)
+        assert mask.dtype == want_mask.dtype and mask.shape == want_mask.shape
+        assert mask.tobytes() == want_mask.tobytes() and y.tobytes() == want_y.tobytes()
+        assert a.state == b.state
