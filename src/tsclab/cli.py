@@ -59,7 +59,7 @@ ONE_BLAS_THREAD = frozenset({"mlp", "mcdcnn", "timecnn", "tlenet"})
 
 _DATA_ERRORS = (
     DataFormatError, VocabularyError, IntegrityError, MissingCellError,
-    ShapeError, UnsupportedArchitectureError, FileNotFoundError, ValueError,
+    ShapeError, UnsupportedArchitectureError, OSError, ValueError,
 )
 _NUMERIC_ERRORS = (TrainingDivergenceError, NumericError, DegenerateVarianceError)
 
@@ -235,6 +235,8 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     name = train_ds.meta.name
     arch = config.architecture
     out_dir = Path(config.out_dir)
+    if (results := out_dir / "results.csv").exists():  # refused before any run trains
+        S.load_runs(results)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(run_index: int):
@@ -261,7 +263,7 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     # malloc arenas; hand it back so that it does not add to what runs next.
     if (trim := _malloc_trim()) is not None:
         trim(0)
-    S.save_runs(records, out_dir / "results.csv")
+    S.save_runs(records, results)
     return records
 
 

@@ -15,7 +15,10 @@ import numpy as np
 
 from .data import TimeSeriesDataset
 from .errors import NumericError
-from .models import Sequential, TrainedModel, forward_batch, gap_head, infer_batch
+from .models import INFER_VALUES, Sequential, TrainedModel, forward_batch, gap_head, infer_batch
+
+MDS_MAX_ITERATIONS = 300
+MDS_TOL = 1e-6  # SMACOF stops below this relative stress improvement
 
 
 @dataclass
@@ -80,8 +83,11 @@ def distance_matrix(features: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances; symmetric with a zero diagonal."""
     if features.ndim != 2 or features.shape[0] < 2:
         raise ValueError(f"need at least 2 feature rows, got shape {features.shape}")
-    diff = features[:, None, :] - features[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    d = np.empty((len(features),) * 2)
+    rows = max(1, INFER_VALUES // features.size)  # a block's [rows, N, C] differences
+    for lo in range(0, len(d), rows):
+        diff = features[lo : lo + rows, None, :] - features[None, :, :]
+        d[lo : lo + rows] = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -115,13 +121,12 @@ def stress_value(d: np.ndarray, points: np.ndarray) -> float:
     return float(np.sqrt(((d - e) ** 2).sum() / (d * d).sum()))
 
 
-def mds_embed(d: np.ndarray, max_iterations: int = 300,
-              tol: float = 1e-6) -> MdsEmbedding:
+def mds_embed(d: np.ndarray) -> MdsEmbedding:
     """Metric MDS into 2-D: classical (eigen) start refined by SMACOF.
 
     The Guttman transform never increases the residual stress, so the
     recorded stress trace is non-increasing.  Stops when the relative
-    stress improvement drops below ``tol``.
+    stress improvement drops below ``MDS_TOL``.
     """
     d = np.asarray(d, dtype=np.float64)
     _check_distance_matrix(d)
@@ -130,7 +135,7 @@ def mds_embed(d: np.ndarray, max_iterations: int = 300,
     n = d.shape[0]
     x = _classical_init(d)
     trace = [stress_value(d, x)]
-    for _ in range(max_iterations):
+    for _ in range(MDS_MAX_ITERATIONS):
         e = distance_matrix(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(e > 0.0, d / np.where(e > 0.0, e, 1.0), 0.0)
@@ -139,7 +144,7 @@ def mds_embed(d: np.ndarray, max_iterations: int = 300,
         np.fill_diagonal(b, -b.sum(axis=1))
         x = (b @ x) / n
         trace.append(stress_value(d, x))
-        if trace[-2] - trace[-1] < tol * max(trace[-2], 1e-300):
+        if trace[-2] - trace[-1] < MDS_TOL * max(trace[-2], 1e-300):
             break
     return MdsEmbedding(x, trace[-1], trace)
 
@@ -156,8 +161,7 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def export_cam_svg(series: np.ndarray, cam_normalized: np.ndarray,
-                   width: float = 800.0, height: float = 300.0) -> str:
+def export_cam_svg(series: np.ndarray, cam_normalized: np.ndarray) -> str:
     """Series polyline with segments colored by CAM weight (blue: 0, red: 1)."""
     y = np.asarray(series, dtype=np.float64).reshape(-1)
     if y.shape[0] != cam_normalized.shape[0]:
@@ -165,7 +169,7 @@ def export_cam_svg(series: np.ndarray, cam_normalized: np.ndarray,
             f"series length {y.shape[0]} != cam length {cam_normalized.shape[0]}"
         )
     T = y.shape[0]
-    margin = 30.0
+    width, height, margin = 800.0, 300.0, 30.0
     lo, hi = float(y.min()), float(y.max())
     span = hi - lo if hi > lo else 1.0
 
@@ -195,12 +199,11 @@ _CLASS_PALETTE = (
 )
 
 
-def export_mds_svg(embedding: MdsEmbedding, labels: np.ndarray,
-                   size: float = 600.0) -> str:
+def export_mds_svg(embedding: MdsEmbedding, labels: np.ndarray) -> str:
     """Scatter of the embedding, one fixed color per class, with a legend."""
     pts = embedding.points
     labels = np.asarray(labels)
-    margin = 40.0
+    size, margin = 600.0, 40.0
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)

@@ -108,13 +108,13 @@ def dense_backward(gy: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # normalization
 
-def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, axes: tuple, eps: float):
+def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, axes: tuple):
     """Normalize ``x`` over ``axes``, then scale and shift; the statistics keep their axes."""
     n = math.prod(x.shape[a] for a in axes)  # not x.size // mean.size: the batch may be empty
     mean = x.mean(axis=axes, keepdims=True)
     xhat = x - mean
     var = np.square(xhat).sum(axis=axes, keepdims=True) / n  # ``x.var``'s bits, one ``x - mean``
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + EPS_NORM)
     xhat *= inv
     y = xhat * gamma
     y += beta
@@ -133,16 +133,8 @@ def _normalize_grad(gy: np.ndarray, cache):
     return gx, (gy * xhat).sum(axis=(0, 1)), gy.sum(axis=(0, 1))
 
 
-def batch_norm_forward(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    mode: str,
-    momentum: float = BN_MOMENTUM,
-    eps: float = EPS_NORM,
-):
+def batch_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       running_mean: np.ndarray, running_var: np.ndarray, mode: str):
     """Per-channel normalization over (batch, time).
 
     Train mode returns updated running statistics; infer mode normalizes in
@@ -150,7 +142,7 @@ def batch_norm_forward(
     """
     if mode == "infer":
         y = x - running_mean
-        y *= 1.0 / np.sqrt(running_var + eps)
+        y *= 1.0 / np.sqrt(running_var + EPS_NORM)
         y *= gamma
         y += beta
         return y, None, running_mean, running_var
@@ -158,9 +150,9 @@ def batch_norm_forward(
         raise DegenerateVarianceError(
             "batch norm needs at least 2 values per channel in train mode"
         )
-    y, cache, mean, var = _normalize(x, gamma, beta, (0, 1), eps)
-    new_mean = momentum * running_mean + (1.0 - momentum) * mean.ravel()
-    new_var = momentum * running_var + (1.0 - momentum) * var.ravel()
+    y, cache, mean, var = _normalize(x, gamma, beta, (0, 1))
+    new_mean = BN_MOMENTUM * running_mean + (1.0 - BN_MOMENTUM) * mean.ravel()
+    new_var = BN_MOMENTUM * running_var + (1.0 - BN_MOMENTUM) * var.ravel()
     return y, cache, new_mean, new_var
 
 
@@ -168,11 +160,11 @@ def batch_norm_backward(gy: np.ndarray, cache):
     return _normalize_grad(gy, cache)
 
 
-def instance_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = EPS_NORM):
+def instance_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Normalize each (instance, channel) slice over time; affine per channel."""
     if x.shape[1] < 2:
         raise DegenerateVarianceError("instance norm needs series length >= 2")
-    y, cache, _, _ = _normalize(x, gamma, beta, (1,), eps)
+    y, cache, _, _ = _normalize(x, gamma, beta, (1,))
     return y, cache
 
 

@@ -5,9 +5,9 @@ layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
 stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
-:class:`Node`); :func:`param_layout` lists the declared parameters in layer
-order, the order of the Glorot draws and of the serialized blob.  A spec is
-laid out once (``ModelSpec.layout``); the same walk sizes every infer batch
+:class:`Node`).  A spec is laid out once, on first use: ``ModelSpec.layout``
+lists the declared parameters in layer order, the order of the Glorot draws
+and of the serialized blob, and its widest layer sizes every infer batch
 (:func:`infer_batch`).
 """
 
@@ -432,14 +432,6 @@ class TrainedModel:
     best_epoch: int = 0
 
 
-def param_layout(spec: ModelSpec) -> list[tuple[str, tuple, object]]:
-    """``(name, shape, fill)`` of every parameter, in layer order (the blob's order).
-
-    A ``(fan_in, fan_out)`` fill is a Glorot draw; a number fills the tensor.
-    """
-    return spec.layout.params
-
-
 def infer_batch(spec: ModelSpec) -> int:
     """Series per infer forward: as many as keep the widest layer output within
     ``INFER_VALUES``, so each layer's pass stays in cache; at least one."""
@@ -458,7 +450,7 @@ def check_geometry(spec: ModelSpec, dataset: TimeSeriesDataset) -> None:
 def init_model(spec: ModelSpec, rng: SplitMix64) -> dict:
     """Fresh parameter dict; Glorot draws in layer order, row-major per tensor."""
     return {name: glorot_uniform(*fill, shape, rng) if isinstance(fill, tuple)
-            else np.full(shape, fill) for name, shape, fill in param_layout(spec)}
+            else np.full(shape, fill) for name, shape, fill in spec.layout.params}
 
 
 def trainable(name: str) -> bool:
@@ -567,7 +559,7 @@ def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: in
         "mcnn", slice_T, M, K, "cross_entropy", net,
         options={"filter_length": filter_length, "pool_factor": pool_factor},
     )
-    param_layout(spec)  # surfaces invalid geometry early
+    spec.layout  # surfaces invalid geometry early
     return spec
 
 
@@ -608,7 +600,7 @@ def build_timecnn(T: int, M: int, K: int) -> ModelSpec:
         Flatten(), Dense(K), Act("sigmoid"),
     ])
     spec = ModelSpec("timecnn", T, M, K, "mse", net)
-    param_layout(spec)  # surfaces too-short series as invalid-argument
+    spec.layout  # surfaces too-short series as invalid-argument
     return spec
 
 
@@ -660,12 +652,6 @@ def backward_batch(spec: ModelSpec, params: dict, caches: dict, gy: np.ndarray):
     return gx, grads
 
 
-def forward(model: TrainedModel, batch: np.ndarray, mode: str = "infer",
-            rng: SplitMix64 | None = None) -> np.ndarray:
-    y, _ = forward_batch(model.spec, model.params, batch, mode, rng)
-    return y
-
-
 def gap_head(spec: ModelSpec) -> tuple[str, str]:
     """(gap prefix, head dense prefix) for GAP-headed architectures."""
     net = spec.net
@@ -691,28 +677,28 @@ def _slicing_fault(spec: ModelSpec) -> str:
     return f"does not apply to {spec.architecture_id}, which takes whole series"
 
 
-def predict(model: TrainedModel, dataset: TimeSeriesDataset,
-            batch_size: int | None = None) -> np.ndarray:
+def predict(model: TrainedModel, dataset: TimeSeriesDataset) -> np.ndarray:
     """Class indices for every series, by a vote over its slices.
 
     The window-sliced architectures must carry their slicing config (their
     training pool was sliced, so test series are sliced the same way);
     whole-series architectures must not, and vote with one slice, the series.
-    Slices go through ``batch_size`` at a time, :func:`infer_batch` by default.
+    Each forward takes :func:`infer_batch` slices.
     """
     spec = model.spec
     if fault := _slicing_fault(spec):
         raise ValueError(f"slicing {fault}")
-    batch_size = batch_size or infer_batch(spec)
+    batch = infer_batch(spec)
     L, stride = (spec.input_length, spec.slicing.stride) if spec.slicing else (dataset.length, 1)
-    # every slice of every series, parent-major, gathered batch_size at a time
+    # every slice of every series, parent-major, gathered a batch at a time
     view, starts = slice_view(dataset.X, L, stride)
     parents = np.repeat(np.arange(dataset.n), len(starts))
     slice_labels = np.empty(parents.size, dtype=np.int64)
-    for lo in range(0, parents.size, batch_size):
-        flat = np.arange(lo, min(lo + batch_size, parents.size))
+    for lo in range(0, parents.size, batch):
+        flat = np.arange(lo, min(lo + batch, parents.size))
         slices = view[parents[flat], starts[flat % len(starts)]]
-        slice_labels[lo : lo + batch_size] = forward(model, slices).argmax(axis=1)
+        y, _ = forward_batch(spec, model.params, slices, "infer")
+        slice_labels[lo : lo + batch] = y.argmax(axis=1)
     # per-series vote counts; argmax takes the lowest class among equals
     votes = np.bincount(parents * spec.classes + slice_labels,
                         minlength=dataset.n * spec.classes).reshape(dataset.n, spec.classes)
@@ -791,7 +777,7 @@ def load_model(manifest_path) -> TrainedModel:
         why = f"row {row!r} is not" if extra else f"lacks a row {row!r} that is"
         raise bundle.error("layer", f"{why} in the {spec.architecture_id} the manifest builds")
     spec.slicing = f.get("slicing")
-    layout = [(name, shape) for name, shape, _ in param_layout(spec)]
+    layout = [(name, shape) for name, shape, _ in spec.layout.params]
     params = bundle.tensors(layout)
     if fault := _slicing_fault(spec):
         raise bundle.error("slicing", fault)

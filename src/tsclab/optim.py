@@ -26,15 +26,10 @@ from .models import (ModelSpec, TrainedModel, backward_batch, check_geometry, fo
 from .tensor import SplitMix64
 
 
-@dataclass
-class PlateauConfig:
-    factor: float = 0.5
-    patience: int = 50
-    min_lr: float = 1e-4
-
-    def __post_init__(self):
-        if not 0.0 < self.factor < 1.0:
-            raise ValueError(f"plateau factor must be in (0, 1), got {self.factor}")
+# Keras' ReduceLROnPlateau as the published nets use it
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 50
+PLATEAU_MIN_LR = 1e-4
 
 
 @dataclass
@@ -45,7 +40,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     decay: float = 0.0
     split_fraction: float = 0.0  # share of each class held out for validation
-    plateau: PlateauConfig | None = None
+    plateau: bool = False  # halve the rate on a plateau of the monitored loss
     seed: int = 0
 
     def __post_init__(self):
@@ -68,16 +63,15 @@ class TrainHistory:
 
 def default_config(architecture_id: str, seed: int = 0) -> TrainConfig:
     """Published optimization hyperparameters for the eight gradient-trained nets."""
-    plateau = PlateauConfig()
     table = {
-        "mlp": TrainConfig("adadelta", 5000, 16, 1.0, 0.0, 0.0, plateau, seed),
-        "fcn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, plateau, seed),
-        "resnet": TrainConfig("adam", 1500, 16, 0.001, 0.0, 0.0, plateau, seed),
-        "encoder": TrainConfig("adam", 100, 12, 1e-5, 0.0, 0.0, None, seed),
-        "mcnn": TrainConfig("adam", 200, 256, 0.1, 0.0, 0.2, None, seed),
-        "tlenet": TrainConfig("adam", 1000, 256, 0.01, 0.005, 0.0, None, seed),
-        "mcdcnn": TrainConfig("sgd", 120, 16, 0.01, 0.0005, 0.33, None, seed),
-        "timecnn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, None, seed),
+        "mlp": TrainConfig("adadelta", 5000, 16, 1.0, 0.0, 0.0, True, seed),
+        "fcn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, True, seed),
+        "resnet": TrainConfig("adam", 1500, 16, 0.001, 0.0, 0.0, True, seed),
+        "encoder": TrainConfig("adam", 100, 12, 1e-5, 0.0, 0.0, False, seed),
+        "mcnn": TrainConfig("adam", 200, 256, 0.1, 0.0, 0.2, False, seed),
+        "tlenet": TrainConfig("adam", 1000, 256, 0.01, 0.005, 0.0, False, seed),
+        "mcdcnn": TrainConfig("sgd", 120, 16, 0.01, 0.0005, 0.33, False, seed),
+        "timecnn": TrainConfig("adam", 2000, 16, 0.001, 0.0, 0.0, False, seed),
     }
     if architecture_id not in table:
         raise ValueError(f"no default optimization config for {architecture_id!r}")
@@ -234,13 +228,12 @@ def make_optimizer(kind: str) -> Optimizer:
 class LrSchedule:
     """Time decay lr0/(1 + decay*updates), composed with plateau halving.
 
-    The plateau rule multiplies the base rate by ``factor`` whenever the
-    monitored loss has not improved for ``patience`` consecutive epochs,
-    never dropping below ``min_lr``.
+    With ``plateau``, the base rate is multiplied by ``PLATEAU_FACTOR``
+    whenever the monitored loss has not improved for ``PLATEAU_PATIENCE``
+    consecutive epochs, never dropping below ``PLATEAU_MIN_LR``.
     """
 
-    def __init__(self, base_lr: float, decay: float = 0.0,
-                 plateau: PlateauConfig | None = None):
+    def __init__(self, base_lr: float, decay: float = 0.0, plateau: bool = False):
         self.base_lr = base_lr
         self.decay = decay
         self.plateau = plateau
@@ -256,15 +249,15 @@ class LrSchedule:
         self.updates += 1
 
     def after_epoch(self, monitored_loss: float) -> None:
-        if self.plateau is None:
+        if not self.plateau:
             return
         if monitored_loss < self.best:
             self.best = monitored_loss
             self.wait = 0
             return
         self.wait += 1
-        if self.wait >= self.plateau.patience:
-            self.plateau_lr = max(self.plateau.min_lr, self.plateau_lr * self.plateau.factor)
+        if self.wait >= PLATEAU_PATIENCE:
+            self.plateau_lr = max(PLATEAU_MIN_LR, self.plateau_lr * PLATEAU_FACTOR)
             self.wait = 0
 
 

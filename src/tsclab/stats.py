@@ -33,6 +33,7 @@ BASELINE_HEADER = ["dataset", "classifier", "accuracy"]
 
 LENGTH_BANDS = ("<81", "81-250", "251-450", "451-700", "701-1000", ">1000")
 TRAIN_SIZE_BANDS = ("<100", "100-399", "400-799", ">799")
+WILCOXON_EXACT_LIMIT = 20  # the largest sample whose p is counted exactly
 
 
 @dataclass
@@ -214,8 +215,8 @@ def _wilcoxon_normal(n: int, w: float, ranks: np.ndarray) -> float:
     return min(1.0, 2.0 * normal_cdf(z))
 
 
-def wilcoxon_signed_rank(a, b, exact_limit: int = 20) -> float:
-    """Two-sided p for paired samples; exact for n <= 20, else normal approx.
+def wilcoxon_signed_rank(a, b) -> float:
+    """Two-sided p for paired samples; exact for n <= 20 nonzero pairs, else normal approx.
 
     Zero differences are dropped (Wilcoxon's original treatment); ties in
     |d| take mean ranks, with the tie-corrected variance and a 0.5
@@ -224,7 +225,7 @@ def wilcoxon_signed_rank(a, b, exact_limit: int = 20) -> float:
     n, w, ranks = _signed_rank_stats(a, b)
     if n == 0:
         return 1.0
-    if n <= exact_limit:
+    if n <= WILCOXON_EXACT_LIMIT:
         return _wilcoxon_exact(n, w, ranks)
     return _wilcoxon_normal(n, w, ranks)
 

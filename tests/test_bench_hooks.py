@@ -2,6 +2,9 @@
 
 The benchmark (``perfbench/``) wraps tsclab functions by name; a rename or a
 deletion of one of them fails here rather than only in a traced benchmark run.
+Its run capture also relies on two call shapes, ``cli.train_single_run(arch,
+train_ds, test_ds, seed, ...)`` and ``optim.train(spec, data, config,
+log_fn=None)``, and on one ``log_fn`` call per epoch.
 """
 
 import sys
@@ -11,6 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import probes  # noqa: E402
 import tracer  # noqa: E402
+from conftest import save_mts_long, toy_dataset  # noqa: E402
 from tsclab import cli, data, explain, layers, models, optim, reservoir, stats  # noqa: E402
 
 
@@ -42,3 +46,21 @@ def test_tracer_wraps_the_live_names_and_close_restores_them():
     for space, names in before.items():
         assert after[space].keys() == names.keys(), space
         assert [k for k, v in names.items() if after[space][k] is not v] == [], space
+
+
+def test_run_capture_sees_each_run_and_each_epoch(tmp_path):
+    train, test = tmp_path / "Toy_TRAIN.csv", tmp_path / "Toy_TEST.csv"
+    save_mts_long(toy_dataset(n=6, T=12, seed=1), train)
+    save_mts_long(toy_dataset(n=4, T=12, seed=2), test)
+    capture, patcher = probes.RunCapture(), tracer.Patcher()
+    try:
+        capture.install(patcher, cli, optim)
+        records = cli.run_experiment(cli.ExperimentConfig(
+            str(train), str(test), "mlp", runs=1, out_dir=str(tmp_path / "out"),
+            overrides={"epochs": 2}))
+    finally:
+        patcher.close()
+    assert [(r.architecture, r.seed) for r in records] == [("mlp", 0)]
+    assert list(capture.models) == [("mlp", 0)]
+    [(series, durations)] = capture.epochs["mlp"]
+    assert series == 6 and len(durations) == 2

@@ -34,6 +34,23 @@ needs_openblas = pytest.mark.skipif(cli.blas_thread_count() is None,
                                     reason="numpy's bundled OpenBLAS is not loaded")
 
 
+@pytest.mark.parametrize("command", ["train", "cam", "mds", "compare"])
+def test_directory_in_place_of_a_file_exits_2_naming_it(tmp_path, capsys, command):
+    _, test = write_ucr_pair(tmp_path)
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    argv = {
+        "train": ["train", "--arch", "mlp", "--train", folder, "--test", folder],
+        "cam": ["cam", "--model", folder, "--data", test, "--class", "0"],
+        "mds": ["mds", "--model", folder, "--data", test],
+        "compare": ["compare", "--results", folder],
+    }[command]
+    assert run(argv + ["--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(folder) in err and "Traceback" not in err
+
+
 def layer_nodes(node):
     """``node`` and every layer below it."""
     yield node
@@ -82,6 +99,23 @@ class TestTrainCommand:
                 "--runs", "1", "--seed", "3", "--epochs", "2", "--out", out,
             ]) == 0
         assert len(S.load_runs(out / "results.csv")) == 1
+
+    def test_unreadable_results_file_is_refused_before_training(self, tmp_path, capsys,
+                                                                monkeypatch):
+        train, test = write_ucr_pair(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.csv").write_text("bogus,header\n")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run trained before results.csv was read")
+
+        monkeypatch.setattr(cli.O, "train", no_training)
+        assert run(["train", "--arch", "mlp", "--train", train, "--test", test,
+                    "--epochs", "2", "--runs", "2", "--out", out]) == 2
+        assert "results.csv: unrecognized header" in capsys.readouterr().err
+        assert not list(out.glob("*.model"))
+        assert (out / "results.csv").read_text() == "bogus,header\n"
 
     def test_train_file_not_utf8_exits_2(self, tmp_path, capsys):
         train, test = write_ucr_pair(tmp_path)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,7 +105,39 @@ class TestCam:
         assert cam.values.shape == (37,)
 
 
+def reference_distance_matrix(features):
+    """``distance_matrix`` as one ``[N, N, C]`` difference array, before it went in row blocks."""
+    diff = features[:, None, :] - features[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 class TestDistanceMatrix:
+    @pytest.mark.parametrize("shape", [(150, 128), (300, 128), (97, 64), (40, 7), (2, 1)])
+    @pytest.mark.parametrize("values", [None, 1])
+    def test_row_blocks_keep_the_bits_of_the_whole_matrix(self, shape, values, monkeypatch):
+        # values=1 walks one row a block; (97, 64) leaves a ragged last block
+        if values is not None:
+            monkeypatch.setattr(E, "INFER_VALUES", values)
+        f = random_batch(shape, seed=shape[0])
+        assert E.distance_matrix(f).tobytes() == reference_distance_matrix(f).tobytes()
+
+    @pytest.mark.parametrize("shape", [(150, 128), (300, 128)])
+    def test_peak_is_two_blocks_plus_the_matrix(self, shape):
+        # a block's differences and their squares, or the last block's beside
+        # the next; the whole [N, N, C] difference array peaked 44.1 MB above
+        # the live set at (150, 128)
+        f = random_batch(shape, seed=4)
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            d = E.distance_matrix(f)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * E.INFER_VALUES + d.nbytes + (1 << 17), f"{peak / 1e6:.2f} MB"
+
     def test_identical_rows_zero_distance(self):
         f = np.ones((3, 4))
         d = E.distance_matrix(f)

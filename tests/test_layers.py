@@ -427,7 +427,7 @@ class TestNormalizationCore:
         batch, T, C, seed, scale = case
         x = random_batch((batch, T, C), seed=seed, scale=scale) + offset
         gamma, beta = random_batch((C,), seed=seed + 1), random_batch((C,), seed=seed + 2)
-        y, (inv, xhat, *_), mean, var = L._normalize(x, gamma, beta, axes, L.EPS_NORM)
+        y, (inv, xhat, *_), mean, var = L._normalize(x, gamma, beta, axes)
         assert_same_bits((y, xhat, inv, mean, var), reference_normalize(x, gamma, beta, axes))
 
     @pytest.mark.parametrize("T", [8, 9, 150])
@@ -437,7 +437,7 @@ class TestNormalizationCore:
         with np.errstate(all="raise"):
             y, _ = L.instance_norm_forward(np.zeros((0, T, 3)), np.ones(3), np.zeros(3))
             spec = M.build_encoder(T, 2, 3)
-            layout = M.param_layout(spec)
+            layout = spec.layout.params
         assert y.shape == (0, T, 3)
         assert spec.net.out_shape((T, 2)) == (3,)
         assert [name for name, _, _ in layout if name.startswith("2.")] == ["2.slopes"]

@@ -27,6 +27,11 @@ def build_and_init(arch, T, Mdims=1, K=2, seed=0, **options):
     return spec, params
 
 
+def infer(model, x):
+    """The net's infer-mode output for the batch ``x``."""
+    return M.forward_batch(model.spec, model.params, x, "infer")[0]
+
+
 def build_small(arch, Mdims=1, K=2, seed=0):
     """Any of the eight networks at a small geometry; mcnn at one grid point."""
     T = {"timecnn": 60, "mcnn": 27}.get(arch, 16)
@@ -339,7 +344,7 @@ class TestKernelGeometry:
             node.out_shape(in_shape)
         net = M.Sequential([node, M.Flatten(), M.Dense(2)])
         with pytest.raises(ValueError):
-            M.param_layout(M.ModelSpec("probe", *in_shape, 2, "mse", net))
+            M.ModelSpec("probe", *in_shape, 2, "mse", net).layout
 
 
 class TestForward:
@@ -383,7 +388,7 @@ class TestForward:
         assert len(returned) == len(dense)
         for prefix, (_, gw, gb) in zip(dense, returned):
             assert grads[f"{prefix}.w"] is gw and grads[f"{prefix}.b"] is gb
-        names = [name for name, _, _ in M.param_layout(spec) if M.trainable(name)]
+        names = [name for name, _, _ in spec.layout.params if M.trainable(name)]
         assert sorted(grads) == sorted(names) and len(set(names)) == len(names)
 
     def test_mlp_forward_matches_unrolled_matmuls(self):
@@ -485,7 +490,7 @@ class TestPredict:
         spec, params = build_and_init("fcn", 16, 1, 3, seed=1)
         ds = toy_dataset(n=6, T=16, K=3, seed=2)
         model = M.TrainedModel(spec, params)
-        y = M.forward(model, ds.X)
+        y = infer(model, ds.X)
         expected = np.array([int(row.argmax()) for row in y])
         assert np.array_equal(M.predict(model, ds), expected)
 
@@ -498,11 +503,11 @@ class TestPredict:
         # oracle: forward each slice by hand, vote
         for i in range(3):
             slices = np.stack([ds.X[i, s : s + 9, :] for s in (0, 1)])
-            votes = M.forward(model, slices).argmax(axis=1)
+            votes = infer(model, slices).argmax(axis=1)
             assert labels[i] == np.bincount(votes, minlength=2).argmax()
 
     @pytest.mark.parametrize("batch_size", [1, 7, 256])
-    def test_batched_votes_match_per_series_vote(self, batch_size):
+    def test_batched_votes_match_per_series_vote(self, batch_size, monkeypatch):
         # chunks of 7 slices straddle series boundaries (8 slices a series);
         # this init gives every class a win and two 3-3-2 ties, which go to
         # the lowest tied class
@@ -512,19 +517,21 @@ class TestPredict:
         ds = toy_dataset(n=9, T=26, K=3, seed=8)
         starts = slice_starts(26, 12, 2)
         assert len(starts) == 8
-        votes = [M.forward(model, np.stack([ds.X[i, s : s + 12, :] for s in starts]))
+        votes = [infer(model, np.stack([ds.X[i, s : s + 12, :] for s in starts]))
                  .argmax(axis=1) for i in range(ds.n)]
         counts = [sorted(np.bincount(v, minlength=3)) for v in votes]
         assert sum(c[-1] == c[-2] for c in counts) == 2
         expected = [np.bincount(v, minlength=3).argmax() for v in votes]
         assert set(expected) == {0, 1, 2}
-        assert M.predict(model, ds, batch_size=batch_size).tolist() == expected
+        monkeypatch.setattr(M, "INFER_VALUES", batch_size * spec.layout.widest)
+        assert M.infer_batch(spec) == batch_size
+        assert M.predict(model, ds).tolist() == expected
 
     def test_single_slice_vote_equals_direct_prediction(self):
         spec, params = build_and_init("tlenet", 16, 1, 2, seed=5)
         ds = toy_dataset(n=4, T=16, K=2, seed=6)
         model = M.TrainedModel(spec, params)
-        direct = M.forward(model, ds.X).argmax(axis=1)
+        direct = infer(model, ds.X).argmax(axis=1)
         spec.slicing = SlicingConfig(1.0, 1, (1.0,))
         voted = M.predict(model, ds)
         assert np.array_equal(direct, voted)
@@ -633,13 +640,13 @@ class TestInferBatch:
         spec = M.build_model("timecnn", 60, 2, 3)
         nodes = len(walks)
         M.init_model(spec, SplitMix64(0))
-        M.param_layout(spec)
+        spec.layout.params
         M.predict(M.TrainedModel(spec, M.init_model(spec, SplitMix64(1))),
                   toy_dataset(n=4, T=60, M=2, K=3))
         assert nodes > 0 and len(walks) == nodes
 
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
-    def test_labels_do_not_depend_on_the_batch(self, arch):
+    def test_labels_do_not_depend_on_the_batch(self, arch, monkeypatch):
         # a batch of 256 and the net's own batch split the series (mcnn's and
         # tlenet's slices) at different places
         options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
@@ -650,7 +657,9 @@ class TestInferBatch:
         model = M.TrainedModel(spec, params)
         ds = toy_dataset(n=60 if arch == "mcnn" else 300, T=64, M=2, K=3, seed=59)
         assert M.infer_batch(spec) != 256
-        assert np.array_equal(M.predict(model, ds), M.predict(model, ds, batch_size=256))
+        labels = M.predict(model, ds)
+        monkeypatch.setattr(M, "INFER_VALUES", 256 * spec.layout.widest)
+        assert np.array_equal(labels, M.predict(model, ds))
 
     def test_fcn_predict_peak_is_bounded(self):
         # one forward of all 150 series at T=150 peaked 143.7 MB above the live
@@ -692,7 +701,7 @@ class TestSerialization:
             assert loaded.params[name].tobytes() == params[name].tobytes()
         x = random_batch((2, T, 1), seed=21)
         assert np.array_equal(
-            M.forward(model, x), M.forward(loaded, x)
+            infer(model, x), infer(loaded, x)
         )
 
     def test_round_trip_with_slicing_and_options(self, tmp_path):
@@ -737,7 +746,7 @@ class TestParamLayout:
         x = random_batch((3, spec.input_length, 2), seed=30)
         y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(31))
         _, grads = M.backward_batch(spec, params, caches, random_batch(y.shape, seed=32))
-        declared = {name for name, _, _ in M.param_layout(spec) if M.trainable(name)}
+        declared = {name for name, _, _ in spec.layout.params if M.trainable(name)}
         assert set(grads) == declared
         for name, g in grads.items():
             assert g.shape == params[name].shape, name

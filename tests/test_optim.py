@@ -1,4 +1,3 @@
-import inspect
 import math
 
 import numpy as np
@@ -7,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import separable_dataset, toy_dataset
+from tsclab import explain as E
 from tsclab import layers as L
 from tsclab import models as M
 from tsclab import optim as O
+from tsclab import stats as S
 from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
 from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
 from tsclab.tensor import STREAM_CHUNK, SplitMix64, glorot_uniform
@@ -186,7 +187,7 @@ class TestLrSchedule:
         assert abs(sched.current() - 0.005) < 1e-15
 
     def test_plateau_halving_and_floor(self):
-        sched = O.LrSchedule(0.001, plateau=O.PlateauConfig())
+        sched = O.LrSchedule(0.001, plateau=True)
         sched.after_epoch(1.0)  # first epoch sets the best
         values = []
         for _ in range(300):
@@ -200,7 +201,7 @@ class TestLrSchedule:
         assert values[-1] == 0.0001
 
     def test_improvement_resets_the_counter(self):
-        sched = O.LrSchedule(0.001, plateau=O.PlateauConfig())
+        sched = O.LrSchedule(0.001, plateau=True)
         loss = 1.0
         sched.after_epoch(loss)
         for _ in range(49):
@@ -233,29 +234,42 @@ class TestDefaults:
             assert cfg.batch_size == row[3], arch
             assert cfg.learning_rate == row[4], arch
             assert cfg.decay == row[5], arch
-            assert (cfg.plateau is not None) == row[6], arch
+            assert cfg.plateau is row[6], arch
             assert (cfg.split_fraction > 0) == (arch in ("mcnn", "mcdcnn")), arch
         assert O.default_config("mcnn").split_fraction == 0.2
         assert O.default_config("mcdcnn").split_fraction == 0.33
 
     def test_plateau_defaults(self):
-        p = O.default_config("fcn").plateau
-        assert p.factor == 0.5 and p.patience == 50 and p.min_lr == 1e-4
+        assert O.default_config("fcn").plateau is True
+        assert (O.PLATEAU_FACTOR, O.PLATEAU_PATIENCE, O.PLATEAU_MIN_LR) == (0.5, 50, 1e-4)
 
     def test_numeric_constants(self):
         """The README "Constants" table, value by value."""
         assert (L.EPS_NORM, L.BN_MOMENTUM, L.EPS_LOG) == (1e-5, 0.9, 1e-12)
-        kernel_defaults = {name: p.default for f in (L.batch_norm_forward,
-                                                     L.instance_norm_forward)
-                           for name, p in inspect.signature(f).parameters.items()
-                           if name in ("eps", "momentum")}
-        assert kernel_defaults == {"eps": 1e-5, "momentum": 0.9}
+        # the norm kernels read the two constants: eps moves every normalized
+        # output, the momentum only the running statistics
+        x = np.arange(12.0).reshape(2, 3, 2)
+        norm_params = np.ones(2), np.zeros(2), np.zeros(2), np.ones(2)
+
+        def norm_outputs():
+            y, _, new_mean, new_var = L.batch_norm_forward(x, *norm_params, "train")
+            return (y, new_mean, new_var, L.batch_norm_forward(x, *norm_params, "infer")[0],
+                    L.instance_norm_forward(x, *norm_params[:2])[0])
+
+        base = norm_outputs()
+        for name, value, moved in (("EPS_NORM", 1.0, {0, 3, 4}), ("BN_MOMENTUM", 0.5, {1, 2})):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(L, name, value)
+                got = norm_outputs()
+            assert {i for i, (g, b) in enumerate(zip(got, base))
+                    if not np.array_equal(g, b)} == moved, name
         assert M.BatchNorm().shapes((6, 3)) == (((3,), 1.0), ((3,), 0.0),
                                                 ((3,), 0.0), ((3,), 1.0))
         assert M.InstanceNorm().shapes((6, 3)) == (((3,), 1.0), ((3,), 0.0))
         assert (O.ADAM_BETA1, O.ADAM_BETA2, O.ADAM_EPS) == (0.9, 0.999, 1e-8)
         assert (O.ADADELTA_RHO, O.ADADELTA_EPS) == (0.95, 1e-8)
-        assert O.PlateauConfig() == O.PlateauConfig(0.5, 50, 1e-4)
+        assert (O.PLATEAU_FACTOR, O.PLATEAU_PATIENCE, O.PLATEAU_MIN_LR) == (0.5, 50, 1e-4)
+        assert (E.MDS_MAX_ITERATIONS, E.MDS_TOL, S.WILCOXON_EXACT_LIMIT) == (300, 1e-6, 20)
         assert M.PRelu().shapes((6, 3)) == (((3,), 0.25),)
         # Glorot fans are receptive-field sizes; biases start at 0
         assert M.Dense(4).shapes((3,)) == (((3, 4), (3, 4)), ((4,), 0.0))
@@ -276,8 +290,6 @@ class TestDefaults:
         for epochs in (0, -1):
             with pytest.raises(ValueError, match="epoch count"):
                 O.TrainConfig(epochs=epochs)
-        with pytest.raises(ValueError):
-            O.PlateauConfig(factor=1.0)
 
 
 def small_config(epochs=5, seed=0, **kw):
@@ -312,8 +324,7 @@ class TestTrain:
     def test_separable_toy_reaches_full_train_accuracy(self):
         ds = separable_dataset(n=20, T=16)
         spec = M.build_fcn(16, 1, 2)
-        config = O.TrainConfig("adam", 100, 16, 0.001, seed=0,
-                               plateau=O.PlateauConfig())
+        config = O.TrainConfig("adam", 100, 16, 0.001, seed=0, plateau=True)
         model, history = O.train(spec, ds, config)
         assert M.accuracy(model, ds) == 1.0
 

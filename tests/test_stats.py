@@ -230,9 +230,15 @@ class TestWilcoxon:
         for _ in range(20):
             a = rng.uniform(0, 1, 20)
             b = rng.uniform(0, 1, 20)
-            exact = S.wilcoxon_signed_rank(a, b, exact_limit=20)
-            approx = S.wilcoxon_signed_rank(a, b, exact_limit=0)
+            stats = S._signed_rank_stats(a, b)
+            exact = S._wilcoxon_exact(*stats)
+            approx = S._wilcoxon_normal(*stats)
             assert abs(exact - approx) < 0.01
+            # 20 pairs are counted exactly, 21 take the normal approximation
+            assert S.wilcoxon_signed_rank(a, b) == exact
+            a21, b21 = np.append(a, 0.5), np.append(b, 0.25)
+            assert S.wilcoxon_signed_rank(a21, b21) == S._wilcoxon_normal(
+                *S._signed_rank_stats(a21, b21))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
