@@ -236,7 +236,7 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     arch = config.architecture
     out_dir = Path(config.out_dir)
     if (results := out_dir / "results.csv").exists():  # refused before any run trains
-        S.load_runs(results)
+        S.load_runs(results, baselines=False)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(run_index: int):

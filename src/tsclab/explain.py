@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import svg
 from .data import TimeSeriesDataset
 from .errors import NumericError
 from .models import INFER_VALUES, Sequential, TrainedModel, forward_batch, gap_head, infer_batch
@@ -157,10 +158,6 @@ def _ramp_color(t: float) -> str:
     return f"#{r:02x}00{255 - r:02x}"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
-
 def export_cam_svg(series: np.ndarray, cam_normalized: np.ndarray) -> str:
     """Series polyline with segments colored by CAM weight (blue: 0, red: 1)."""
     y = np.asarray(series, dtype=np.float64).reshape(-1)
@@ -179,18 +176,10 @@ def export_cam_svg(series: np.ndarray, cam_normalized: np.ndarray) -> str:
     def py(v: float) -> float:
         return height - margin - (v - lo) / span * (height - 2 * margin)
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    ]
-    for t in range(T - 1):
-        parts.append(
-            f'<line x1="{_fmt(px(t))}" y1="{_fmt(py(y[t]))}" '
-            f'x2="{_fmt(px(t + 1))}" y2="{_fmt(py(y[t + 1]))}" '
-            f'stroke="{_ramp_color(float(cam_normalized[t]))}" stroke-width="2"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts = [svg.element("line", x1=px(t), y1=py(y[t]), x2=px(t + 1), y2=py(y[t + 1]),
+                         stroke=_ramp_color(float(cam_normalized[t])), stroke_width=2)
+             for t in range(T - 1)]
+    return svg.document(width, height, parts)
 
 
 _CLASS_PALETTE = (
@@ -213,29 +202,18 @@ def export_mds_svg(embedding: MdsEmbedding, labels: np.ndarray) -> str:
         sy = size - margin - (p[1] - lo[1]) / span[1] * (size - 2 * margin)
         return sx, sy
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size + 140)}" '
-        f'height="{_fmt(size)}" viewBox="0 0 {_fmt(size + 140)} {_fmt(size)}">'
-    ]
+    parts = []
     for i in range(pts.shape[0]):
         x, y = px(pts[i])
         color = _CLASS_PALETTE[int(labels[i]) % len(_CLASS_PALETTE)]
-        parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}" '
-            f'fill-opacity="0.8"/>'
-        )
+        parts.append(svg.element("circle", cx=x, cy=y, r=4, fill=color, fill_opacity="0.8"))
     for row, cls in enumerate(sorted({int(v) for v in labels})):
         color = _CLASS_PALETTE[cls % len(_CLASS_PALETTE)]
         ly = 30.0 + 20.0 * row
-        parts.append(
-            f'<circle cx="{_fmt(size + 20)}" cy="{_fmt(ly)}" r="5" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(size + 32)}" y="{_fmt(ly + 4)}" font-size="12" '
-            f'font-family="sans-serif">class {cls}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(svg.element("circle", cx=size + 20, cy=ly, r=5, fill=color))
+        parts.append(svg.element("text", f"class {cls}", x=size + 32, y=ly + 4, font_size=12,
+                                 font_family="sans-serif"))
+    return svg.document(size + 140, size, parts)
 
 
 def cam_csv(cam: CamOutput) -> str:

@@ -410,9 +410,6 @@ class ModelSpec:
     options: dict = field(default_factory=dict)
     slicing: SlicingConfig | None = None
 
-    def describe(self):
-        return self.net.describe()
-
     @cached_property
     def layout(self) -> Layout:
         """The tree laid out once, on first use; refuses a geometry it cannot run."""
@@ -751,7 +748,7 @@ def save_model(model: TrainedModel, manifest_path) -> None:
         s = spec.slicing
         warps = ",".join(repr(f) for f in s.warp_factors)
         notes.append(("slicing", f"fraction={s.fraction!r} stride={s.stride} warp={warps}"))
-    notes += [("layer", row) for row in _layer_rows(spec.describe())]
+    notes += [("layer", row) for row in _layer_rows(spec.net.describe())]
     fields = [(k, getattr(spec, k)) for k in _SPEC_FIELDS]
     write_bundle(manifest_path, MODEL_FORMAT,
                  fields + [(k, getattr(model, k)) for k in _RUN_FIELDS], model.params, notes)
@@ -770,7 +767,7 @@ def load_model(manifest_path) -> TrainedModel:
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
     if f["loss"] != spec.loss:
         raise bundle.error("loss", f"reads {f['loss']!r}; {spec.architecture_id} uses {spec.loss!r}")
-    rows, want = Counter(f.get("layer", [])), Counter(_layer_rows(spec.describe()))
+    rows, want = Counter(f.get("layer", [])), Counter(_layer_rows(spec.net.describe()))
     if rows != want:
         extra = rows - want
         row = next(iter(extra or want - rows))

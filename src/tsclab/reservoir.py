@@ -16,6 +16,7 @@ import numpy as np
 from .data import TimeSeriesDataset, split_train_val
 from .bundle import Bundle, write_bundle
 from .errors import NumericError
+from .layers import softmax_forward
 from .tensor import SplitMix64
 
 
@@ -161,10 +162,7 @@ def twiesn_train_single(config: ReservoirConfig, data: TimeSeriesDataset) -> Twi
 
 def _row_posteriors(rows: np.ndarray, W_out: np.ndarray, n_series: int) -> np.ndarray:
     # softmax of each design row's scores, averaged over each series' steps
-    scores = rows @ W_out.T
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    posterior = e / e.sum(axis=1, keepdims=True)
+    posterior, _ = softmax_forward(rows @ W_out.T)
     return posterior.reshape(n_series, -1, posterior.shape[1]).mean(axis=1)
 
 

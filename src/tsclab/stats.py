@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import svg
 from .data import read_text
 from .errors import DataFormatError, MissingCellError
 
@@ -371,11 +372,12 @@ def grouped_ranks(runs: list[RunRecord], key: str, metadata: dict,
 # persistence
 
 def save_runs(runs: list[RunRecord], path) -> None:
-    """Merge into an existing results file, deduplicating on (dataset, arch, seed)."""
+    """Merge into an existing run-record file (not a baselines table), deduplicating on
+    (dataset, arch, seed)."""
     path = Path(path)
     merged: dict = {}
     if path.exists():
-        for r in load_runs(path):
+        for r in load_runs(path, baselines=False):
             merged[(r.dataset, r.architecture, r.seed)] = r
     for r in runs:
         merged[(r.dataset, r.architecture, r.seed)] = r
@@ -395,20 +397,21 @@ def save_runs(runs: list[RunRecord], path) -> None:
         raise
 
 
-def load_runs(path) -> list[RunRecord]:
-    """Read a run-record or an external-baseline CSV; a bad row names its line and column."""
+def load_runs(path, baselines: bool = True) -> list[RunRecord]:
+    """Read a run-record or, if ``baselines``, an external-baseline CSV; a bad row names its
+    line and column."""
     path = Path(path)
     runs = []
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        kinds = {tuple(RESULTS_HEADER): (str, str, int, float, float, float),
-                 tuple(BASELINE_HEADER): (str, str, float)}.get(tuple(header or ()))
+        headers = {tuple(RESULTS_HEADER): (str, str, int, float, float, float)}
+        if baselines:
+            headers[tuple(BASELINE_HEADER)] = (str, str, float)
+        kinds = headers.get(tuple(header or ()))
         if kinds is None:
-            raise DataFormatError(
-                f"{path.name}: unrecognized header; expected {','.join(RESULTS_HEADER)} "
-                f"or {','.join(BASELINE_HEADER)}"
-            )
+            raise DataFormatError(f"{path.name}: unrecognized header; expected "
+                                  + " or ".join(",".join(h) for h in headers))
         for row in filter(None, reader):
             where = f"{path.name} line {reader.line_num}"
             if len(row) != len(kinds):
@@ -430,10 +433,6 @@ def load_runs(path) -> list[RunRecord]:
 
 # ---------------------------------------------------------------------------
 # rendering
-
-def _fmt(x: float) -> str:
-    return f"{x:.4f}"
-
 
 def render_cd_diagram(report: ComparisonReport) -> str:
     """Standalone SVG of the critical-difference diagram; byte-deterministic."""
@@ -463,42 +462,27 @@ def render_cd_diagram(report: ComparisonReport) -> str:
         bars.append((x0, x1, axis_y + 16.0 + 14.0 * level, clique))
 
     height = axis_y + 40.0 + 14.0 * max(len(levels), 1)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<line x1="{_fmt(x(1))}" y1="{_fmt(axis_y)}" x2="{_fmt(x(k))}" '
-        f'y2="{_fmt(axis_y)}" stroke="black" stroke-width="1.5"/>',
-    ]
+    font = {"text_anchor": "middle", "font_family": "sans-serif"}
+    parts = [svg.element("line", x1=x(1), y1=axis_y, x2=x(k), y2=axis_y, stroke="black",
+                         stroke_width="1.5")]
     for tick in range(1, k + 1):
-        parts.append(
-            f'<line x1="{_fmt(x(tick))}" y1="{_fmt(axis_y - 5)}" x2="{_fmt(x(tick))}" '
-            f'y2="{_fmt(axis_y + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x(tick))}" y="{_fmt(axis_y - 10)}" font-size="11" '
-            f'text-anchor="middle" font-family="sans-serif">{tick}</text>'
-        )
+        parts.append(svg.element("line", x1=x(tick), y1=axis_y - 5, x2=x(tick),
+                                 y2=axis_y + 5, stroke="black", stroke_width=1))
+        parts.append(svg.element("text", str(tick), x=x(tick), y=axis_y - 10, font_size=11,
+                                 **font))
     for i, name in enumerate(names):
         rank = report.ranks[name]
         above = i % 2 == 0
         label_y = axis_y - 38.0 if above else axis_y + 52.0 + 14.0 * len(levels)
         stem_y = label_y + 4.0 if above else label_y - 12.0
-        parts.append(
-            f'<line x1="{_fmt(x(rank))}" y1="{_fmt(axis_y)}" x2="{_fmt(x(rank))}" '
-            f'y2="{_fmt(stem_y)}" stroke="gray" stroke-width="0.8"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x(rank))}" y="{_fmt(label_y)}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{name} ({_fmt(rank)})</text>'
-        )
+        parts.append(svg.element("line", x1=x(rank), y1=axis_y, x2=x(rank), y2=stem_y,
+                                 stroke="gray", stroke_width="0.8"))
+        parts.append(svg.element("text", f"{name} ({svg.fmt(rank)})", x=x(rank), y=label_y,
+                                 font_size=12, **font))
     for x0, x1, y, clique in bars:
-        title = ", ".join(clique)
-        parts.append(
-            f'<line x1="{_fmt(x0)}" y1="{_fmt(y)}" x2="{_fmt(x1)}" y2="{_fmt(y)}" '
-            f'stroke="black" stroke-width="5"><title>{title}</title></line>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(svg.element("line", "", svg.element("title", ", ".join(clique)), x1=x0,
+                                 y1=y, x2=x1, y2=y, stroke="black", stroke_width=5))
+    return svg.document(width, height, parts)
 
 
 def render_text_report(report: ComparisonReport) -> str:

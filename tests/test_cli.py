@@ -117,6 +117,20 @@ class TestTrainCommand:
         assert not list(out.glob("*.model"))
         assert (out / "results.csv").read_text() == "bogus,header\n"
 
+    def test_baselines_table_in_out_is_refused_and_left_unchanged(self, tmp_path, capsys):
+        train, test = write_ucr_pair(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        baselines = "dataset,classifier,accuracy\nSynth,mlp,0.5\nOther,fcn,0.7\n"
+        (out / "results.csv").write_text(baselines)
+        assert run(["train", "--arch", "mlp", "--train", train, "--test", test,
+                    "--epochs", "1", "--runs", "2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == ("data error: results.csv: unrecognized header; expected "
+                       + ",".join(S.RESULTS_HEADER) + "\n")
+        assert (out / "results.csv").read_text() == baselines
+        assert not list(out.glob("*.model"))
+
     def test_train_file_not_utf8_exits_2(self, tmp_path, capsys):
         train, test = write_ucr_pair(tmp_path)
         lines = train.read_bytes().split(b"\n")

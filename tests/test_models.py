@@ -44,7 +44,7 @@ class TestConformance:
 
     def test_mlp_table(self):
         spec = M.build_mlp(150, 1, 2)
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             "flatten",
             "dropout rate=0.1", "dense units=500", "act relu",
             "dropout rate=0.2", "dense units=500", "act relu",
@@ -54,7 +54,7 @@ class TestConformance:
 
     def test_fcn_table(self):
         spec = M.build_fcn(150, 1, 3)
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             "conv filters=128 length=8 padding=same", "batch_norm", "act relu",
             "conv filters=256 length=5 padding=same", "batch_norm", "act relu",
             "conv filters=128 length=3 padding=same", "batch_norm", "act relu",
@@ -68,7 +68,7 @@ class TestConformance:
             "conv filters=64 length=5 padding=same", "batch_norm", "act relu",
             "conv filters=64 length=3 padding=same", "batch_norm", "act relu",
         ]
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             {"residual": body,
              "shortcut": ["conv filters=64 length=1 padding=same", "batch_norm"]},
             {"residual": body, "shortcut": None},
@@ -78,13 +78,13 @@ class TestConformance:
 
     def test_resnet_depth_is_eleven_layers(self):
         # 9 convolutional stages + gap + softmax classifier
-        desc = repr(M.build_resnet(100, 1, 2).describe())
+        desc = repr(M.build_resnet(100, 1, 2).net.describe())
         assert desc.count("conv filters=64 length=") == 9 + 1  # 9 body + 1 shortcut
         assert desc.count("gap") == 1 and desc.count("softmax") == 1
 
     def test_encoder_table(self):
         spec = M.build_encoder(120, 1, 4)
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             "conv filters=128 length=5 padding=same", "instance_norm", "act prelu",
             "dropout rate=0.2", "pool max window=2",
             "conv filters=256 length=11 padding=same", "instance_norm", "act prelu",
@@ -96,7 +96,7 @@ class TestConformance:
 
     def test_tlenet_table(self):
         spec = M.build_tlenet(80, 1, 2)
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             "conv filters=5 length=5 padding=same", "act relu", "pool max window=2",
             "conv filters=20 length=5 padding=same", "act relu", "pool max window=4",
             "flatten", "dense units=500", "act relu", "dense units=2", "act softmax",
@@ -108,14 +108,14 @@ class TestConformance:
             "conv filters=8 length=5 padding=same", "act relu", "pool max window=2",
             "conv filters=8 length=5 padding=same", "act relu", "pool max window=2",
         ]
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             {"per_dimension": [branch, branch]},
             "flatten", "dense units=732", "act relu", "dense units=3", "act softmax",
         ]
 
     def test_timecnn_table(self):
         spec = M.build_timecnn(60, 1, 2)
-        assert spec.describe() == [
+        assert spec.net.describe() == [
             "conv filters=6 length=7 padding=valid", "act sigmoid", "pool avg window=3",
             "conv filters=12 length=7 padding=valid", "act sigmoid", "pool avg window=3",
             "flatten", "dense units=2", "act sigmoid",
@@ -124,7 +124,7 @@ class TestConformance:
 
     def test_mcnn_branch_count(self):
         spec = M.build_mcnn(90, 1, 2, 9, 3)
-        top = spec.describe()
+        top = spec.net.describe()
         assert len(top[0]["concat_branches"]) == 7  # identity + 3 down + 3 smooth
         tail = top[1:]
         assert tail == [
@@ -136,7 +136,7 @@ class TestConformance:
     def test_mcnn_branch_rows(self):
         spec = M.build_mcnn(90, 1, 2, 9, 3)
         tail = ["conv filters=256 length=9 padding=same", "act sigmoid"]
-        assert spec.describe()[0] == {"concat_branches": [
+        assert spec.net.describe()[0] == {"concat_branches": [
             [*tail, "pool max window=3", "align_time target=30"],
             *([f"downsample factor={k}", *tail, "pool max window=1", "align_time target=30"]
               for k in (2, 4, 8)),
@@ -164,9 +164,9 @@ class TestConformance:
             return hashlib.sha256(repr(trees).encode()).hexdigest()[:16]
 
         got = {f"mcnn@{T}": digest([
-            M.build_model("mcnn", T, 3, 4, filter_length=fl, pool_factor=pf).describe()
+            M.build_model("mcnn", T, 3, 4, filter_length=fl, pool_factor=pf).net.describe()
             for fl, pf in M.mcnn_grid(T)]) for T in (27, 90, 135)}
-        got.update((arch, digest(M.build_model(arch, 64, 3, 4).describe()))
+        got.update((arch, digest(M.build_model(arch, 64, 3, 4).net.describe()))
                    for arch in M.ARCHITECTURES if arch != "mcnn")
         assert got == self.PINNED_TREES
 

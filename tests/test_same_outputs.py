@@ -1,0 +1,58 @@
+"""scripts/same_outputs.py: the file comparison that follows the two sweeps."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+spec = importlib.util.spec_from_file_location("same_outputs", SCRIPT)
+same_outputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(same_outputs)
+
+RESULTS = ("dataset,architecture,seed,accuracy,loss,train_seconds\n"
+           "Synth,fcn,0,0.5,0.69,{}\nSynth,fcn,1,0.75,0.61,{}\n")
+
+
+@pytest.fixture
+def sweeps(tmp_path):
+    parent = tmp_path / "parent"
+    sweep = parent / "ucr-conv-1" / "sweep"
+    (sweep / "cam").mkdir(parents=True)
+    (sweep / "Synth_fcn_seed0.model.bin").write_bytes(bytes(range(64)))
+    (sweep / "cam" / "cam_0.svg").write_text("<svg/>\n")
+    (sweep / "results.csv").write_text(RESULTS.format("1.25", "1.5"))
+    change = tmp_path / "change"
+    shutil.copytree(parent, change)
+    return parent, change, change / "ucr-conv-1" / "sweep"
+
+
+def test_identical_folders_exit_0(sweeps, capsys):
+    parent, change, _ = sweeps
+    assert same_outputs.report(parent, change) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_one_flipped_byte_in_a_blob_exits_1_naming_it(sweeps, capsys):
+    parent, change, sweep = sweeps
+    blob = bytearray((sweep / "Synth_fcn_seed0.model.bin").read_bytes())
+    blob[17] ^= 0x01
+    (sweep / "Synth_fcn_seed0.model.bin").write_bytes(bytes(blob))
+    assert same_outputs.report(parent, change) == 1
+    assert capsys.readouterr().out == "differs: ucr-conv-1/sweep/Synth_fcn_seed0.model.bin\n"
+
+
+def test_only_train_seconds_differing_exits_0(sweeps):
+    parent, change, sweep = sweeps
+    (sweep / "results.csv").write_text(RESULTS.format("9.75", "0.5"))
+    assert same_outputs.report(parent, change) == 0
+    (sweep / "results.csv").write_text(RESULTS.format("9.75", "0.5").replace("0.75", "0.7"))
+    assert same_outputs.report(parent, change) == 1
+
+
+def test_a_missing_file_exits_1_naming_it(sweeps, capsys):
+    parent, change, sweep = sweeps
+    (sweep / "cam" / "cam_0.svg").unlink()
+    assert same_outputs.report(parent, change) == 1
+    assert capsys.readouterr().out == "missing from change: ucr-conv-1/sweep/cam/cam_0.svg\n"

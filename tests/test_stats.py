@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsclab import stats as S
-from tsclab.errors import MissingCellError
+from tsclab.errors import DataFormatError, MissingCellError
 
 
 def record(dataset, arch, seed, acc):
@@ -501,6 +501,14 @@ class TestPersistence:
         assert runs[0].architecture == "COTE"
         assert runs[0].accuracy == 0.93
         assert math.isnan(runs[0].loss)
+
+    def test_save_refuses_a_baselines_table(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_text("dataset,classifier,accuracy\nd1,COTE,0.93\n")
+        with pytest.raises(DataFormatError, match="results.csv: unrecognized header"):
+            S.save_runs([record("d1", "a", 0, 0.5)], path)
+        assert path.read_text() == "dataset,classifier,accuracy\nd1,COTE,0.93\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
