@@ -9,17 +9,23 @@ in a process of its own with that tree's ``src`` on PYTHONPATH.  Every file
 the two sweeps wrote is then compared byte for byte; ``results.csv`` is
 compared without its ``train_seconds`` column, which holds wall-clock time.
 Prints one line per differing or missing file and exits 1 if there is any,
-else 0.  A sweep that fails exits 2.
+else 0.  The line of a differing ``.bin`` blob with a manifest beside it
+(``m.model`` for ``m.model.bin``) also names the ``param`` and the flat
+index, within that tensor, of the first float64 that differs, as the
+parent's manifest lays them out.  A sweep that fails exits 2.
 """
 
 import argparse
 import csv
 import io
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,6 +60,28 @@ def _content(path: Path):
     return [row[:drop] + row[drop + 1:] for row in rows]
 
 
+def _first_param(a: Path, b: Path) -> str:
+    """`` (param NAME, flat index I)`` of the first float64 at which blob ``b``
+    differs from ``a``, from the ``param:`` lines of the manifest beside ``a``;
+    empty when there is no manifest."""
+    manifest = a.with_suffix("")
+    if a.suffix != ".bin" or not manifest.is_file():
+        return ""
+    x, y = a.read_bytes(), b.read_bytes()
+    n = min(len(x), len(y))
+    apart = np.flatnonzero(np.frombuffer(x, np.uint8, n) != np.frombuffer(y, np.uint8, n))
+    index = (apart[0] if apart.size else n) // 8
+    for line in manifest.read_text().splitlines():
+        key, _, text = line.partition(":")
+        if key == "param":
+            name, dims = text.split()
+            size = math.prod(int(d) for d in dims.strip("[]").split(",") if d)
+            if index < size:
+                return f" (param {name}, flat index {index})"
+            index -= size
+    return ""
+
+
 def differences(parent: Path, change: Path) -> list[str]:
     """One line per file that differs or that only one folder holds."""
     names = sorted({p.relative_to(root) for root in (parent, change)
@@ -64,7 +92,7 @@ def differences(parent: Path, change: Path) -> list[str]:
         if not (a.is_file() and b.is_file()):
             lines.append(f"missing from {'change' if a.is_file() else 'parent'}: {name}")
         elif _content(a) != _content(b):
-            lines.append(f"differs: {name}")
+            lines.append(f"differs: {name}{_first_param(a, b)}")
     return lines
 
 

@@ -220,7 +220,7 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
         # max keeps the earlier candidate among equally accurate ones
         best = max(best, (score, candidate, history), key=lambda b: b[0])
     _, model, history = best
-    return model, M.accuracy(model, test_ds), history.losses[history.best_epoch - 1]
+    return model, M.accuracy(model, test_ds), history.losses[model.best_epoch - 1]
 
 
 def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
@@ -328,6 +328,9 @@ def _load_metadata(path, column: str, datasets) -> dict:
 def _cmd_compare(args) -> int:
     if args.group and not args.meta:
         raise _UsageError("--group needs --meta <csv> with dataset metadata")
+    if Path(args.out).suffix == ".txt":
+        raise _UsageError(f"--out {args.out} ends in .txt, the name of the text report "
+                          f"written beside the diagram")
     runs = [r for path in args.results for r in S.load_runs(path)]
     report = S.compare_classifiers(S.aggregate(runs, args.aggregate), args.alpha)
     text = S.render_text_report(report)

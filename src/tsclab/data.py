@@ -290,15 +290,11 @@ def _series_fault(where: str, contiguous_by_dim: dict, all_dims) -> IntegrityErr
 # ---------------------------------------------------------------------------
 # loaders
 
-def detect_format(path) -> str:
-    with open(path, "rb") as fh:
-        first = _decode(fh.readline(), path).splitlines()
-    return "long" if first and first[0].strip() == MTS_HEADER else "ucr"
-
-
 def _reader(path):
     """The reader of ``path``'s format, told by its first line."""
-    return _read_long if detect_format(path) == "long" else _read_ucr
+    with open(path, "rb") as fh:
+        first = _decode(fh.readline(), path).splitlines()
+    return _read_long if first and first[0].strip() == MTS_HEADER else _read_ucr
 
 
 def _dataset(path, raws, labels, names, target=None, vocabulary=None) -> TimeSeriesDataset:

@@ -28,7 +28,6 @@ class CamOutput:
     normalized: np.ndarray   # [T] min-max rescaled to [0, 1] for rendering
     logit: float
     bias: float
-    class_weights: np.ndarray  # [C_last] softmax weights of the class
     activations: np.ndarray    # [T, C_last] final-convolution output
 
 
@@ -74,7 +73,7 @@ def compute_cam(model: TrainedModel, series: np.ndarray, class_index: int) -> Ca
     lo, hi = float(cam.min()), float(cam.max())
     normalized = (cam - lo) / (hi - lo) if hi > lo else np.zeros_like(cam)
     logit = float(a.mean(axis=0) @ w + bias)
-    return CamOutput(cam, normalized, logit, bias, w.copy(), a)
+    return CamOutput(cam, normalized, logit, bias, a)
 
 
 # ---------------------------------------------------------------------------

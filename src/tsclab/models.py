@@ -74,9 +74,6 @@ class Node:
     def args(self, mode, rng):
         return ()
 
-    def out_shape(self, in_shape):
-        return self.layout(in_shape, "", Layout())
-
     def layout(self, in_shape, prefix, walk: Layout):
         """Add this node's parameters and output size to ``walk``; return its out shape."""
         out = self._layout(in_shape, prefix, walk)

@@ -57,8 +57,6 @@ class TrainConfig:
 @dataclass
 class TrainHistory:
     losses: list = field(default_factory=list)  # monitored loss per epoch
-    lrs: list = field(default_factory=list)
-    best_epoch: int = 0  # 1-based
 
 
 def default_config(architecture_id: str, seed: int = 0) -> TrainConfig:
@@ -302,7 +300,7 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     sched = LrSchedule(config.learning_rate, config.decay, config.plateau)
     history = TrainHistory()
     best_loss = math.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_params = None  # the first epoch's finite loss always replaces it
     best_epoch = 0
 
     order = list(range(data.n))
@@ -327,7 +325,6 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
         if not math.isfinite(ref_loss):
             raise TrainingDivergenceError(f"reference loss became {ref_loss!r} at epoch {epoch}")
         history.losses.append(ref_loss)
-        history.lrs.append(sched.current())
         if log_fn is not None:
             log_fn(f"{epoch},{ref_loss!r},{sched.current()!r}")
         if ref_loss < best_loss:
@@ -336,7 +333,6 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             best_params = {k: v.copy() for k, v in params.items()}
         sched.after_epoch(ref_loss)
 
-    history.best_epoch = best_epoch
     model = TrainedModel(spec, best_params, seed=config.seed,
                          epochs_run=config.epochs, best_epoch=best_epoch)
     return model, history

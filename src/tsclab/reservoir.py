@@ -137,8 +137,9 @@ def fit_ridge(features: np.ndarray, targets: np.ndarray, lam) -> np.ndarray:
     return np.stack(solved).transpose(0, 2, 1) if lams.ndim else solved[0].T
 
 
-def _design(X: np.ndarray, states: np.ndarray) -> np.ndarray:
-    # one row per (series, timestep): [1, X(t), I(t)]
+def _rows(W_in: np.ndarray, W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # one state pass, then one design row per (series, timestep): [1, X(t), I(t)]
+    states = reservoir_states_batch(W_in, W, X)
     n_series, T, m = X.shape
     ones = np.ones((n_series, T, 1))
     return np.concatenate([ones, X, states], axis=2).reshape(n_series * T, 1 + m + states.shape[2])
@@ -147,8 +148,7 @@ def _design(X: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _fit_readouts(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset, lam):
     # one state pass and Gram matrix, solved for a penalty or a sequence of
     # them; the design rows come back too, for scoring the fit set
-    states = reservoir_states_batch(W_in, W, data.X)
-    rows = _design(data.X, states)
+    rows = _rows(W_in, W, data.X)
     targets = np.repeat(data.Y, data.length, axis=0)
     return fit_ridge(rows, targets, lam), rows
 
@@ -168,14 +168,7 @@ def _row_posteriors(rows: np.ndarray, W_out: np.ndarray, n_series: int) -> np.nd
 
 def twiesn_posteriors(model: TwiesnModel, X: np.ndarray) -> np.ndarray:
     """Averaged per-step softmax posterior for a [N, T, M] batch."""
-    states = reservoir_states_batch(model.W_in, model.W, X)
-    return _row_posteriors(_design(X, states), model.W_out, X.shape[0])
-
-
-def twiesn_predict(model: TwiesnModel, series: np.ndarray):
-    """(label, averaged posterior) for one [T, M] series; ties pick the lowest index."""
-    posterior = twiesn_posteriors(model, series[None, :, :])[0]
-    return int(posterior.argmax()), posterior
+    return _row_posteriors(_rows(model.W_in, model.W, X), model.W_out, X.shape[0])
 
 
 def twiesn_predict_dataset(model: TwiesnModel, dataset: TimeSeriesDataset) -> np.ndarray:
@@ -189,8 +182,7 @@ def twiesn_accuracy(model: TwiesnModel, dataset: TimeSeriesDataset) -> float:
 def _readout_accuracies(W_in: np.ndarray, W: np.ndarray, data: TimeSeriesDataset,
                         readouts) -> list[float]:
     # accuracy of each readout over one shared state pass
-    states = reservoir_states_batch(W_in, W, data.X)
-    rows = _design(data.X, states)
+    rows = _rows(W_in, W, data.X)
     labels = data.labels()
     return [float((_row_posteriors(rows, W_out, data.n).argmax(axis=1) == labels).mean())
             for W_out in readouts]
@@ -223,22 +215,21 @@ def _grid_accuracies(grid: list[ReservoirConfig], fit_part: TimeSeriesDataset,
     return accuracies
 
 
-def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig] | None = None,
+def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig],
                split_seed: int | None = None) -> TwiesnModel:
     """Grid-search on a stratified 20% held-out split, then refit on all data.
 
-    Ties keep the first grid entry.  A single-entry grid skips straight to
-    the refit, which is then an ordinary direct fit.
+    Ties keep the first grid entry.  The split is drawn from ``split_seed``,
+    by default the first entry's seed.
     """
-    if grid is None:
-        grid = default_grid()
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if len(grid) == 1:
-        return twiesn_train_single(grid[0], data)
     if split_seed is None:
         split_seed = grid[0].seed
     fit_part, val_part = split_train_val(data, 0.2, split_seed)
+    if val_part.n == 0:
+        raise ValueError("twiesn's 20% validation split is empty: "
+                         "no class has two training series")
     accuracies = _grid_accuracies(grid, fit_part, val_part)
     best = max(range(len(grid)), key=accuracies.__getitem__)  # first of equals
     return twiesn_train_single(grid[best], data)

@@ -57,7 +57,6 @@ class ResultsTable:
     classifiers: list
     values: np.ndarray      # [n_datasets, n_classifiers]
     kind: str
-    run_counts: np.ndarray  # same shape, >= 1 everywhere
 
 
 @dataclass
@@ -108,13 +107,10 @@ def aggregate(runs: list[RunRecord], kind: str = "mean") -> ResultsTable:
         listing = ", ".join(f"({d}, {c})" for d, c in missing)
         raise MissingCellError(f"results table has missing cells: {listing}")
     values = np.empty((len(datasets), len(classifiers)))
-    counts = np.empty((len(datasets), len(classifiers)), dtype=np.int64)
     for i, d in enumerate(datasets):
         for j, c in enumerate(classifiers):
-            group = cells[(d, c)]
-            values[i, j] = _aggregate_values(group, kind)
-            counts[i, j] = len(group)
-    return ResultsTable(datasets, classifiers, values, kind, counts)
+            values[i, j] = _aggregate_values(cells[(d, c)], kind)
+    return ResultsTable(datasets, classifiers, values, kind)
 
 
 # ---------------------------------------------------------------------------

@@ -464,6 +464,21 @@ class TestTrainCommand:
         posterior = R.twiesn_posteriors(model, train_ds.X)
         assert loss == cross_entropy_loss(posterior, train_ds.Y)[0]
 
+    def test_twiesn_without_validation_series_exits_2_before_a_state_pass(
+            self, tmp_path, capsys, monkeypatch):
+        # one series per class: the stratified 20% split holds nothing out
+        from tsclab import reservoir as R
+        train, test = write_ucr_pair(tmp_path, n=2)
+        passes = []
+        monkeypatch.setattr(R, "reservoir_states_batch", lambda *args: passes.append(args))
+        with pytest.warns(UserWarning, match="single member"):
+            code = run(["train", "--arch", "twiesn", "--train", train, "--test", test,
+                        "--runs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == ("data error: twiesn's 20% validation split is empty: "
+                                           "no class has two training series\n")
+        assert passes == []
+
 
 class TestCompareCommand:
     def write_results(self, tmp_path, columns, n_datasets=10):
@@ -619,6 +634,14 @@ class TestCompareCommand:
             "compare", "--results", path, "--out", tmp_path / "cd.svg",
             "--group", "theme",
         ]) == 1
+
+    def test_txt_out_is_usage_error_before_any_file_is_touched(self, tmp_path, capsys):
+        # the text report goes to --out with a .txt suffix: it would overwrite the diagram
+        out = tmp_path / "report" / "cd.txt"
+        assert run(["compare", "--results", tmp_path / "absent.csv", "--out", out]) == 1
+        assert capsys.readouterr().err == (f"usage error: --out {out} ends in .txt, the name "
+                                           f"of the text report written beside the diagram\n")
+        assert not (tmp_path / "report").exists()
 
 
 def copy_bundle(manifest, folder, edit):

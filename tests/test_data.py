@@ -319,17 +319,17 @@ class TestLongLoader:
 
 
 class TestNotUtf8:
-    @pytest.mark.parametrize("name, text, load", [
-        ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n", D.load_single),
-        ("l.csv", LONG_HEADER.encode() + b"s1,0,0,0.1,a\ns1,0,1,0.2,a%s\n", D.load_single),
-        ("d.txt", b"1,0.0,%s1.0\n2,1.0,0.0\n", D.detect_format),
+    @pytest.mark.parametrize("name, text", [
+        ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n"),
+        ("l.csv", LONG_HEADER.encode() + b"s1,0,0,0.1,a\ns1,0,1,0.2,a%s\n"),
+        ("d.txt", b"1,0.0,%s1.0\n2,1.0,0.0\n"),
     ], ids=["ucr", "long", "detect-format"])
-    def test_reader_names_file_and_line(self, tmp_path, name, text, load):
+    def test_reader_names_file_and_line(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_bytes(text % b"\x80")
         line = text.split(b"%s")[0].count(b"\n") + 1
         with pytest.raises(DataFormatError, match=f"^{name}:{line}: byte 0x80 is not UTF-8"):
-            load(path)
+            D.load_single(path)
 
 
 class TestInterpolation:

@@ -439,7 +439,7 @@ class TestNormalizationCore:
             spec = M.build_encoder(T, 2, 3)
             layout = spec.layout.params
         assert y.shape == (0, T, 3)
-        assert spec.net.out_shape((T, 2)) == (3,)
+        assert spec.net.layout((T, 2), "", M.Layout()) == (3,)
         assert [name for name, _, _ in layout if name.startswith("2.")] == ["2.slopes"]
         assert ("1.gamma", (128,), 1.0) in layout and ("1.beta", (128,), 0.0) in layout
 

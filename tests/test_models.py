@@ -27,6 +27,11 @@ def build_and_init(arch, T, Mdims=1, K=2, seed=0, **options):
     return spec, params
 
 
+def layout_shape(node, in_shape):
+    """The out shape ``node`` lays out for one series of ``in_shape``."""
+    return node.layout(in_shape, "", M.Layout())
+
+
 def infer(model, x):
     """The net's infer-mode output for the batch ``x``."""
     return M.forward_batch(model.spec, model.params, x, "infer")[0]
@@ -209,7 +214,7 @@ class TestGeometry:
         shape = (120, 1)
         extents = []
         for child in spec.net.children:
-            shape = child.out_shape(shape)
+            shape = layout_shape(child, shape)
             if len(shape) == 2:
                 extents.append(shape[0])
         assert extents[0] == 120 and 60 in extents and 30 in extents and 15 in extents
@@ -218,7 +223,7 @@ class TestGeometry:
         spec = M.build_encoder(120, 1, 2)
         shape = (120, 1)
         for child in spec.net.children:
-            shape = child.out_shape(shape)
+            shape = layout_shape(child, shape)
             if isinstance(child, M.Attention):
                 assert shape == (256,)
                 return
@@ -254,7 +259,7 @@ class TestGeometry:
         spec = M.build_mcnn(90, 1, 2, 9, 3)
         concat = spec.net.children[0]
         for branch in concat.branches:
-            assert branch.out_shape((90, 1)) == (30, 256)
+            assert layout_shape(branch, (90, 1)) == (30, 256)
 
     def test_mcnn_grid_values(self):
         grid = M.mcnn_grid(100)
@@ -298,7 +303,7 @@ def forward_shapes(node, params, prefix, x):
 
 
 class TestKernelGeometry:
-    """``out_shape`` is the kernels' own geometry: it agrees with real forwards."""
+    """A node's layout out shape is the kernels' own geometry: it agrees with real forwards."""
 
     @pytest.mark.parametrize("kind", sorted(LEAF_CASES))
     @settings(max_examples=8)
@@ -309,7 +314,7 @@ class TestKernelGeometry:
         out = node.layout(in_shape, "n", walk)
         params = {name: np.full(shape, 0.5) for name, shape, _ in walk.params}
         x = random_batch((2, *in_shape), seed=T)
-        assert out == node.out_shape(in_shape)
+        assert out == layout_shape(node, in_shape)
         assert forward_shapes(node, params, "n", x) == [out, out]
 
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
@@ -325,7 +330,7 @@ class TestKernelGeometry:
         x = random_batch((2, T, Mdims), seed=T)
         shape = (T, Mdims)
         for i, child in enumerate(spec.net.children):
-            shape = child.out_shape(shape)
+            shape = layout_shape(child, shape)
             assert forward_shapes(child, params, str(i), x) == [shape, shape]
             x = child.forward(x, dict(params), str(i), "infer", None, {})
         assert shape == (K,)
@@ -341,7 +346,7 @@ class TestKernelGeometry:
             "non_flat_dense"])
     def test_geometry_the_kernel_refuses_is_refused_at_layout(self, node, in_shape):
         with pytest.raises(ValueError):
-            node.out_shape(in_shape)
+            layout_shape(node, in_shape)
         net = M.Sequential([node, M.Flatten(), M.Dense(2)])
         with pytest.raises(ValueError):
             M.ModelSpec("probe", *in_shape, 2, "mse", net).layout

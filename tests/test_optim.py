@@ -331,19 +331,33 @@ class TestTrain:
     def test_best_epoch_is_argmin_of_history(self):
         ds = toy_dataset(n=8, T=16, seed=2)
         model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
-        assert history.best_epoch == int(np.argmin(history.losses)) + 1
-        assert model.best_epoch == history.best_epoch
+        assert model.best_epoch == int(np.argmin(history.losses)) + 1
+
+    def test_one_epoch_returns_the_state_after_it(self, monkeypatch):
+        # the checkpoint starts empty: the first epoch's finite loss always fills it
+        live = []
+        monkeypatch.setattr(O, "init_model",
+                            lambda spec, rng: live.append(M.init_model(spec, rng)) or live[0])
+        spec = M.build_fcn(16, 1, 2)
+        model, history = O.train(spec, toy_dataset(n=8, T=16, seed=4), small_config(epochs=1))
+        assert model.best_epoch == 1 and len(history.losses) == 1
+        drawn = M.init_model(spec, SplitMix64(0))
+        assert model.params.keys() == live[0].keys() == drawn.keys()
+        for name, value in model.params.items():
+            assert value is not live[0][name]
+            assert value.tobytes() == live[0][name].tobytes()
+        assert any(model.params[n].tobytes() != drawn[n].tobytes() for n in drawn)
 
     def test_checkpoint_restoration_reproduces_best_loss(self):
         # the checkpoint is the state after best_epoch epochs: a run cut
         # there ends on it, having seen the same batches and dropout masks
         ds = toy_dataset(n=10, T=16, seed=3)
         model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=8, seed=3))
-        assert history.best_epoch < 8
+        assert model.best_epoch < 8
         cut, cut_history = O.train(M.build_fcn(16, 1, 2), ds,
-                                   small_config(epochs=history.best_epoch, seed=3))
-        assert cut_history.losses == history.losses[: history.best_epoch]
-        assert cut.best_epoch == history.best_epoch
+                                   small_config(epochs=model.best_epoch, seed=3))
+        assert cut_history.losses == history.losses[: model.best_epoch]
+        assert cut.best_epoch == model.best_epoch
         for name in model.params:
             assert cut.params[name].tobytes() == model.params[name].tobytes()
 
@@ -442,8 +456,10 @@ class TestTrain:
     def test_history_lr_trace_records_decay(self):
         ds = toy_dataset(n=4, T=16, seed=9)
         config = O.TrainConfig("adam", 3, 2, 0.01, decay=0.5, seed=0)
-        _, history = O.train(M.build_fcn(16, 1, 2), ds, config)
-        assert history.lrs[0] > history.lrs[-1]
+        lines = []
+        O.train(M.build_fcn(16, 1, 2), ds, config, log_fn=lines.append)
+        rates = [float(line.split(",")[2]) for line in lines]
+        assert rates[0] > rates[-1]
 
 
 @given(st.floats(0.01, 0.2), st.integers(0, 10 ** 6))

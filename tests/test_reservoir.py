@@ -221,10 +221,10 @@ class TestTwiesn:
             W=np.zeros((4, 4)),
             W_out=np.array([[0.0, 1.0, 0, 0, 0, 0], [0.0, 0.0, 0, 0, 0, 0]]),
         )
-        label, posterior = R.twiesn_predict(model, np.array([[2.0]]))
+        posterior = R.twiesn_posteriors(model, np.array([[[2.0]]]))[0]
         e = np.exp([2.0, 0.0])
         assert np.allclose(posterior, e / e.sum())
-        assert label == 0
+        assert posterior.argmax() == 0
 
     def test_hand_built_posterior_average(self):
         # reservoir silenced; scores = [x(t), 0] so softmax gives the target rows
@@ -237,10 +237,10 @@ class TestTwiesn:
         )
         targets = np.array([[0.6, 0.4], [0.2, 0.8], [0.9, 0.1]])
         x = np.log(targets[:, 0] / targets[:, 1]).reshape(3, 1)
-        label, posterior = R.twiesn_predict(model, x)
+        posterior = R.twiesn_posteriors(model, x[None])[0]
         assert np.max(np.abs(posterior - targets.mean(axis=0))) < 1e-12
         assert np.allclose(posterior, [0.56666667, 0.43333333])
-        assert label == 0
+        assert posterior.argmax() == 0
 
     def test_identical_step_posteriors_average_to_single_step(self):
         config = R.ReservoirConfig(size=4, sparsity=0.5, spectral_radius=0.5, seed=6)
@@ -249,8 +249,8 @@ class TestTwiesn:
             W_out=random_batch((3, 6), seed=7),
         )
         series = np.full((5, 1), 0.8)
-        _, posterior = R.twiesn_predict(model, series)
-        _, single = R.twiesn_predict(model, series[:1])
+        posterior = R.twiesn_posteriors(model, series[None])[0]
+        single = R.twiesn_posteriors(model, series[None, :1])[0]
         assert np.max(np.abs(posterior - single)) < 1e-12
 
     def test_best_grid_point_beats_others_on_split(self):

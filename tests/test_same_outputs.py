@@ -56,3 +56,19 @@ def test_a_missing_file_exits_1_naming_it(sweeps, capsys):
     (sweep / "cam" / "cam_0.svg").unlink()
     assert same_outputs.report(parent, change) == 1
     assert capsys.readouterr().out == "missing from change: ucr-conv-1/sweep/cam/cam_0.svg\n"
+
+
+@pytest.mark.parametrize("byte, param", [(17, "0.w, flat index 2"), (40, "0.b, flat index 1"),
+                                         (63, "0.b, flat index 3")])
+def test_a_blob_beside_its_manifest_names_the_param_and_flat_index(sweeps, capsys, byte, param):
+    parent, change, sweep = sweeps
+    manifest = ("format: tsclab-model-v1\nblob: Synth_fcn_seed0.model.bin\n"
+                "param: 0.w [2,2]\nparam: 0.b [4]\n")
+    for folder in (parent / "ucr-conv-1" / "sweep", sweep):
+        (folder / "Synth_fcn_seed0.model").write_text(manifest)
+    blob = bytearray((sweep / "Synth_fcn_seed0.model.bin").read_bytes())
+    blob[byte] ^= 0x01
+    (sweep / "Synth_fcn_seed0.model.bin").write_bytes(bytes(blob))
+    assert same_outputs.report(parent, change) == 1
+    assert capsys.readouterr().out == ("differs: ucr-conv-1/sweep/Synth_fcn_seed0.model.bin "
+                                       f"(param {param})\n")

@@ -58,10 +58,6 @@ class TestAggregate:
         with pytest.raises(MissingCellError, match=r"\(d2, b\)"):
             S.aggregate(runs)
 
-    def test_run_counts(self):
-        runs = [record("d", "a", s, 0.5) for s in range(5)]
-        assert S.aggregate(runs).run_counts[0, 0] == 5
-
 
 def loop_rank_row(values, descending=True):
     """``rank_row`` as the tie-scan it was before it took its groups from one sort."""
