@@ -1,33 +1,45 @@
 #!/usr/bin/env python3
-"""Check that two source trees write the same benchmark sweep, byte for byte.
+"""Check that two source trees write the same outputs, byte for byte.
 
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds A B]
 
-Each tree runs the benchmark's sweep (``sweep.write_inputs`` and
-``sweep.run_sweep`` from ``perfbench/``) for every workload at both seeds,
-in a process of its own with that tree's ``src`` on PYTHONPATH.  Every file
-the two sweeps wrote is then compared byte for byte; ``results.csv`` is
-compared without its ``train_seconds`` column, which holds wall-clock time.
-Prints one line per differing or missing file and exits 1 if there is any,
-else 0.  The line of a differing ``.bin`` blob with a manifest beside it
-(``m.model`` for ``m.model.bin``) also names the ``param`` and the flat
-index, within that tensor, of the first float64 that differs, as the
-parent's manifest lays them out.  A sweep that fails exits 2.
+Each tree runs two halves, each in processes of its own with that tree's
+``src`` on PYTHONPATH:
+
+- the benchmark's sweep (``sweep.write_inputs`` and ``sweep.run_sweep``
+  from ``perfbench/``) for every workload at both seeds;
+- ``python -m tsclab train`` for all nine architectures (``TRAIN_FLAGS``)
+  on two pairs written once with ``perfbench/synth.py``: a UCR pair drawn
+  from seed A and a long-format pair from seed B.
+
+Every file the two trees wrote is then compared byte for byte;
+``results.csv`` is compared without its ``train_seconds`` column, which
+holds wall-clock time.  Prints one line per differing or missing file and
+exits 1 if there is any, else 0; the wall time goes to stderr.  The line of
+a differing ``.bin`` blob with a manifest beside it (``m.model`` for
+``m.model.bin``) also names the ``param`` and the flat index, within that
+tensor, of the first float64 that differs, as the parent's manifest lays
+them out.  A sweep or a train run that fails exits 2.
 """
 
 import argparse
 import csv
+import importlib.util
 import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ARCHITECTURES = ("mlp", "fcn", "resnet", "encoder", "mcnn", "tlenet", "mcdcnn", "timecnn",
+                 "twiesn")
+TRAIN_FLAGS = ("--runs", "2", "--epochs", "2", "--jobs", "2", "--log")
 
 SWEEP = """
 import sys
@@ -44,11 +56,47 @@ for seed in map(int, sys.argv[2:]):
 """
 
 
+def _env(src: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+
+
 def run_sweeps(src: Path, out: Path, seeds) -> bool:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
     done = subprocess.run([sys.executable, "-c", SWEEP, str(out), *map(str, seeds)],
-                          env=env, stdout=subprocess.DEVNULL)
+                          env=_env(src), stdout=subprocess.DEVNULL)
     return done.returncode == 0
+
+
+def write_pairs(folder: Path, seeds) -> dict:
+    """The train half's inputs by name, each a (seed, train, test) triple: 24 + 24
+    UCR series of length 48 from the first seed, and 24 + 24 long-format series
+    of length 40 in 2 dimensions from the second; two classes each."""
+    loader = importlib.util.spec_from_file_location("synth", PERFBENCH / "synth.py")
+    synth = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(synth)
+    pairs = {}
+    for name, seed in zip(("ucr", "long"), seeds):
+        suffix = ".txt" if name == "ucr" else ".csv"
+        train, test = (folder / name / f"Synth_{part}{suffix}" for part in ("TRAIN", "TEST"))
+        train.parent.mkdir(parents=True)
+        for path, stream in ((train, 2 * seed), (test, 2 * seed + 1)):
+            if name == "ucr":
+                synth.write_ucr(path, 24, 48, 2, 0.3, stream)
+            else:
+                synth.write_mts_long(path, 24, 40, 2, 2, 0.6, stream)
+        pairs[name] = (seed, train, test)
+    return pairs
+
+
+def run_trains(src: Path, out: Path, pairs: dict, archs=ARCHITECTURES) -> str:
+    """Train each of ``archs`` on each pair with ``src``'s CLI, into ``out/<pair>/<arch>``;
+    the first run that failed, as ``<pair> <arch>``, or ''."""
+    for name, (seed, train, test) in pairs.items():
+        for arch in archs:
+            argv = [sys.executable, "-m", "tsclab", "train", "--arch", arch, "--train", train,
+                    "--test", test, "--seed", str(seed), "--out", out / name / arch, *TRAIN_FLAGS]
+            if subprocess.run(argv, env=_env(src), stdout=subprocess.DEVNULL).returncode:
+                return f"{name} {arch}"
+    return ""
 
 
 def _content(path: Path):
@@ -101,7 +149,7 @@ def report(parent: Path, change: Path) -> int:
     for line in lines:
         print(line)
     files = sum(p.is_file() for p in parent.rglob("*"))
-    print(f"{files} files in the parent's sweep, {len(lines)} differing or missing",
+    print(f"{files} files in the parent's outputs, {len(lines)} differing or missing",
           file=sys.stderr)
     return 1 if lines else 0
 
@@ -113,14 +161,22 @@ def main(argv=None) -> int:
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs=2, default=(4501, 4502))
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
+        pairs = write_pairs(Path(tmp) / "inputs", args.seeds)
         outs = {}
         for side, src in (("parent", args.parent_src), ("change", args.change_src)):
             outs[side] = Path(tmp) / side
             if not run_sweeps(src.resolve(), outs[side], args.seeds):
                 print(f"same_outputs: the {side} sweep ({src}) failed", file=sys.stderr)
                 return 2
-        return report(outs["parent"], outs["change"])
+            if failed := run_trains(src.resolve(), outs[side] / "train", pairs):
+                print(f"same_outputs: the {side} train run ({src}) failed: {failed}",
+                      file=sys.stderr)
+                return 2
+        code = report(outs["parent"], outs["change"])
+    print(f"same_outputs: {time.perf_counter() - started:.1f} s wall time", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -227,7 +228,9 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     """Train the sweep, persist models and run records, return the records.
 
     Runs may execute concurrently (``jobs``); each is seed-isolated and the
-    results file is written once, after all runs finish.  The narrow nets
+    results file is written once, after all runs finish.  The out folder is
+    made at a run's first write (its log or its model), so a sweep refused
+    before any leaves none.  The narrow nets
     (``ONE_BLAS_THREAD``) run with OpenBLAS at one thread, restored after,
     and the heap's free pages are returned to the system once the runs end.
     """
@@ -237,12 +240,16 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
     out_dir = Path(config.out_dir)
     if (results := out_dir / "results.csv").exists():  # refused before any run trains
         S.load_runs(results, baselines=False)
-    out_dir.mkdir(parents=True, exist_ok=True)
+
+    def made(path: str) -> str:  # ``path``, once its folder exists
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return path
 
     def one(run_index: int):
         seed = config.base_seed + run_index
         stem = out_dir / f"{name}_{arch}_seed{seed}"
-        with open(f"{stem}.log", "w") if config.epoch_log else contextlib.nullcontext() as log:
+        with (open(made(f"{stem}.log"), "w") if config.epoch_log
+              else contextlib.nullcontext()) as log:
             started = time.perf_counter()
             model, acc, loss = train_single_run(
                 arch, train_ds, test_ds, seed, config.overrides,
@@ -250,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
         elapsed = time.perf_counter() - started
         # looked up at each call, so that a wrapper put on either module's function sees it
         save = R.save_twiesn if isinstance(model, R.TwiesnModel) else M.save_model
-        save(model, f"{stem}.model")
+        save(model, made(f"{stem}.model"))
         return S.RunRecord(name, arch, seed, acc, loss, elapsed)
 
     with blas_threads(1) if arch in ONE_BLAS_THREAD else contextlib.nullcontext():
@@ -447,8 +454,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, *_) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
+    """Run one command; each warning prints as one ``warning: <message>`` line."""
     parser = build_parser()
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
@@ -461,6 +474,8 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

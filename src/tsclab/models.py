@@ -5,10 +5,12 @@ layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
 stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
-:class:`Node`).  A spec is laid out once, on first use: ``ModelSpec.layout``
-lists the declared parameters in layer order, the order of the Glorot draws
-and of the serialized blob, and its widest layer sizes every infer batch
-(:func:`infer_batch`).
+:class:`Node`).  A builder only declares its net; :func:`build_model` lays
+the spec out, so a series too short for some kernel is refused there, as one
+``ShapeError`` naming the architecture, the length and the kernel's reason.
+A spec is laid out once: ``ModelSpec.layout`` lists the declared parameters
+in layer order, the order of the Glorot draws and of the serialized blob,
+and its widest layer sizes every infer batch (:func:`infer_batch`).
 """
 
 from __future__ import annotations
@@ -496,8 +498,6 @@ def build_resnet(T: int, M: int, K: int) -> ModelSpec:
 
 
 def build_encoder(T: int, M: int, K: int) -> ModelSpec:
-    if T < 8:
-        raise ValueError(f"encoder needs series length >= 8, got {T}")
     net = Sequential([
         Conv1d(128, 5, "same"), InstanceNorm(), PRelu(), Dropout(0.2), Pool1d("max", 2),
         Conv1d(256, 11, "same"), InstanceNorm(), PRelu(), Dropout(0.2), Pool1d("max", 2),
@@ -523,11 +523,6 @@ def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: in
         raise ValueError(
             f"pool factor {pool_factor} leaves no time steps for slice length {slice_T}"
         )
-    max_window = max(MCNN_SMOOTHING_WINDOWS)
-    if slice_T < max_window:
-        raise ValueError(
-            f"mcnn needs slice length >= {max_window} for its smoothing branches, got {slice_T}"
-        )
 
     def branch(transform: Node | None, t_branch: int) -> Sequential:
         window = max(1, t_branch // target)
@@ -549,17 +544,13 @@ def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: in
         Conv1d(256, filter_length, "same"), Act("sigmoid"), Pool1d("max", 2),
         Flatten(), Dense(256), Act("sigmoid"), Dense(K), Act("softmax"),
     ])
-    spec = ModelSpec(
+    return ModelSpec(
         "mcnn", slice_T, M, K, "cross_entropy", net,
         options={"filter_length": filter_length, "pool_factor": pool_factor},
     )
-    spec.layout  # surfaces invalid geometry early
-    return spec
 
 
 def build_tlenet(slice_T: int, M: int, K: int) -> ModelSpec:
-    if slice_T < 8:
-        raise ValueError(f"tlenet needs slice length >= 8, got {slice_T}")
     net = Sequential([
         Conv1d(5, 5, "same"), Act("relu"), Pool1d("max", 2),
         Conv1d(20, 5, "same"), Act("relu"), Pool1d("max", 4),
@@ -569,9 +560,6 @@ def build_tlenet(slice_T: int, M: int, K: int) -> ModelSpec:
 
 
 def build_mcdcnn(T: int, M: int, K: int) -> ModelSpec:
-    if T < 4:
-        raise ValueError(f"mcdcnn needs series length >= 4, got {T}")
-
     def branch() -> Sequential:
         return Sequential([
             Conv1d(8, 5, "same"), Act("relu"), Pool1d("max", 2),
@@ -586,16 +574,12 @@ def build_mcdcnn(T: int, M: int, K: int) -> ModelSpec:
 
 
 def build_timecnn(T: int, M: int, K: int) -> ModelSpec:
-    if T < 7:
-        raise ValueError(f"timecnn needs series length >= 7, got {T}")
     net = Sequential([
         Conv1d(6, 7, "valid"), Act("sigmoid"), Pool1d("avg", 3),
         Conv1d(12, 7, "valid"), Act("sigmoid"), Pool1d("avg", 3),
         Flatten(), Dense(K), Act("sigmoid"),
     ])
-    spec = ModelSpec("timecnn", T, M, K, "mse", net)
-    spec.layout  # surfaces too-short series as invalid-argument
-    return spec
+    return ModelSpec("timecnn", T, M, K, "mse", net)
 
 
 _BUILDERS = {
@@ -613,9 +597,15 @@ SLICE_WARPS = {"mcnn": (1.0,), "tlenet": (1.0, 2.0, 0.5)}  # sliced nets: their 
 
 
 def build_model(architecture_id: str, T: int, M: int, K: int, **options) -> ModelSpec:
+    """The built spec, laid out: a geometry a kernel refuses is a ``ShapeError``."""
     if architecture_id not in _BUILDERS:
         raise ValueError(f"unknown architecture {architecture_id!r}")
-    return _BUILDERS[architecture_id](T, M, K, **options)
+    spec = _BUILDERS[architecture_id](T, M, K, **options)
+    try:
+        spec.layout
+    except ValueError as exc:
+        raise ShapeError(f"{architecture_id} cannot take input length {T}: {exc}") from None
+    return spec
 
 
 # ---------------------------------------------------------------------------

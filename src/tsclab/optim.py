@@ -290,7 +290,8 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     """
     check_geometry(spec, data)
     if data.held_out is not None and data.held_out.n == 0:
-        raise ValueError("the held-out validation set is empty")
+        raise ValueError("the held-out validation set is empty: "
+                         "no class has two training series")
 
     rng = SplitMix64(config.seed)
     params = init_model(spec, rng)

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +175,15 @@ class TestTrainCommand:
             "--runs", "1", "--seed", "0", "--out", tmp_path / "out",
         ])
         assert code == 2
+
+    def test_tlenet_on_series_too_short_for_its_pools_exits_2_naming_it(self, tmp_path, capsys):
+        train, test = write_ucr_pair(tmp_path, T=6)
+        code = run(["train", "--arch", "tlenet", "--train", train, "--test", test,
+                    "--runs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert capsys.readouterr().err == ("data error: tlenet cannot take input length 3: "
+                                           "pool window 4 invalid for series length 1\n")
+        assert not (tmp_path / "out").exists()
 
     def test_manifest_records_epochs_used(self, tmp_path):
         train, test = write_ucr_pair(tmp_path)
@@ -478,6 +490,31 @@ class TestTrainCommand:
         assert capsys.readouterr().err == ("data error: twiesn's 20% validation split is empty: "
                                            "no class has two training series\n")
         assert passes == []
+        assert not (tmp_path / "out").exists()
+
+    def test_run_refused_before_its_first_write_leaves_no_out_folder(self, tmp_path):
+        # one series per class: mcdcnn's held-out split is empty
+        train, test = write_ucr_pair(tmp_path, n=2)
+        with pytest.warns(UserWarning, match="single member"):
+            code = run(["train", "--arch", "mcdcnn", "--train", train, "--test", test,
+                        "--runs", "1", "--out", tmp_path / "out"])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_each_warning_and_the_refusal_print_one_line(self, tmp_path):
+        train, test = write_ucr_pair(tmp_path, n=2)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-m", "tsclab", "train", "--arch", "mcdcnn",
+                               "--train", str(train), "--test", str(test), "--runs", "1",
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr == (
+            "warning: class 0 has a single member; keeping it in train\n"
+            "warning: class 1 has a single member; keeping it in train\n"
+            "data error: the held-out validation set is empty: no class has two training series\n")
 
 
 class TestCompareCommand:

@@ -244,12 +244,19 @@ class TestGeometry:
 
     def test_timecnn_too_short_rejected(self):
         with pytest.raises(ValueError):
-            M.build_timecnn(20, 1, 2)
+            M.build_model("timecnn", 20, 1, 2)
 
     def test_short_series_rejected(self):
         for arch in ("fcn", "resnet", "encoder", "tlenet"):
             with pytest.raises(ValueError):
                 M.build_model(arch, 7, 1, 2)
+
+    @pytest.mark.parametrize("arch", ["encoder", "tlenet", "mcdcnn", "timecnn", "mcnn"])
+    def test_one_step_below_the_kernels_floor_is_a_shape_error(self, arch):
+        T = MIN_LENGTH[arch] - 1
+        options = {"filter_length": 1, "pool_factor": 2} if arch == "mcnn" else {}
+        with pytest.raises(ShapeError, match=f"^{arch} cannot take input length {T}: "):
+            M.build_model(arch, T, 1, 2, **options)
 
     def test_mcnn_pool_factor_exhausting_length_rejected(self):
         with pytest.raises(ValueError):

@@ -72,3 +72,15 @@ def test_a_blob_beside_its_manifest_names_the_param_and_flat_index(sweeps, capsy
     assert same_outputs.report(parent, change) == 1
     assert capsys.readouterr().out == ("differs: ucr-conv-1/sweep/Synth_fcn_seed0.model.bin "
                                        f"(param {param})\n")
+
+
+def test_one_tree_trained_twice_writes_the_same_files(tmp_path):
+    pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
+    src = SCRIPT.parents[1] / "src"
+    for side in ("a", "b"):
+        assert same_outputs.run_trains(src, tmp_path / side, pairs, ["mlp"]) == ""
+    assert same_outputs.report(tmp_path / "a", tmp_path / "b") == 0
+    assert sorted(p.name for p in (tmp_path / "a" / "long" / "mlp").iterdir()) == [
+        "Synth_mlp_seed2.log", "Synth_mlp_seed2.model", "Synth_mlp_seed2.model.bin",
+        "Synth_mlp_seed3.log", "Synth_mlp_seed3.model", "Synth_mlp_seed3.model.bin",
+        "results.csv"]
