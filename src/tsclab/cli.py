@@ -193,7 +193,7 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
         raise ShapeError(f"{arch} takes whole series: test length {test_ds.length}, train {T}")
 
     if arch == "twiesn":
-        model = R.twiesn_fit(train_ds, R.default_grid(seed), split_seed=seed)
+        model = R.twiesn_fit(train_ds, R.default_grid(seed))
         acc = R.twiesn_accuracy(model, test_ds)
         loss, _ = cross_entropy_loss(model.fit_posterior, train_ds.Y)
         return model, acc, loss

@@ -108,7 +108,7 @@ def _parse_label(token: str):
 
 
 def _read_ucr(path):
-    """One UCR text file as ([T, 1] arrays, labels, line numbers), in file order."""
+    """One UCR text file as ([T, 1] arrays, labels, line numbers, dimension ids), in order."""
     path = Path(path)
     text = read_text(path)
     rows, linenos = [], []
@@ -139,7 +139,7 @@ def _read_ucr(path):
         raise DataFormatError(f"{path.name}:{linenos[r]}: field {c + 1} is {table[r, c]}, "
                               "not a finite number")
     return ([row[1:, None] for row in table], [r[0] for r in rows],
-            [f"line {no}" for no in linenos])
+            [f"line {no}" for no in linenos], [0])
 
 
 def dataset_name_from_path(path) -> str:
@@ -154,7 +154,8 @@ def dataset_name_from_path(path) -> str:
 # long-format multivariate files
 
 def _read_long(path):
-    """One long-format file as ([T_i, M] arrays, labels, series ids), in order of first appearance.
+    """One long-format file as ([T_i, M] arrays, labels, series ids, dimension ids),
+    the series in order of first appearance and the dimensions ascending.
 
     The file is read once and checked column by column: the body is split
     into tokens in one pass, the numeric columns are parsed with ``int`` and
@@ -253,7 +254,7 @@ def _read_long(path):
 
     raws = [block.reshape(len(all_dims), -1).T
             for block in np.split(values[order], series_start[1:])]
-    return raws, [parsed[label_col[r]] for r in first_row], names
+    return raws, [parsed[label_col[r]] for r in first_row], names, all_dims.tolist()
 
 
 def _lineno(lines, r: int) -> int:
@@ -297,9 +298,10 @@ def _reader(path):
     return _read_long if first and first[0].strip() == MTS_HEADER else _read_ucr
 
 
-def _dataset(path, raws, labels, names, target=None, vocabulary=None) -> TimeSeriesDataset:
-    """A reader's ([T_i, M] arrays, labels, names) as a dataset, the series
-    interpolated to ``target`` (default: the longest)."""
+def _dataset(path, read, target=None, vocabulary=None) -> TimeSeriesDataset:
+    """A reader's ([T_i, M] arrays, labels, names, dimension ids) as a dataset,
+    the series interpolated to ``target`` (default: the longest)."""
+    raws, labels, names, _ = read
     lengths = [r.shape[0] for r in raws]
     target = max(lengths) if target is None else int(target)
     if target > 1 and 1 in lengths:
@@ -318,21 +320,26 @@ def load_pair(train_path, test_path):
 
     The train split fixes the label vocabulary.  A long-format pair is
     interpolated to its longest series; each UCR file keeps its own width.
+    A test file with as many dimensions as the train file but other dimension
+    ids is an ``IntegrityError``; a count that differs is left to the net's shape check.
     """
     read = _reader(train_path)
     train, test = read(train_path), read(test_path)
+    if len(test[3]) == len(train[3]) and test[3] != train[3]:
+        raise IntegrityError(f"{Path(test_path).name}: dimension ids {test[3]} differ from "
+                             f"the train file's {train[3]}")
     target = max(r.shape[0] for r in train[0] + test[0]) if read is _read_long else None
     vocabulary = tuple(sorted(set(train[1])))
     if unseen := [label for label in test[1] if label not in vocabulary]:
         raise VocabularyError(f"{Path(test_path).name}: test label {unseen[0]!r} absent from "
                               f"train vocabulary {list(vocabulary)!r}")
-    return (_dataset(train_path, *train, target, vocabulary),
-            _dataset(test_path, *test, target, vocabulary))
+    return (_dataset(train_path, train, target, vocabulary),
+            _dataset(test_path, test, target, vocabulary))
 
 
 def load_single(path) -> TimeSeriesDataset:
     """One standalone file; its own labels are the vocabulary."""
-    return _dataset(path, *_reader(path)(path))
+    return _dataset(path, _reader(path)(path))
 
 
 # ---------------------------------------------------------------------------

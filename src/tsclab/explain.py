@@ -115,9 +115,8 @@ def _classical_init(d: np.ndarray) -> np.ndarray:
     return vectors[:, [-1, -2]] * np.sqrt(np.maximum(values[[-1, -2]], 0.0))
 
 
-def stress_value(d: np.ndarray, points: np.ndarray) -> float:
-    """Normalized residual stress: sqrt(sum (d_ij - e_ij)^2 / sum d_ij^2)."""
-    e = distance_matrix(points)
+def stress_value(d: np.ndarray, e: np.ndarray) -> float:
+    """Normalized residual stress of distances ``e``: sqrt(sum (d_ij - e_ij)^2 / sum d_ij^2)."""
     return float(np.sqrt(((d - e) ** 2).sum() / (d * d).sum()))
 
 
@@ -134,16 +133,17 @@ def mds_embed(d: np.ndarray) -> MdsEmbedding:
         raise NumericError("degenerate all-zero distance matrix")
     n = d.shape[0]
     x = _classical_init(d)
-    trace = [stress_value(d, x)]
+    e = distance_matrix(x)  # each iterate's distances, built once
+    trace = [stress_value(d, e)]
     for _ in range(MDS_MAX_ITERATIONS):
-        e = distance_matrix(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(e > 0.0, d / np.where(e > 0.0, e, 1.0), 0.0)
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         x = (b @ x) / n
-        trace.append(stress_value(d, x))
+        e = distance_matrix(x)
+        trace.append(stress_value(d, e))
         if trace[-2] - trace[-1] < MDS_TOL * max(trace[-2], 1e-300):
             break
     return MdsEmbedding(x, trace[-1], trace)

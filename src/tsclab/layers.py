@@ -365,19 +365,19 @@ def residual_add(x, y):
 # ---------------------------------------------------------------------------
 # losses
 
-def _check_one_hot(target: np.ndarray) -> None:
+def _check_loss_operands(pred: np.ndarray, target: np.ndarray) -> None:
     if target.ndim != 2:
         raise ValueError(f"targets must be [batch, classes], got shape {target.shape}")
     ok = np.all((target == 0.0) | (target == 1.0)) and np.all(target.sum(axis=1) == 1.0)
     if not ok:
         raise ValueError("targets must be one-hot rows")
+    if pred.shape != target.shape:
+        raise ShapeError(f"loss: shapes {pred.shape} and {target.shape} do not match")
 
 
 def cross_entropy_loss(pred: np.ndarray, target: np.ndarray):
     """Mean categorical cross entropy; predictions clipped to [1e-12, 1]."""
-    _check_one_hot(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"loss: shapes {pred.shape} and {target.shape} do not match")
+    _check_loss_operands(pred, target)
     n = pred.shape[0]
     p = np.clip(pred, EPS_LOG, 1.0)
     loss = float(-(target * np.log(p)).sum() / n)
@@ -388,9 +388,7 @@ def cross_entropy_loss(pred: np.ndarray, target: np.ndarray):
 
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error averaged over the batch (summed over classes)."""
-    _check_one_hot(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"loss: shapes {pred.shape} and {target.shape} do not match")
+    _check_loss_operands(pred, target)
     n = pred.shape[0]
     diff = pred - target
     return float((diff * diff).sum() / n), 2.0 * diff / n

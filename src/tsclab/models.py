@@ -5,9 +5,9 @@ layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
 stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
-:class:`Node`).  A builder only declares its net; :func:`build_model` lays
-the spec out, so a series too short for some kernel is refused there, as one
-``ShapeError`` naming the architecture, the length and the kernel's reason.
+:class:`Node`).  Builders only declare their nets, bar mcnn's pool-factor check;
+:func:`build_model` refuses a geometry below the net's floors, then lays the spec
+out so that its kernels refuse what they cannot run, each as a ``ShapeError``.
 A spec is laid out once: ``ModelSpec.layout`` lists the declared parameters
 in layer order, the order of the Glorot draws and of the serialized blob,
 and its widest layer sizes every infer batch (:func:`infer_batch`).
@@ -454,8 +454,6 @@ def trainable(name: str) -> bool:
 
 
 def build_mlp(T: int, M: int, K: int) -> ModelSpec:
-    if T * M < 1:
-        raise ValueError("empty input geometry")
     net = Sequential([
         Flatten(),
         Dropout(0.1), Dense(500), Act("relu"),
@@ -467,8 +465,6 @@ def build_mlp(T: int, M: int, K: int) -> ModelSpec:
 
 
 def build_fcn(T: int, M: int, K: int) -> ModelSpec:
-    if T < 8:
-        raise ValueError(f"fcn needs series length >= 8, got {T}")
     net = Sequential([
         Conv1d(128, 8, "same"), BatchNorm(), Act("relu"),
         Conv1d(256, 5, "same"), BatchNorm(), Act("relu"),
@@ -479,9 +475,6 @@ def build_fcn(T: int, M: int, K: int) -> ModelSpec:
 
 
 def build_resnet(T: int, M: int, K: int) -> ModelSpec:
-    if T < 8:
-        raise ValueError(f"resnet needs series length >= 8, got {T}")
-
     def block(c_in: int) -> Residual:
         body = Sequential([
             Conv1d(64, 8, "same"), BatchNorm(), Act("relu"),
@@ -518,11 +511,9 @@ def mcnn_grid(slice_T: int) -> list[tuple[int, int]]:
 
 
 def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: int) -> ModelSpec:
+    if not 1 <= pool_factor <= slice_T:
+        raise ValueError(f"pool factor {pool_factor} is not in 1..{slice_T}, the slice length")
     target = slice_T // pool_factor
-    if target < 1:
-        raise ValueError(
-            f"pool factor {pool_factor} leaves no time steps for slice length {slice_T}"
-        )
 
     def branch(transform: Node | None, t_branch: int) -> Sequential:
         window = max(1, t_branch // target)
@@ -594,12 +585,16 @@ _BUILDERS = {
 }
 ARCHITECTURES = tuple(_BUILDERS)
 SLICE_WARPS = {"mcnn": (1.0,), "tlenet": (1.0, 2.0, 0.5)}  # sliced nets: their pool's warps
+LENGTH_FLOORS = {"fcn": 8, "resnet": 8}  # floors of nets whose kernels run any length; others 1
 
 
 def build_model(architecture_id: str, T: int, M: int, K: int, **options) -> ModelSpec:
-    """The built spec, laid out: a geometry a kernel refuses is a ``ShapeError``."""
+    """The built spec, laid out; a geometry it cannot take is a ``ShapeError``."""
     if architecture_id not in _BUILDERS:
         raise ValueError(f"unknown architecture {architecture_id!r}")
+    if T < (floor := LENGTH_FLOORS.get(architecture_id, 1)) or M < 1 or K < 1:
+        raise ShapeError(f"{architecture_id} cannot take length {T}, dims {M}, classes {K}: "
+                         f"it needs length >= {floor}, dims >= 1 and classes >= 1")
     spec = _BUILDERS[architecture_id](T, M, K, **options)
     try:
         spec.layout
@@ -742,7 +737,8 @@ def save_model(model: TrainedModel, manifest_path) -> None:
 
 
 def load_model(manifest_path) -> TrainedModel:
-    """Rebuild the spec from the manifest; check its ``loss``, ``layer``, ``param`` and ``slicing``.
+    """Rebuild the spec from the manifest; check its run fields (``best_epoch`` in
+    0..``epochs_run``), ``loss``, ``layer``, ``param`` and ``slicing``.
 
     The ``layer`` rows must be the rebuilt spec's, in any order (a multiset).
     """
@@ -750,6 +746,11 @@ def load_model(manifest_path) -> TrainedModel:
                     optional={"slicing": _read_slicing},
                     repeated={"option": _read_option, "layer": str}, indented={"layer"})
     f = bundle.fields
+    ran, best = f["epochs_run"], f["best_epoch"]
+    if ran < 0:
+        raise bundle.error("epochs_run", f"reads {ran}; a run trains 0 or more epochs")
+    if not 0 <= best <= ran:
+        raise bundle.error("best_epoch", f"reads {best}; a run of {ran} epochs keeps 0..{ran}")
     spec = bundle.build(None, build_model, f["architecture_id"], f["input_length"],
                         f["input_dims"], f["classes"], **dict(f.get("option", [])))
     if f["loss"] != spec.loss:

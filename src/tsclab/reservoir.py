@@ -215,18 +215,14 @@ def _grid_accuracies(grid: list[ReservoirConfig], fit_part: TimeSeriesDataset,
     return accuracies
 
 
-def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig],
-               split_seed: int | None = None) -> TwiesnModel:
+def twiesn_fit(data: TimeSeriesDataset, grid: list[ReservoirConfig]) -> TwiesnModel:
     """Grid-search on a stratified 20% held-out split, then refit on all data.
 
-    Ties keep the first grid entry.  The split is drawn from ``split_seed``,
-    by default the first entry's seed.
+    Ties keep the first grid entry.  The split is drawn from the first entry's seed.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if split_seed is None:
-        split_seed = grid[0].seed
-    fit_part, val_part = split_train_val(data, 0.2, split_seed)
+    fit_part, val_part = split_train_val(data, 0.2, grid[0].seed)
     if val_part.n == 0:
         raise ValueError("twiesn's 20% validation split is empty: "
                          "no class has two training series")

@@ -92,6 +92,14 @@ FCN_CASES = common_cases("fcn", "tsclab-model-v1", "classes") + [
     ("param-bad-shape", swap("param: 0.b [128]", "param: 0.b [one]"), "'param'"),
     ("repeated-value-twice", repeat("classes:"), "'classes'"),
     ("unbuildable", swap("input_length: 16", "input_length: 3"), "model is invalid"),
+    ("no-dims", swap("input_dims: 1", "input_dims: 0"),
+     "model is invalid: fcn cannot take length 16, dims 0, classes 2: "),
+    ("best-epoch-past-the-run", swap("best_epoch: 3", "best_epoch: 9"),
+     "field 'best_epoch' reads 9; a run of 6 epochs keeps 0..6"),
+    ("best-epoch-negative", swap("best_epoch: 3", "best_epoch: -5"),
+     "field 'best_epoch' reads -5; a run of 6 epochs keeps 0..6"),
+    ("epochs-run-negative", swap("epochs_run: 6", "epochs_run: -1"),
+     "field 'epochs_run' reads -1; a run trains 0 or more epochs"),
     ("bad-slicing", lambda lines: lines + ["slicing: fraction=0.9"], "'slicing'"),
     ("stray-slicing", lambda lines: lines + ["slicing: fraction=0.9 stride=2 warp=1.0"],
      "field 'slicing' does not apply to fcn"),

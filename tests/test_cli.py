@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import poison_blob, random_batch
+from conftest import poison_blob, random_batch, save_mts_long, toy_dataset
 from tsclab import cli
+from tsclab import data as D
 from tsclab import models as M
 from tsclab import optim as O
 from tsclab import stats as S
+from tsclab.tensor import SplitMix64
 
 
 def write_ucr_pair(tmp_path, name="Synth", n=8, T=16, seed=0):
@@ -516,6 +518,23 @@ class TestTrainCommand:
             "warning: class 1 has a single member; keeping it in train\n"
             "data error: the held-out validation set is empty: no class has two training series\n")
 
+    def test_test_file_of_other_dimension_ids_exits_2_naming_both(self, tmp_path, capsys):
+        # the test file's dimensions 5 and 9 must not be read as the train file's 0 and 2
+        paths = []
+        for part, ids in (("TRAIN", (0, 2)), ("TEST", (5, 9))):
+            path = tmp_path / f"Dims_{part}.csv"
+            save_mts_long(toy_dataset(n=6, T=8, M=2, seed=len(paths)), path)
+            header, *rows = (line.split(",") for line in path.read_text().splitlines())
+            rows = [",".join([sid, str(ids[int(dim)]), *rest]) for sid, dim, *rest in rows]
+            path.write_text("\n".join([",".join(header), *rows]) + "\n")
+            paths.append(path)
+        out = tmp_path / "out"
+        assert run(["train", "--arch", "mlp", "--train", paths[0], "--test", paths[1],
+                    "--runs", "1", "--epochs", "1", "--out", out]) == 2
+        assert capsys.readouterr().err == ("data error: Dims_TEST.csv: dimension ids [5, 9] "
+                                           "differ from the train file's [0, 2]\n")
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def write_results(self, tmp_path, columns, n_datasets=10):
@@ -873,3 +892,36 @@ class TestExplainCommands:
             "mds", "--model", str(manifest), "--data", str(test_file),
         ])
         assert args.out == str(target)
+
+
+INTEGER_FIELDS = ("input_length", "input_dims", "classes", "seed", "epochs_run", "best_epoch")
+
+
+@pytest.fixture(scope="module")
+def saved_nets(tmp_path_factory):
+    """A trained fcn's manifest, an untrained mcnn's, and a data file that fits both."""
+    tmp = tmp_path_factory.mktemp("nets")
+    train, test = write_ucr_pair(tmp, n=6, T=16)
+    assert run(["train", "--arch", "fcn", "--train", train, "--test", test,
+                "--runs", "1", "--seed", "2", "--epochs", "2", "--out", tmp / "fcn"]) == 0
+    spec = M.build_model("mcnn", 16, 1, 2, filter_length=3, pool_factor=2)
+    spec.slicing = D.default_slicing(16, M.SLICE_WARPS["mcnn"])
+    (tmp / "mcnn").mkdir()
+    M.save_model(M.TrainedModel(spec, M.init_model(spec, SplitMix64(0))), tmp / "mcnn" / "m.model")
+    return {"fcn": tmp / "fcn" / "Synth_fcn_seed2.model", "mcnn": tmp / "mcnn" / "m.model"}, test
+
+
+@pytest.mark.parametrize("arch, key, value", [
+    ("fcn", key, value) for key in INTEGER_FIELDS for value in ("0", "-1", str(2 ** 63), "x")
+] + [("mcnn", "option: pool_factor", "0"), ("mcnn", "option: filter_length", "0")])
+def test_every_integer_field_of_a_model_file_exits_0_or_2_in_one_line(
+        saved_nets, tmp_path, capsys, arch, key, value):
+    manifests, data = saved_nets
+    head = f"{key}=" if key.startswith("option: ") else f"{key}:"
+    line = f"{head}{value}" if head.endswith("=") else f"{head} {value}"
+    edited = copy_bundle(manifests[arch], tmp_path,
+                         lambda old: line if old.startswith(head) else old)
+    assert f"\n{line}\n" in edited.read_text()
+    code = run(["mds", "--model", edited, "--data", data, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and err.count("\n") <= 1 and "Traceback" not in err, err

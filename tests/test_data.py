@@ -286,6 +286,20 @@ class TestLongLoader:
         with pytest.raises(VocabularyError, match="^te.csv: test label 'z' absent"):
             D.load_pair(train, test)
 
+    def test_test_dimension_ids_other_than_the_train_files_are_refused(self, tmp_path):
+        def rows(dims):
+            return [f"s{i},{d},{t},{0.1 * t + d},{'ab'[i]}"
+                    for i in range(2) for d in dims for t in range(3)]
+
+        train = write(tmp_path, "tr.csv", LONG_HEADER + "\n".join(rows((0, 2))) + "\n")
+        test = write(tmp_path, "te.csv", LONG_HEADER + "\n".join(rows((5, 9))) + "\n")
+        with pytest.raises(IntegrityError) as info:
+            D.load_pair(train, test)
+        assert str(info.value) == "te.csv: dimension ids [5, 9] differ from the train file's [0, 2]"
+        tr, te = D.load_pair(train, write(tmp_path, "same.csv",
+                                          LONG_HEADER + "\n".join(rows((2, 0))) + "\n"))
+        assert tr.dims == te.dims == 2
+
     @given(data=st.data())
     @settings(max_examples=40)
     def test_row_order_and_blank_lines_do_not_change_the_load(self, tmp_path_factory, data):

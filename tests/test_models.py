@@ -258,6 +258,27 @@ class TestGeometry:
         with pytest.raises(ShapeError, match=f"^{arch} cannot take input length {T}: "):
             M.build_model(arch, T, 1, 2, **options)
 
+    @pytest.mark.parametrize("arch, T, Mdims, K", [
+        (arch, *geometry) for arch in M.ARCHITECTURES
+        for geometry in ((0, 1, 2), (16, 0, 2), (16, 1, 0))] + [
+        ("fcn", 7, 1, 2), ("resnet", 7, 1, 2)])
+    def test_the_gate_refuses_an_empty_geometry_or_one_below_the_floor(self, arch, T, Mdims,
+                                                                        K):
+        options = {"filter_length": 1, "pool_factor": 1} if arch == "mcnn" else {}
+        with pytest.raises(ShapeError, match=f"^{arch} cannot take length {T}, dims {Mdims}, "
+                                             f"classes {K}: "):
+            M.build_model(arch, T, Mdims, K, **options)
+
+    def test_the_gate_refuses_before_the_builder_runs(self, monkeypatch):
+        monkeypatch.setitem(M._BUILDERS, "fcn", lambda *a: pytest.fail("the builder ran"))
+        with pytest.raises(ShapeError):
+            M.build_model("fcn", 16, 0, 2)
+
+    @pytest.mark.parametrize("pool_factor", [0, -1])
+    def test_mcnn_pool_factor_below_one_is_a_value_error(self, pool_factor):
+        with pytest.raises(ValueError, match=f"^pool factor {pool_factor} is not in 1..16"):
+            M.build_mcnn(16, 1, 2, 3, pool_factor)
+
     def test_mcnn_pool_factor_exhausting_length_rejected(self):
         with pytest.raises(ValueError):
             M.build_mcnn(11, 1, 2, 2, 12)

@@ -285,7 +285,7 @@ class TestTwiesn:
         best = accs.index(max(accs))
         assert accs.count(max(accs)) > 1 and best > 0 and min(accs) < max(accs)
         assert R._grid_accuracies(grid, fit_part, val_part) == accs
-        model = R.twiesn_fit(ds, grid, split_seed=2)
+        model = R.twiesn_fit(ds, grid)
         reference = R.twiesn_train_single(grid[best], ds)
         assert model.config == reference.config
         for name in ("W_in", "W", "W_out"):

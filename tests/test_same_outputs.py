@@ -1,6 +1,7 @@
 """scripts/same_outputs.py: the file comparison that follows the two sweeps."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -84,3 +85,25 @@ def test_one_tree_trained_twice_writes_the_same_files(tmp_path):
         "Synth_mlp_seed2.log", "Synth_mlp_seed2.model", "Synth_mlp_seed2.model.bin",
         "Synth_mlp_seed3.log", "Synth_mlp_seed3.model", "Synth_mlp_seed3.model.bin",
         "results.csv"]
+
+
+def test_a_one_ulp_change_to_a_kernel_is_named_in_every_blob_it_reaches(tmp_path, capsys):
+    # the gate the script exists for: a tree whose dense bias gradient moves one ulp up
+    src = SCRIPT.parents[1] / "src"
+    mutant = tmp_path / "mutant" / "src"
+    shutil.copytree(src, mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    layers = mutant / "tsclab" / "layers.py"
+    exact = "    return gy @ w.T, x.T @ gy, gy.sum(axis=0)\n"
+    assert layers.read_text().count(exact) == 1
+    layers.write_text(layers.read_text().replace(
+        exact, "    return gy @ w.T, x.T @ gy, np.nextafter(gy.sum(axis=0), np.inf)\n"))
+    pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
+    for side, tree in (("parent", src), ("change", mutant)):
+        assert same_outputs.run_trains(tree, tmp_path / side, pairs, ["mlp"]) == ""
+    capsys.readouterr()
+    assert same_outputs.report(tmp_path / "parent", tmp_path / "change") == 1
+    blobs = [line for line in capsys.readouterr().out.splitlines() if ".model.bin" in line]
+    assert [line.split(" (")[0] for line in blobs] == [
+        f"differs: {pair}/mlp/Synth_mlp_seed{seed}.model.bin"
+        for pair, seeds in (("long", (2, 3)), ("ucr", (1, 2))) for seed in seeds]
+    assert all(re.search(r" \(param \S+, flat index \d+\)$", line) for line in blobs)
