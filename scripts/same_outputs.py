@@ -3,14 +3,16 @@
 
     python scripts/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds A B]
 
-Each tree runs two halves, each in processes of its own with that tree's
+Each tree runs three parts, each in processes of its own with that tree's
 ``src`` on PYTHONPATH:
 
 - the benchmark's sweep (``sweep.write_inputs`` and ``sweep.run_sweep``
   from ``perfbench/``) for every workload at both seeds;
 - ``python -m tsclab train`` for all nine architectures (``TRAIN_FLAGS``)
   on two pairs written once with ``perfbench/synth.py``: a UCR pair drawn
-  from seed A and a long-format pair from seed B.
+  from seed A and a long-format pair from seed B;
+- the infer outputs of every model the train runs saved, on its pair's test
+  split, as raw float64 (``run_posteriors``).
 
 Every file the two trees wrote is then compared byte for byte;
 ``results.csv`` is compared without its ``train_seconds`` column, which
@@ -19,7 +21,7 @@ exits 1 if there is any, else 0; the wall time goes to stderr.  The line of
 a differing ``.bin`` blob with a manifest beside it (``m.model`` for
 ``m.model.bin``) also names the ``param`` and the flat index, within that
 tensor, of the first float64 that differs, as the parent's manifest lays
-them out.  A sweep or a train run that fails exits 2.
+them out.  A sweep, a train run or a posterior pass that fails exits 2.
 """
 
 import argparse
@@ -53,6 +55,37 @@ for seed in map(int, sys.argv[2:]):
         res = sweep.run_sweep(wl, sweep.write_inputs(wl, seed, work / "inputs"), work / "sweep")
         if res.failed or res.problems:
             sys.exit(f"{wl.name} seed {seed}: {res.failed} failed runs; {res.problems}")
+"""
+
+POSTERIORS = """
+import sys
+from pathlib import Path
+import numpy as np
+from tsclab import data as D, models as M, reservoir as R
+forward, outputs = M.forward_batch, []
+
+
+def recorded(*args):  # predict's forwards, in its batches and order
+    y, caches = forward(*args)
+    outputs.append(y)
+    return y, caches
+
+
+M.forward_batch = recorded
+out = Path(sys.argv[1])
+for name, train, test in zip(*[iter(sys.argv[2:])] * 3):
+    ds = D.load_pair(train, test)[1]
+    for manifest in sorted((out / "train" / name).glob("*/*.model")):
+        arch = manifest.parent.name
+        if arch == "twiesn":
+            y = R.twiesn_posteriors(R.load_twiesn(manifest), ds.X)
+        else:
+            outputs.clear()
+            M.predict(M.load_model(manifest), ds)
+            y = np.concatenate(outputs)
+        folder = out / "posteriors" / name / arch
+        folder.mkdir(parents=True, exist_ok=True)
+        y.astype(np.float64, copy=False).tofile(folder / f"{manifest.stem}.f64")
 """
 
 
@@ -97,6 +130,18 @@ def run_trains(src: Path, out: Path, pairs: dict, archs=ARCHITECTURES) -> str:
             if subprocess.run(argv, env=_env(src), stdout=subprocess.DEVNULL).returncode:
                 return f"{name} {arch}"
     return ""
+
+
+def run_posteriors(src: Path, out: Path, pairs: dict) -> bool:
+    """Load, with ``src``'s reader, every model saved under ``out/train/<pair>``
+    and write its infer outputs on that pair's test split, as raw float64, to
+    ``out/posteriors/<pair>/<arch>/<model>.f64``: the outputs of every
+    ``forward_batch`` call that ``models.predict`` makes, in order, so a sliced
+    net gives every slice (twiesn: its posteriors).  True if it ran."""
+    argv = [str(v) for name, (_, train, test) in pairs.items() for v in (name, train, test)]
+    done = subprocess.run([sys.executable, "-c", POSTERIORS, str(out), *argv],
+                          env=_env(src), stdout=subprocess.DEVNULL)
+    return done.returncode == 0
 
 
 def _content(path: Path):
@@ -173,6 +218,9 @@ def main(argv=None) -> int:
             if failed := run_trains(src.resolve(), outs[side] / "train", pairs):
                 print(f"same_outputs: the {side} train run ({src}) failed: {failed}",
                       file=sys.stderr)
+                return 2
+            if not run_posteriors(src.resolve(), outs[side], pairs):
+                print(f"same_outputs: the {side} posteriors ({src}) failed", file=sys.stderr)
                 return 2
         code = report(outs["parent"], outs["change"])
     print(f"same_outputs: {time.perf_counter() - started:.1f} s wall time", file=sys.stderr)

@@ -6,6 +6,11 @@ gradients of the forward map.  Activations live in time-major batches
 shaped ``[batch, time, channels]``; dense layers see ``[batch, features]``.
 
 Gradients are hand-derived per layer; there is no autodiff graph.
+
+The kernels whose work differs by pass take ``mode``: batch norm, dropout,
+the activations (ReLU, sigmoid, softmax) and pooling.  In ``"infer"`` mode
+they return a ``None`` cache and build nothing that only a backward reads
+(no ReLU mask, no max-pool index), with the same output bits as ``"train"``.
 """
 
 from __future__ import annotations
@@ -175,33 +180,35 @@ def instance_norm_backward(gy: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # activations
 
-def relu_forward(x):
-    return np.maximum(x, 0.0), (x > 0.0)
+def relu_forward(x, mode: str):
+    return np.maximum(x, 0.0), None if mode == "infer" else x > 0.0
 
 
 def relu_backward(gy, cache):
     return gy * cache
 
 
-def sigmoid_forward(x):
-    # two-branch form avoids exp overflow for large |x|
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y, y
+def sigmoid_forward(x, mode: str):
+    # e = exp(-|x|) cannot overflow: 1 / (1 + e) for x >= 0, e / (1 + e) below,
+    # the same IEEE operations as the two branches written out
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    y = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y, None if mode == "infer" else y
 
 
 def sigmoid_backward(gy, cache):
     return gy * cache * (1.0 - cache)
 
 
-def softmax_forward(x, axis: int = -1):
+def softmax_forward(x, mode: str, axis: int = -1):
     z = x - x.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    return y, (y, axis)
+    return y, None if mode == "infer" else (y, axis)
 
 
 def softmax_backward(gy, cache):
@@ -248,8 +255,10 @@ def dropout_backward(gy, cache):
 # ---------------------------------------------------------------------------
 # pooling
 
-def pool1d_forward(x, window: int, kind: str):
-    """Non-overlapping pooling (stride = window); trailing remainder dropped."""
+def pool1d_forward(x, window: int, kind: str, mode: str):
+    """Non-overlapping pooling (stride = window); trailing remainder dropped.
+
+    Infer mode keeps no max index and returns no cache."""
     batch, T, C = x.shape
     if window < 1 or window > T:
         raise ValueError(f"pool window {window} invalid for series length {T}")
@@ -258,16 +267,25 @@ def pool1d_forward(x, window: int, kind: str):
     if kind == "max":
         # running max, argmax's bits: the index moves only to a strictly greater
         # value (the first of equal values wins) or onto the first NaN
-        y, idx = blocks[:, :, 0].copy(), np.zeros((batch, t_out, C), np.intp)
+        y = blocks[:, :, 0].copy()
+        idx = None if mode == "infer" else np.zeros((batch, t_out, C), np.intp)
         for j in range(1, window):
             more = ~(blocks[:, :, j] <= y)
             more &= y == y
             np.copyto(y, blocks[:, :, j], where=more)
-            np.copyto(idx, j, where=more)
-        return y, ("max", idx, x.shape, window)
-    if kind == "avg":
-        return blocks.mean(axis=2), ("avg", None, x.shape, window)
-    raise ValueError(f"unknown pooling kind {kind!r}")
+            if idx is not None:
+                np.copyto(idx, j, where=more)
+    elif kind == "avg":
+        # ``blocks.mean(axis=2)``'s bits below window 8, where numpy's pairwise sum
+        # starts regrouping: from 0.0 (so -0.0 sums to +0.0), in window order, / window
+        y = blocks[:, :, 0] + 0.0
+        for j in range(1, window):
+            y += blocks[:, :, j]
+        y /= window
+        idx = None
+    else:
+        raise ValueError(f"unknown pooling kind {kind!r}")
+    return y, None if mode == "infer" else (kind, idx, x.shape, window)
 
 
 def pool1d_backward(gy, cache):
@@ -307,7 +325,7 @@ def attention_forward(x):
         raise ValueError(f"attention needs an even channel count, got {C}")
     H = C // 2
     a, v = x[:, :, :H], x[:, :, H:]
-    s, _ = softmax_forward(a, axis=1)
+    s, _ = softmax_forward(a, "infer", axis=1)
     y = (s * v).sum(axis=1)
     return y, (s, v, y, H)
 

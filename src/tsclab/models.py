@@ -5,7 +5,7 @@ layer nodes) plus a flat parameter dict.  Forward composes the layer
 kernels in tree order; backward walks the same tree in reverse and
 stores each parameter's exact gradient.  A leaf node only declares its ``layers``
 kernel pair, its parameters and its arguments (the contract is on
-:class:`Node`).  Builders only declare their nets, bar mcnn's pool-factor check;
+:class:`Node`).  Builders only declare their nets, bar mcnn's option check;
 :func:`build_model` refuses a geometry below the net's floors, then lays the spec
 out so that its kernels refuse what they cannot run, each as a ``ShapeError``.
 A spec is laid out once: ``ModelSpec.layout`` lists the declared parameters
@@ -181,6 +181,9 @@ class Act(Node):
     def __init__(self, kind: str):
         self.kind = kind
 
+    def args(self, mode, rng):
+        return (mode,)
+
 
 class PRelu(Node):
     kernel, label, names = "prelu", "act prelu", ("slopes",)
@@ -207,7 +210,7 @@ class Pool1d(Node):
         self.window = window
 
     def args(self, mode, rng):
-        return self.window, self.kind
+        return self.window, self.kind, mode
 
 
 class Gap(Node):
@@ -511,8 +514,10 @@ def mcnn_grid(slice_T: int) -> list[tuple[int, int]]:
 
 
 def build_mcnn(slice_T: int, M: int, K: int, filter_length: int, pool_factor: int) -> ModelSpec:
-    if not 1 <= pool_factor <= slice_T:
-        raise ValueError(f"pool factor {pool_factor} is not in 1..{slice_T}, the slice length")
+    if not 1 <= pool_factor <= slice_T or filter_length < 1:
+        raise ValueError(f"mcnn needs pool_factor in 1..{slice_T}, the slice length, and "
+                         f"filter_length >= 1; got pool_factor={pool_factor}, "
+                         f"filter_length={filter_length}")
     target = slice_T // pool_factor
 
     def branch(transform: Node | None, t_branch: int) -> Sequential:

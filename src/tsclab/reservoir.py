@@ -162,7 +162,7 @@ def twiesn_train_single(config: ReservoirConfig, data: TimeSeriesDataset) -> Twi
 
 def _row_posteriors(rows: np.ndarray, W_out: np.ndarray, n_series: int) -> np.ndarray:
     # softmax of each design row's scores, averaged over each series' steps
-    posterior, _ = softmax_forward(rows @ W_out.T)
+    posterior, _ = softmax_forward(rows @ W_out.T, "infer")
     return posterior.reshape(n_series, -1, posterior.shape[1]).mean(axis=1)
 
 

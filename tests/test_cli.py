@@ -925,3 +925,12 @@ def test_every_integer_field_of_a_model_file_exits_0_or_2_in_one_line(
     code = run(["mds", "--model", edited, "--data", data, "--out", tmp_path / "o"])
     err = capsys.readouterr().err
     assert code in (0, 2) and err.count("\n") <= 1 and "Traceback" not in err, err
+
+
+def test_an_mcnn_filter_length_below_one_is_refused_by_name(saved_nets, tmp_path, capsys):
+    manifests, data = saved_nets
+    edited = copy_bundle(manifests["mcnn"], tmp_path, lambda old: "option: filter_length=0"
+                         if old.startswith("option: filter_length=") else old)
+    assert run(["mds", "--model", edited, "--data", data, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "filter_length=0" in err, err

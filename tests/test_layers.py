@@ -459,18 +459,18 @@ def test_kernel_names_pair_up_for_profilers():
 
 class TestActivations:
     def test_softmax_symmetry(self):
-        y, _ = L.softmax_forward(np.zeros((1, 4)))
+        y, _ = L.softmax_forward(np.zeros((1, 4)), "train")
         assert np.allclose(y, 0.25)
 
     def test_softmax_rows_sum_to_one(self):
         logits = random_batch((50, 7), seed=0, scale=100.0)
-        y, _ = L.softmax_forward(logits)
+        y, _ = L.softmax_forward(logits, "train")
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) < 1e-12
 
     def test_prelu_zero_slope_is_relu(self):
         x = random_batch((3, 6, 2), seed=1)
         y_prelu, _ = L.prelu_forward(x, np.zeros(2))
-        y_relu, _ = L.relu_forward(x)
+        y_relu, _ = L.relu_forward(x, "train")
         assert np.array_equal(y_prelu, y_relu)
 
     @pytest.mark.parametrize("kind", ["relu", "sigmoid", "softmax"])
@@ -481,10 +481,10 @@ class TestActivations:
         forward, backward = getattr(L, f"{kind}_forward"), getattr(L, f"{kind}_backward")
 
         def loss(x_):
-            y, _ = forward(x_)
+            y, _ = forward(x_, "train")
             return float((y * gy).sum())
 
-        _, cache = forward(x)
+        _, cache = forward(x, "train")
         gx = backward(gy, cache)
         assert_grad_close(gx, central_difference(loss, x.copy()))
 
@@ -569,7 +569,7 @@ class TestPooling:
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
     def test_max_pool_keeps_the_bits_of_argmax(self, window, kind):
         x = pool_input(kind, seed=window)
-        y, cache = L.pool1d_forward(x, window, "max")
+        y, cache = L.pool1d_forward(x, window, "max", "train")
         want_y, want_idx, want_backward = reference_max_pool(x, window)
         assert np.array_equal(cache[1], want_idx)
         gy = random_batch(y.shape, seed=60)
@@ -577,42 +577,118 @@ class TestPooling:
 
     def test_max_pool_example(self):
         x = np.array([1.0, 3.0, 2.0, 5.0]).reshape(1, 4, 1)
-        y, _ = L.pool1d_forward(x, 2, "max")
+        y, _ = L.pool1d_forward(x, 2, "max", "train")
         assert np.array_equal(y[0, :, 0], [3.0, 5.0])
 
     def test_avg_pool_constant(self):
         x = np.full((1, 9, 2), 4.5)
-        y, _ = L.pool1d_forward(x, 3, "avg")
+        y, _ = L.pool1d_forward(x, 3, "avg", "train")
         assert y.shape == (1, 3, 2)
         assert np.allclose(y, 4.5)
 
     def test_remainder_dropped(self):
         x = random_batch((1, 7, 1), seed=0)
-        y, _ = L.pool1d_forward(x, 3, "max")
+        y, _ = L.pool1d_forward(x, 3, "max", "train")
         assert y.shape == (1, 2, 1)
 
     def test_window_larger_than_series_rejected(self):
         with pytest.raises(ValueError):
-            L.pool1d_forward(np.zeros((1, 3, 1)), 4, "max")
+            L.pool1d_forward(np.zeros((1, 3, 1)), 4, "max", "train")
 
     def test_max_tie_routes_to_first_index(self):
         x = np.array([2.0, 2.0]).reshape(1, 2, 1)
-        y, cache = L.pool1d_forward(x, 2, "max")
+        y, cache = L.pool1d_forward(x, 2, "max", "train")
         gx = L.pool1d_backward(np.ones_like(y), cache)
         assert np.array_equal(gx[0, :, 0], [1.0, 0.0])
 
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_gradients_match_finite_differences(self, kind):
         x = random_batch((2, 9, 2), seed=1)
-        y0, cache = L.pool1d_forward(x, 3, kind)
+        y0, cache = L.pool1d_forward(x, 3, kind, "train")
         gy = random_batch(y0.shape, seed=2)
 
         def loss(x_):
-            y, _ = L.pool1d_forward(x_, 3, kind)
+            y, _ = L.pool1d_forward(x_, 3, kind, "train")
             return float((y * gy).sum())
 
         gx = L.pool1d_backward(gy, cache)
         assert_grad_close(gx, central_difference(loss, x.copy()))
+
+
+# The kernels' forwards as they were written before infer mode dropped the
+# ReLU mask and the max-pool index; the max pool's is ``reference_max_pool``.
+def old_relu(x):
+    return np.maximum(x, 0.0), (x > 0.0)
+
+
+def old_avg_pool(x, window):
+    batch, T, C = x.shape
+    t_out = T // window
+    return x[:, : t_out * window, :].reshape(batch, t_out, window, C).mean(axis=2)
+
+
+def old_sigmoid(x):
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def kernel_input(kind, seed, view):
+    """``pool_input`` with a window of -0.0 (its mean is +0.0); whole, or as the
+    non-contiguous slice that mcdcnn's third ``SplitDims`` branch sees."""
+    x = pool_input(kind, seed)
+    x[:, 4:12] = -0.0
+    return x if view == "batch" else M.SplitDims([])._branch_input(x, 2)
+
+
+class TestInferModeKernels:
+    """Both modes give the old formulas' output bits; infer mode keeps no cache."""
+
+    @pytest.mark.parametrize("view", ["batch", "branch"])
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    def test_relu(self, kind, view):
+        x = kernel_input(kind, 70, view)
+        want_y, want_mask = old_relu(x)
+        y, mask = L.relu_forward(x, "train")
+        y_infer, cache = L.relu_forward(x, "infer")
+        assert cache is None
+        assert_same_bits((y, mask, y_infer), (want_y, want_mask, want_y))
+
+    @pytest.mark.parametrize("view", ["batch", "branch"])
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    def test_max_pool(self, window, kind, view):
+        x = kernel_input(kind, 70 + window, view)
+        want_y, want_idx, _ = reference_max_pool(x, window)
+        y, cache = L.pool1d_forward(x, window, "max", "train")
+        y_infer, none = L.pool1d_forward(x, window, "max", "infer")
+        assert none is None and cache[0] == "max"
+        assert_same_bits((y, cache[1], y_infer), (want_y, want_idx, want_y))
+
+    @pytest.mark.parametrize("view", ["batch", "branch"])
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4, 7])  # numpy's mean regroups from 8
+    def test_avg_pool(self, window, kind, view):
+        x = kernel_input(kind, 80 + window, view)
+        want_y = old_avg_pool(x, window)
+        y, cache = L.pool1d_forward(x, window, "avg", "train")
+        y_infer, none = L.pool1d_forward(x, window, "avg", "infer")
+        assert none is None and cache == ("avg", None, x.shape, window)
+        assert_same_bits((y, y_infer), (want_y, want_y))
+
+    def test_sigmoid_at_its_edges(self):
+        edges = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                 709.5, -709.5, 745.2, -745.2, 800.0, -800.0, 1e308, -1e308]
+        x = np.concatenate([edges, *(random_batch((4000,), seed=90, scale=s)
+                                     for s in (1e-3, 1.0, 40.0, 800.0))]).reshape(4, -1, 2)
+        want_y = old_sigmoid(x)
+        y, cache = L.sigmoid_forward(x, "train")
+        y_infer, none = L.sigmoid_forward(x, "infer")
+        assert none is None and cache is y
+        assert_same_bits((y, y_infer), (want_y, want_y))
 
 
 class TestGapAndAttention:
@@ -755,11 +831,11 @@ class TestLosses:
             target[i, i % 3] = 1.0
 
         def loss(z):
-            p, _ = L.softmax_forward(z)
+            p, _ = L.softmax_forward(z, "train")
             value, _ = L.cross_entropy_loss(p, target)
             return value
 
-        p, cache = L.softmax_forward(logits)
+        p, cache = L.softmax_forward(logits, "train")
         _, gpred = L.cross_entropy_loss(p, target)
         gz = L.softmax_backward(gpred, cache)
         assert_grad_close(gz, central_difference(loss, logits.copy()))
@@ -771,11 +847,11 @@ class TestLosses:
             target[i, i % 3] = 1.0
 
         def loss(z):
-            p, _ = L.sigmoid_forward(z)
+            p, _ = L.sigmoid_forward(z, "train")
             value, _ = L.mse_loss(p, target)
             return value
 
-        p, cache = L.sigmoid_forward(logits)
+        p, cache = L.sigmoid_forward(logits, "train")
         _, gpred = L.mse_loss(p, target)
         gz = L.sigmoid_backward(gpred, cache)
         assert_grad_close(gz, central_difference(loss, logits.copy()))
@@ -785,6 +861,6 @@ class TestLosses:
 @settings(max_examples=30)
 def test_softmax_simplex_property(seed, rows, cols):
     logits = random_batch((rows, cols), seed=seed, scale=50.0)
-    y, _ = L.softmax_forward(logits)
+    y, _ = L.softmax_forward(logits, "train")
     assert np.all(y >= 0)
     assert np.max(np.abs(y.sum(axis=1) - 1.0)) < 1e-12

@@ -274,10 +274,12 @@ class TestGeometry:
         with pytest.raises(ShapeError):
             M.build_model("fcn", 16, 0, 2)
 
-    @pytest.mark.parametrize("pool_factor", [0, -1])
-    def test_mcnn_pool_factor_below_one_is_a_value_error(self, pool_factor):
-        with pytest.raises(ValueError, match=f"^pool factor {pool_factor} is not in 1..16"):
-            M.build_mcnn(16, 1, 2, 3, pool_factor)
+    @pytest.mark.parametrize("filter_length, pool_factor", [(3, 0), (3, -1), (0, 3), (-1, 3)])
+    def test_mcnn_options_below_one_are_a_value_error(self, filter_length, pool_factor):
+        with pytest.raises(ValueError, match=(
+                r"^mcnn needs pool_factor in 1\.\.16, the slice length, and filter_length >= 1; "
+                f"got pool_factor={pool_factor}, filter_length={filter_length}$")):
+            M.build_mcnn(16, 1, 2, filter_length, pool_factor)
 
     def test_mcnn_pool_factor_exhausting_length_rejected(self):
         with pytest.raises(ValueError):
@@ -456,7 +458,7 @@ class TestForward:
         )
         feats, _ = L.gap_forward(h)
         logits, _ = L.dense_forward(feats, params["4.w"], params["4.b"])
-        expected, _ = L.softmax_forward(logits)
+        expected, _ = L.softmax_forward(logits, "train")
         assert np.max(np.abs(y - expected)) < 1e-12
 
     def test_mcdcnn_branches_share_no_parameters(self):
@@ -501,7 +503,7 @@ class TestForward:
         branch = spec.net.children[0].branches[0]
         out = branch.forward(x, params, "0/br0", "infer", None, {})
         sig = 1.0 / (1.0 + np.exp(-x))
-        pooled, _ = L.pool1d_forward(sig, 2, "max")
+        pooled, _ = L.pool1d_forward(sig, 2, "max", "train")
         assert np.max(np.abs(out - pooled[:, :16, :][:, :, [0] * 256])) < 1e-12
 
     def test_fcn_time_shift_equivariance_in_interior(self):
@@ -584,6 +586,18 @@ def digest(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
 
+def pinned_posteriors(arch, x):
+    """Infer posteriors (K=3) of a fresh net at ``x``'s geometry, with its
+    batch-norm running statistics set away from 0 and 1."""
+    options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
+    spec, params = build_and_init(arch, x.shape[1], x.shape[2], 3, seed=54, **options)
+    for name, value in params.items():
+        if ".running_" in name:
+            shift = 1.0 if name.endswith("var") else 0.0
+            params[name] = shift + 0.5 * random_batch(value.shape, seed=55)
+    return M.forward_batch(spec, params, x, "infer")[0]
+
+
 class TestInferPath:
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
     def test_infer_forward_keeps_no_caches(self, arch):
@@ -620,14 +634,28 @@ class TestInferPath:
             model = R.twiesn_train_single(R.ReservoirConfig(size=32, seed=3), fit)
             assert digest(R.twiesn_posteriors(model, x)) == self.POSTERIOR_SHA256[arch]
             return
-        options = {"filter_length": 3, "pool_factor": 3} if arch == "mcnn" else {}
-        spec, params = build_and_init(arch, 64, 2, 3, seed=54, **options)
-        for name, value in params.items():
-            if ".running_" in name:
-                shift = 1.0 if name.endswith("var") else 0.0
-                params[name] = shift + 0.5 * random_batch(value.shape, seed=55)
-        y, _ = M.forward_batch(spec, params, x, "infer")
-        assert digest(y) == self.POSTERIOR_SHA256[arch]
+        assert digest(pinned_posteriors(arch, x)) == self.POSTERIOR_SHA256[arch]
+
+    # the same nets at T=61, where max pooling drops a remainder in mcdcnn and
+    # tlenet and average pooling one in timecnn, on inputs with a run of exact
+    # zeros (ties in every max window over it); computed before infer mode
+    # dropped the ReLU mask and the max-pool index
+    RAGGED_POSTERIOR_SHA256 = {
+        "mlp": "4405c9f29527a3b4c7e8e27c2fd99381cc4244765e1c8bd505c1c0cfab62cf5e",
+        "fcn": "67637380fe6bede08768f8639e53c84fb7edde26d091f3d28ccac8a05b3e1b4a",
+        "resnet": "a2f19702b6d7708ebbd7cb5a912502e0690f8656b9ce38844312af8e365164dd",
+        "encoder": "9fbe8cea1805688b921cf07607c4e4a6189d31ca0147e8c66f1e22736214e9ca",
+        "mcnn": "5d9a882e00250b155be2be0199866119f6ab84f3f2a54ea14d712a07d6a4cfd7",
+        "tlenet": "8d8bc4f531d7b657830feaa6457d1e3df64abeecda1e60802e040ab1da8e7aa4",
+        "mcdcnn": "1b040b476ffdcf6922598b7d192d6cb767b6fa3925a2096093e72f2db77c4fa3",
+        "timecnn": "ae6d91c6a710468be9d6743bb675d433fbd0968ac0b81cf30649be0737f4fc7b",
+    }
+
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_infer_posteriors_are_pinned_at_a_ragged_length(self, arch):
+        x = random_batch((300, 61, 2), seed=60)
+        x[::2, 20:44] = 0.0
+        assert digest(pinned_posteriors(arch, x)) == self.RAGGED_POSTERIOR_SHA256[arch]
 
     # encoder at T=150 on 150 series, one batch: the peak traced above the
     # live set was 425,003,702 bytes (405.3 MiB) before infer forwards

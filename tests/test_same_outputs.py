@@ -87,16 +87,23 @@ def test_one_tree_trained_twice_writes_the_same_files(tmp_path):
         "results.csv"]
 
 
+def mutant_tree(tmp_path, exact, replacement):
+    """A copy of ``src`` whose ``layers.py`` has its one ``exact`` text replaced."""
+    mutant = tmp_path / "mutant" / "src"
+    shutil.copytree(SCRIPT.parents[1] / "src", mutant,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    layers = mutant / "tsclab" / "layers.py"
+    assert layers.read_text().count(exact) == 1
+    layers.write_text(layers.read_text().replace(exact, replacement))
+    return mutant
+
+
 def test_a_one_ulp_change_to_a_kernel_is_named_in_every_blob_it_reaches(tmp_path, capsys):
     # the gate the script exists for: a tree whose dense bias gradient moves one ulp up
     src = SCRIPT.parents[1] / "src"
-    mutant = tmp_path / "mutant" / "src"
-    shutil.copytree(src, mutant, ignore=shutil.ignore_patterns("__pycache__"))
-    layers = mutant / "tsclab" / "layers.py"
-    exact = "    return gy @ w.T, x.T @ gy, gy.sum(axis=0)\n"
-    assert layers.read_text().count(exact) == 1
-    layers.write_text(layers.read_text().replace(
-        exact, "    return gy @ w.T, x.T @ gy, np.nextafter(gy.sum(axis=0), np.inf)\n"))
+    mutant = mutant_tree(
+        tmp_path, "    return gy @ w.T, x.T @ gy, gy.sum(axis=0)\n",
+        "    return gy @ w.T, x.T @ gy, np.nextafter(gy.sum(axis=0), np.inf)\n")
     pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
     for side, tree in (("parent", src), ("change", mutant)):
         assert same_outputs.run_trains(tree, tmp_path / side, pairs, ["mlp"]) == ""
@@ -107,3 +114,25 @@ def test_a_one_ulp_change_to_a_kernel_is_named_in_every_blob_it_reaches(tmp_path
         f"differs: {pair}/mlp/Synth_mlp_seed{seed}.model.bin"
         for pair, seeds in (("long", (2, 3)), ("ucr", (1, 2))) for seed in seeds]
     assert all(re.search(r" \(param \S+, flat index \d+\)$", line) for line in blobs)
+
+
+def test_a_one_ulp_change_to_an_infer_kernel_is_named_in_every_posterior_file(tmp_path, capsys):
+    # a tree whose infer-mode dropout moves every value one ulp up: training
+    # never runs that branch, so the blobs keep their bits and only the infer
+    # outputs (posteriors, monitored losses) move
+    src = SCRIPT.parents[1] / "src"
+    mutant = mutant_tree(
+        tmp_path, '    if mode == "infer" or rate == 0.0:\n        return x, None\n',
+        '    if mode == "infer":\n        return np.nextafter(x, np.inf), None\n'
+        '    if rate == 0.0:\n        return x, None\n')
+    pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
+    for side, tree in (("parent", src), ("change", mutant)):
+        assert same_outputs.run_trains(tree, tmp_path / side / "train", pairs, ["mlp"]) == ""
+        assert same_outputs.run_posteriors(tree, tmp_path / side, pairs)
+    capsys.readouterr()
+    assert same_outputs.report(tmp_path / "parent", tmp_path / "change") == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "posteriors/" in line] == [
+        f"differs: posteriors/{pair}/mlp/Synth_mlp_seed{seed}.f64"
+        for pair, seeds in (("long", (2, 3)), ("ucr", (1, 2))) for seed in seeds]
+    assert not [line for line in lines if ".model.bin" in line]
