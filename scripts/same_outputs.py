@@ -17,7 +17,8 @@ Each tree runs three parts, each in processes of its own with that tree's
 Every file the two trees wrote is then compared byte for byte;
 ``results.csv`` is compared without its ``train_seconds`` column, which
 holds wall-clock time.  Prints one line per differing or missing file and
-exits 1 if there is any, else 0; the wall time goes to stderr.  The line of
+exits 1 if there is any, else 0.  The wall time goes to stderr, and first
+the line count of each tree's ``tsclab/*.py`` (``src_lines``).  The line of
 a differing ``.bin`` blob with a manifest beside it (``m.model`` for
 ``m.model.bin``) also names the ``param`` and the flat index, within that
 tensor, of the first float64 that differs, as the parent's manifest lays
@@ -189,6 +190,11 @@ def differences(parent: Path, change: Path) -> list[str]:
     return lines
 
 
+def src_lines(src: Path) -> int:
+    """Lines of ``src/tsclab/*.py``, as ``cat src/tsclab/*.py | wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (src / "tsclab").glob("*.py"))
+
+
 def report(parent: Path, change: Path) -> int:
     lines = differences(parent, change)
     for line in lines:
@@ -206,6 +212,8 @@ def main(argv=None) -> int:
     parser.add_argument("change_src", type=Path)
     parser.add_argument("--seeds", type=int, nargs=2, default=(4501, 4502))
     args = parser.parse_args(argv)
+    print(f"same_outputs: src lines parent {src_lines(args.parent_src)}, "
+          f"change {src_lines(args.change_src)}", file=sys.stderr)
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         pairs = write_pairs(Path(tmp) / "inputs", args.seeds)

@@ -212,16 +212,16 @@ def train_single_run(arch: str, train_ds: D.TimeSeriesDataset,
 
     candidates = ([{"filter_length": fl, "pool_factor": pf} for fl, pf in M.mcnn_grid(T)]
                   if arch == "mcnn" else [{}])
-    best = (-1.0, None, None)  # (held-out vote accuracy, model, history)
+    best = (-1.0, None, None)  # (held-out vote accuracy, model, losses)
     for options in candidates:
         spec = M.build_model(arch, T, Mdims, K, **options)
         spec.slicing = slicing
-        candidate, history = O.train(spec, data, config, log_fn)
+        candidate, losses = O.train(spec, data, config, log_fn)
         score = M.accuracy(candidate, held_out) if len(candidates) > 1 else 0.0
         # max keeps the earlier candidate among equally accurate ones
-        best = max(best, (score, candidate, history), key=lambda b: b[0])
-    _, model, history = best
-    return model, M.accuracy(model, test_ds), history.losses[model.best_epoch - 1]
+        best = max(best, (score, candidate, losses), key=lambda b: b[0])
+    _, model, losses = best
+    return model, M.accuracy(model, test_ds), losses[model.best_epoch - 1]
 
 
 def run_experiment(config: ExperimentConfig) -> list[S.RunRecord]:
@@ -303,19 +303,22 @@ def _cmd_train(args) -> int:
 
 def _load_metadata(path, column: str, datasets) -> dict:
     """Dataset -> theme, length and train size; each of ``datasets`` needs a
-    row with ``column`` filled, and a bad row names its line and column."""
+    row with ``column`` filled, a bad row names its line and column, and a
+    repeated dataset the line it repeats."""
     path = Path(path)
     reader = csv.reader(io.StringIO(D.read_text(path), newline=""))
     header = next(reader, [])
     for name in ("dataset", column):
         if name not in header:
             raise DataFormatError(f"{path.name} line 1: no column {name} in the header")
-    meta = {}
+    meta, seen = {}, {}
     for row in filter(None, reader):
         where = f"{path.name} line {reader.line_num}"
         if len(row) != len(header):
             raise DataFormatError(f"{where}: {len(row)} cells, expected {len(header)}")
         cells = dict(zip(header, row))
+        if (first := seen.setdefault(cells["dataset"], reader.line_num)) != reader.line_num:
+            raise DataFormatError(f"{where}: repeats the record of line {first}")
         if not cells[column] and cells["dataset"] in datasets:
             raise DataFormatError(f"{where}, column {column}: empty for ranked dataset "
                                   f"{cells['dataset']!r}")

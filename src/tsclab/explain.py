@@ -43,8 +43,8 @@ class MdsEmbedding:
 
 def _final_feature_map(model: TrainedModel, x: np.ndarray) -> np.ndarray:
     # the layers before the GAP, run as a net of their own
-    gap_prefix, _ = gap_head(model.spec)
-    body = Sequential(model.spec.net.children[: int(gap_prefix)])
+    gap, _ = gap_head(model.spec)
+    body = Sequential(model.spec.net.children[:gap])
     y, _ = forward_batch(replace(model.spec, net=body), model.params, x, "infer")
     return y
 
@@ -61,19 +61,18 @@ def gap_features(model: TrainedModel, dataset: TimeSeriesDataset) -> np.ndarray:
 
 def compute_cam(model: TrainedModel, series: np.ndarray, class_index: int) -> CamOutput:
     """Per-timestamp class evidence for one [T, M] series."""
-    _, dense_prefix = gap_head(model.spec)
+    _, dense = gap_head(model.spec)
     if not 0 <= class_index < model.spec.classes:
         raise ValueError(
             f"class index {class_index} out of range for {model.spec.classes} classes"
         )
     a = _final_feature_map(model, series[None, :, :])[0]  # [T, C_last]
-    w = model.params[f"{dense_prefix}.w"][:, class_index]
-    bias = float(model.params[f"{dense_prefix}.b"][class_index])
+    w, bias = (model.params[key][..., class_index] for key in dense.keys)
     cam = a @ w
     lo, hi = float(cam.min()), float(cam.max())
     normalized = (cam - lo) / (hi - lo) if hi > lo else np.zeros_like(cam)
     logit = float(a.mean(axis=0) @ w + bias)
-    return CamOutput(cam, normalized, logit, bias, a)
+    return CamOutput(cam, normalized, logit, float(bias), a)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ kernel pair, its parameters and its arguments (the contract is on
 out so that its kernels refuse what they cannot run, each as a ``ShapeError``.
 A spec is laid out once: ``ModelSpec.layout`` lists the declared parameters
 in layer order, the order of the Glorot draws and of the serialized blob,
-and its widest layer sizes every infer batch (:func:`infer_batch`).
+and its widest layer sizes every infer batch (:func:`infer_batch`).  Layout
+names each layer once, so forward and backward walk the tree passing no names.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ class Node:
     attribute in assignment order (a ``kind`` value bare): ``Conv1d(128, 8)``
     reads ``conv filters=128 length=8 padding=same``.
 
-    ``layout`` derives the out shape from the kernel on an empty batch: an
-    infer forward of ``[0, *in_shape]`` with every parameter a zero-stride
-    zero array, so the kernel's own checks refuse a geometry it cannot run.
-    A node over child nodes overrides ``_layout`` and ``describe`` to walk
-    them instead.
+    ``layout`` binds ``keys`` (``<prefix>.<name>`` per name), then derives the
+    out shape from the kernel on an empty batch: an infer forward of
+    ``[0, *in_shape]`` with every parameter a zero-stride zero array, so the
+    kernel's own checks refuse a geometry it cannot run.  A node over child
+    nodes overrides ``_layout`` and ``describe`` to walk them instead.  A node
+    has one place in one tree (layout rebinds its keys); a train forward caches
+    under the node and backward pops that entry: a caches dict serves one backward.
 
     Kernels are looked up on ``layers`` at each call, not bound when the
     class is made, so that a wrapper put on the module's kernels (a
@@ -83,42 +86,43 @@ class Node:
         return out
 
     def _layout(self, in_shape, prefix, walk):
+        self.keys = tuple(f"{prefix}.{n}" for n in self.names)
         shapes = self.shapes(in_shape)
-        params = {f".{n}": np.broadcast_to(0.0, shape) for n, (shape, _) in zip(self.names, shapes)}
-        y = self.forward(np.zeros((0, *in_shape)), params, "", "infer", None, _NoCaches())
-        walk.params += [(f"{prefix}.{n}", *sf) for n, sf in zip(self.names, shapes)]
+        params = {k: np.broadcast_to(0.0, shape) for k, (shape, _) in zip(self.keys, shapes)}
+        y = self.forward(np.zeros((0, *in_shape)), params, "infer", None, _NoCaches())
+        walk.params += [(k, *sf) for k, sf in zip(self.keys, shapes)]
         return y.shape[1:]
 
-    def _run(self, x, params, prefix, mode, rng):
+    def _run(self, x, params, mode, rng):
         kernel = getattr(L, f"{self.kernel}_forward")
-        return kernel(x, *(params[f"{prefix}.{n}"] for n in self.names), *self.args(mode, rng))
+        return kernel(x, *(params[k] for k in self.keys), *self.args(mode, rng))
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        y, caches[prefix] = self._run(x, params, prefix, mode, rng)
+    def forward(self, x, params, mode, rng, caches):
+        y, caches[self] = self._run(x, params, mode, rng)
         return y
 
-    def backward(self, gy, params, prefix, caches, grads):
-        out = getattr(L, f"{self.kernel}_backward")(gy, caches[prefix])
+    def backward(self, gy, caches, grads):
+        out = getattr(L, f"{self.kernel}_backward")(gy, caches.pop(self))
         if not self.names:
             return out
-        # a leaf's prefix is unique in its tree: each gradient is stored once, as it is
-        grads.update((f"{prefix}.{n}", g) for n, g in zip(self.names, out[1:]))
+        # a leaf's keys are unique in its tree: each gradient is stored once, as it is
+        grads.update(zip(self.keys, out[1:]))
         return out[0]
 
     def describe(self):
-        fields = (f"{v}" if k == "kind" else f"{k}={v}" for k, v in vars(self).items())
+        fields = (v if k == "kind" else f"{k}={v}" for k, v in vars(self).items() if k != "keys")
         return " ".join([self.label or self.kernel, *fields])
 
 
 class Flatten(Node):
     label = "flatten"
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        caches[prefix] = x.shape
+    def forward(self, x, params, mode, rng, caches):
+        caches[self] = x.shape
         return x.reshape(len(x), math.prod(x.shape[1:]))
 
-    def backward(self, gy, params, prefix, caches, grads):
-        return gy.reshape(caches[prefix])
+    def backward(self, gy, caches, grads):
+        return gy.reshape(caches.pop(self))
 
 
 class Dense(Node):
@@ -159,11 +163,10 @@ class BatchNorm(Node):
     def args(self, mode, rng):
         return (mode,)
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        y, caches[prefix], new_mean, new_var = self._run(x, params, prefix, mode, rng)
+    def forward(self, x, params, mode, rng, caches):
+        y, caches[self], new_mean, new_var = self._run(x, params, mode, rng)
         if mode == "train":
-            params[f"{prefix}.running_mean"] = new_mean
-            params[f"{prefix}.running_var"] = new_var
+            params[self.keys[2]], params[self.keys[3]] = new_mean, new_var
         return y
 
 
@@ -249,17 +252,16 @@ class AlignTime(Node):
     def __init__(self, target: int):
         self.target = target
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        T = x.shape[1]
-        caches[prefix] = T
+    def forward(self, x, params, mode, rng, caches):
+        caches[self] = T = x.shape[1]
         if T == self.target:
             return x
         if T > self.target:
             return x[:, : self.target, :]
         return L.pad_time(x, 0, self.target - T)
 
-    def backward(self, gy, params, prefix, caches, grads):
-        T = caches[prefix]
+    def backward(self, gy, caches, grads):
+        T = caches.pop(self)
         if T == self.target:
             return gy
         if T > self.target:
@@ -276,14 +278,14 @@ class Sequential(Node):
             in_shape = child.layout(in_shape, _child_prefix(prefix, i), walk)
         return in_shape
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        for i, child in enumerate(self.children):
-            x = child.forward(x, params, _child_prefix(prefix, i), mode, rng, caches)
+    def forward(self, x, params, mode, rng, caches):
+        for child in self.children:
+            x = child.forward(x, params, mode, rng, caches)
         return x
 
-    def backward(self, gy, params, prefix, caches, grads):
-        for i in range(len(self.children) - 1, -1, -1):
-            gy = self.children[i].backward(gy, params, _child_prefix(prefix, i), caches, grads)
+    def backward(self, gy, caches, grads):
+        for child in reversed(self.children):
+            gy = child.backward(gy, caches, grads)
         return gy
 
     def describe(self):
@@ -307,16 +309,14 @@ class Residual(Node):
             raise ShapeError(f"residual: identity shortcut needs {in_shape} == {out}")
         return out
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        yb = self.body.forward(x, params, _child_prefix(prefix, "body"), mode, rng, caches)
-        ys = x if self.shortcut is None else self.shortcut.forward(
-            x, params, _child_prefix(prefix, "sc"), mode, rng, caches)
+    def forward(self, x, params, mode, rng, caches):
+        yb = self.body.forward(x, params, mode, rng, caches)
+        ys = x if self.shortcut is None else self.shortcut.forward(x, params, mode, rng, caches)
         return L.residual_add(yb, ys)
 
-    def backward(self, gy, params, prefix, caches, grads):
-        gx = self.body.backward(gy, params, _child_prefix(prefix, "body"), caches, grads)
-        return gx + (gy if self.shortcut is None else self.shortcut.backward(
-            gy, params, _child_prefix(prefix, "sc"), caches, grads))
+    def backward(self, gy, caches, grads):
+        gx = self.body.backward(gy, caches, grads)
+        return gx + (gy if self.shortcut is None else self.shortcut.backward(gy, caches, grads))
 
     def describe(self):
         return {
@@ -345,28 +345,25 @@ class ConcatChannels(Node):
     def _combine(self, gxs):
         return sum(gxs[1:], gxs[0])
 
-    def _children(self, prefix):
-        return [(i, b, _child_prefix(prefix, f"{self.tag}{i}"))
-                for i, b in enumerate(self.branches)]
-
     def _layout(self, in_shape, prefix, walk):
         shape = self._branch_shape(in_shape)
-        outs = [b.layout(shape, p, walk) for _, b, p in self._children(prefix)]
+        outs = [b.layout(shape, _child_prefix(prefix, f"{self.tag}{i}"), walk)
+                for i, b in enumerate(self.branches)]
         times = {o[0] for o in outs}
         if len(times) != 1:
             raise ShapeError(f"branch time extents differ: {sorted(times)}")
         return (outs[0][0], sum(o[1] for o in outs))
 
-    def forward(self, x, params, prefix, mode, rng, caches):
-        ys = [b.forward(self._branch_input(x, i), params, p, mode, rng, caches)
-              for i, b, p in self._children(prefix)]
-        caches[prefix] = np.cumsum([0] + [y.shape[2] for y in ys])
+    def forward(self, x, params, mode, rng, caches):
+        ys = [b.forward(self._branch_input(x, i), params, mode, rng, caches)
+              for i, b in enumerate(self.branches)]
+        caches[self] = np.cumsum([0] + [y.shape[2] for y in ys])
         return np.concatenate(ys, axis=2)
 
-    def backward(self, gy, params, prefix, caches, grads):
-        at = caches[prefix]
-        return self._combine([b.backward(gy[:, :, at[i] : at[i + 1]], params, p, caches, grads)
-                              for i, b, p in self._children(prefix)])
+    def backward(self, gy, caches, grads):
+        at = caches.pop(self)
+        return self._combine([b.backward(gy[:, :, at[i] : at[i + 1]], caches, grads)
+                              for i, b in enumerate(self.branches)])
 
     def describe(self):
         return {self.label: [b.describe() for b in self.branches]}
@@ -626,18 +623,19 @@ def forward_batch(spec: ModelSpec, params: dict, x: np.ndarray, mode: str,
             f"(T={spec.input_length}, M={spec.input_dims})"
         )
     caches: dict = _NoCaches() if mode == "infer" else {}
-    y = spec.net.forward(x, params, "", mode, rng, caches)
+    y = spec.net.forward(x, params, mode, rng, caches)
     return y, caches
 
 
-def backward_batch(spec: ModelSpec, params: dict, caches: dict, gy: np.ndarray):
+def backward_batch(spec: ModelSpec, caches: dict, gy: np.ndarray):
+    """(gx, grads by key) for ``gy``; pops each cache as it reads it, leaving ``caches`` empty."""
     grads: dict = {}
-    gx = spec.net.backward(gy, params, "", caches, grads)
+    gx = spec.net.backward(gy, caches, grads)
     return gx, grads
 
 
-def gap_head(spec: ModelSpec) -> tuple[str, str]:
-    """(gap prefix, head dense prefix) for GAP-headed architectures."""
+def gap_head(spec: ModelSpec) -> tuple[int, Dense]:
+    """(GAP index, head dense node) for GAP-headed architectures."""
     net = spec.net
     if (
         not isinstance(net, Sequential)
@@ -648,8 +646,7 @@ def gap_head(spec: ModelSpec) -> tuple[str, str]:
         raise UnsupportedArchitectureError(
             f"architecture {spec.architecture_id!r} has no GAP layer before its classifier"
         )
-    n = len(net.children)
-    return str(n - 3), str(n - 2)
+    return len(net.children) - 3, net.children[-2]
 
 
 def _slicing_fault(spec: ModelSpec) -> str:

@@ -14,7 +14,7 @@ the lowest monitored loss are returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class TrainConfig:
             raise ValueError(f"decay must be non-negative, got {self.decay}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-
-
-@dataclass
-class TrainHistory:
-    losses: list = field(default_factory=list)  # monitored loss per epoch
 
 
 def default_config(architecture_id: str, seed: int = 0) -> TrainConfig:
@@ -278,7 +273,8 @@ def evaluate_loss(spec: ModelSpec, params: dict, dataset: TimeSeriesDataset) -> 
 
 def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
           log_fn=None):
-    """Train ``spec`` on ``data``; returns the lowest-monitored-loss checkpoint.
+    """Train ``spec`` on ``data``; returns the lowest-monitored-loss checkpoint
+    and the monitored loss of every epoch.
 
     The monitored loss of an epoch is the infer-mode loss on the caller's
     held-out series ``data.held_out`` when there are any, and otherwise the
@@ -299,7 +295,7 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
     loss_fn = LOSSES[spec.loss]
     optimizer = make_optimizer(config.optimizer)
     sched = LrSchedule(config.learning_rate, config.decay, config.plateau)
-    history = TrainHistory()
+    losses = []  # monitored loss per epoch
     best_loss = math.inf
     best_params = None  # the first epoch's finite loss always replaces it
     best_epoch = 0
@@ -315,7 +311,7 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             pred, caches = forward_batch(spec, params, x, "train", rng)
             loss, gpred = loss_fn(pred, y)
             total += loss * len(batch)
-            _, grads = backward_batch(spec, params, caches, gpred)
+            _, grads = backward_batch(spec, caches, gpred)
             optimizer.step(params, grads, sched.current())
             sched.after_step()
 
@@ -325,7 +321,7 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             ref_loss = total / data.n
         if not math.isfinite(ref_loss):
             raise TrainingDivergenceError(f"reference loss became {ref_loss!r} at epoch {epoch}")
-        history.losses.append(ref_loss)
+        losses.append(ref_loss)
         if log_fn is not None:
             log_fn(f"{epoch},{ref_loss!r},{sched.current()!r}")
         if ref_loss < best_loss:
@@ -336,4 +332,4 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
 
     model = TrainedModel(spec, best_params, seed=config.seed,
                          epochs_run=config.epochs, best_epoch=best_epoch)
-    return model, history
+    return model, losses

@@ -395,9 +395,9 @@ def save_runs(runs: list[RunRecord], path) -> None:
 
 def load_runs(path, baselines: bool = True) -> list[RunRecord]:
     """Read a run-record or, if ``baselines``, an external-baseline CSV; a bad row names its
-    line and column."""
+    line and column, a repeated (dataset, architecture, seed) the line it repeats."""
     path = Path(path)
-    runs = []
+    runs, seen = [], {}
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -423,6 +423,8 @@ def load_runs(path, baselines: bool = True) -> list[RunRecord]:
                 values = [values[0], values[1], 0, values[2], math.nan, math.nan]
             if not 0.0 <= values[3] <= 1.0:
                 raise DataFormatError(f"{where}, column accuracy: {values[3]!r} is not in [0, 1]")
+            if (first := seen.setdefault(tuple(values[:3]), reader.line_num)) != reader.line_num:
+                raise DataFormatError(f"{where}: repeats the record of line {first}")
             runs.append(RunRecord(*values))
     return runs
 

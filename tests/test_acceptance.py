@@ -88,7 +88,7 @@ def architecture_gradient_check(spec, seed=0, tol=1e-4, h=1e-5):
 
     pred, caches = M.forward_batch(spec, params, x, "train", SplitMix64(999))
     _, gpred = loss_fn(pred, y)
-    _, grads = M.backward_batch(spec, params, caches, gpred)
+    _, grads = M.backward_batch(spec, caches, gpred)
 
     def numeric_grad(flat, idx, step):
         orig = flat[idx]
@@ -399,7 +399,7 @@ def test_criterion_10_mts_pipeline(tmp_path):
     spec = M.build_mcdcnn(train_ds.length, 2, train_ds.n_classes)
     config = O.default_config("mcdcnn", seed=0)
     config.epochs = 5
-    model, history = O.train(spec, train_ds, config)
-    assert len(history.losses) == 5
+    model, losses = O.train(spec, train_ds, config)
+    assert len(losses) == 5
     acc = M.accuracy(model, test_ds)
     assert 0.0 <= acc <= 1.0

@@ -600,14 +600,25 @@ class TestCompareCommand:
         (S.RESULTS_HEADER, "d1,b,0,nan,0.1,1.0",
          "r.csv line 3, column accuracy: nan is not in [0, 1]"),
         (S.BASELINE_HEADER, "Synth,x,1.5", "r.csv line 3, column accuracy: 1.5 is not in [0, 1]"),
+        (S.BASELINE_HEADER, "Synth,y,0.75", "r.csv line 3: repeats the record of line 2"),
     ], ids=["too-few-cells", "non-numeric", "negative-accuracy", "nan-accuracy",
-            "baseline-accuracy-above-1"])
+            "baseline-accuracy-above-1", "baseline-repeated"])
     def test_malformed_results_row_exits_2(self, tmp_path, capsys, header, row, message):
         path = tmp_path / "r.csv"
         first = "d1,a,0,0.5,0.1,1.0" if header == S.RESULTS_HEADER else "Synth,y,0.5"
         path.write_text(",".join(header) + f"\n{first}\n{row}\n")
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert f"data error: {message}" in capsys.readouterr().err
+
+    def test_repeated_results_record_exits_2(self, tmp_path, capsys):
+        # averaged, the two rows of (A, fcn, 0) would tie fcn with resnet on A
+        path = tmp_path / "r.csv"
+        rows = ["A,fcn,0,0.9,0.1,1.0", "A,resnet,0,0.5,0.1,1.0", "A,fcn,0,0.1,0.1,1.0",
+                "B,fcn,0,0.7,0.1,1.0", "B,resnet,0,0.6,0.1,1.0"]
+        path.write_text("\n".join([",".join(S.RESULTS_HEADER), *rows]) + "\n")
+        assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
+        assert "data error: r.csv line 4: repeats the record of line 2" in capsys.readouterr().err
+        assert not (tmp_path / "cd.svg").exists()
 
     def test_results_file_not_utf8_exits_2(self, tmp_path, capsys):
         path = tmp_path / "r.csv"
@@ -632,9 +643,11 @@ class TestCompareCommand:
         ("theme", "dataset,theme\nd0,ECG\nd1,\n",
          "meta.csv line 3, column theme: empty for ranked dataset 'd1'"),
         ("theme", "dataset,theme\nd0,ECG\nd7,ECG\n", "meta.csv: no row for ranked dataset 'd1'"),
+        ("theme", "dataset,theme\nd0,x\nd1,y\nd0,z\n",
+         "meta.csv line 4: repeats the record of line 2"),
     ], ids=["no-dataset-column", "non-integer-length", "too-few-cells", "no-length-column",
             "no-train-size-column", "empty-length", "empty-train-size", "empty-theme",
-            "dataset-without-row"])
+            "dataset-without-row", "repeated-dataset"])
     def test_malformed_meta_exits_2(self, tmp_path, capsys, group, text, message):
         path = self.write_results(tmp_path, {"a": 0.0, "b": 0.2}, n_datasets=2)
         meta = tmp_path / "meta.csv"

@@ -44,9 +44,8 @@ class TestGapFeatures:
         model = make_model("resnet", seed=3)
         ds = toy_dataset(n=4, T=24, seed=4)
         feats = E.gap_features(model, ds)
-        _, dense_prefix = M.gap_head(model.spec)
-        w = model.params[f"{dense_prefix}.w"]
-        b = model.params[f"{dense_prefix}.b"]
+        _, dense = M.gap_head(model.spec)
+        w, b = (model.params[key] for key in dense.keys)
         logits = feats @ w + b
         probs, _ = M.forward_batch(model.spec, model.params, ds.X, "infer")
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -71,20 +70,18 @@ class TestCam:
 
     def test_single_filter_head_reproduces_activation_channel(self):
         model = make_model("fcn", seed=6)
-        _, dense_prefix = M.gap_head(model.spec)
-        w = np.zeros_like(model.params[f"{dense_prefix}.w"])
+        w_key = M.gap_head(model.spec)[1].keys[0]
+        w = np.zeros_like(model.params[w_key])
         w[7, 0] = 1.0  # class 0 reads exactly filter 7
-        model.params[f"{dense_prefix}.w"] = w
+        model.params[w_key] = w
         series = random_batch((24, 1), seed=7)
         cam = E.compute_cam(model, series, 0)
         assert np.array_equal(cam.values, cam.activations[:, 7])
 
     def test_zero_class_weights_give_zero_cam(self):
         model = make_model("fcn", seed=8)
-        _, dense_prefix = M.gap_head(model.spec)
-        model.params[f"{dense_prefix}.w"] = np.zeros_like(
-            model.params[f"{dense_prefix}.w"]
-        )
+        w_key = M.gap_head(model.spec)[1].keys[0]
+        model.params[w_key] = np.zeros_like(model.params[w_key])
         cam = E.compute_cam(model, random_batch((24, 1), seed=9), 1)
         assert not cam.values.any()
         assert not cam.normalized.any()

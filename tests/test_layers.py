@@ -768,11 +768,11 @@ class TestFixedTransforms:
         c = np.cumsum(np.pad(x, ((0, 0), (1, 0), (0, 0))), axis=1)
         assert_same_bits((L.moving_average_forward(x, 4)[0],), ((c[:, 4:] - c[:, :-4]) / 4,))
         align, caches, gy = M.AlignTime(12), {}, random_batch((3, 5, 2), seed=4)
-        assert_same_bits((align.forward(x, {}, "0", "train", None, caches),),
+        assert_same_bits((align.forward(x, {}, "train", None, caches),),
                          (np.pad(x, ((0, 0), (0, 3), (0, 0))),))
         crop = M.AlignTime(5)
-        crop.forward(x, {}, "0", "train", None, caches)
-        assert_same_bits((crop.backward(gy, {}, "0", caches, {}),),
+        crop.forward(x, {}, "train", None, caches)
+        assert_same_bits((crop.backward(gy, caches, {}),),
                          (np.pad(gy, ((0, 0), (0, 4), (0, 0))),))
 
     def test_transform_gradients(self):

@@ -326,9 +326,9 @@ MIN_LENGTH = {"mlp": 1, "fcn": 8, "resnet": 8, "encoder": 8, "mcnn": 11,
               "tlenet": 8, "mcdcnn": 4, "timecnn": 33}
 
 
-def forward_shapes(node, params, prefix, x):
+def forward_shapes(node, params, x):
     """``node``'s output shape after a real forward of ``x``, in train and infer mode."""
-    return [node.forward(x, dict(params), prefix, mode, SplitMix64(1), {}).shape[1:]
+    return [node.forward(x, dict(params), mode, SplitMix64(1), {}).shape[1:]
             for mode in ("train", "infer")]
 
 
@@ -344,8 +344,8 @@ class TestKernelGeometry:
         out = node.layout(in_shape, "n", walk)
         params = {name: np.full(shape, 0.5) for name, shape, _ in walk.params}
         x = random_batch((2, *in_shape), seed=T)
-        assert out == layout_shape(node, in_shape)
-        assert forward_shapes(node, params, "n", x) == [out, out]
+        assert forward_shapes(node, params, x) == [out, out]
+        assert out == layout_shape(node, in_shape)  # at another prefix: the same shape
 
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
     @settings(max_examples=3)
@@ -360,9 +360,9 @@ class TestKernelGeometry:
         x = random_batch((2, T, Mdims), seed=T)
         shape = (T, Mdims)
         for i, child in enumerate(spec.net.children):
-            shape = layout_shape(child, shape)
-            assert forward_shapes(child, params, str(i), x) == [shape, shape]
-            x = child.forward(x, dict(params), str(i), "infer", None, {})
+            shape = child.layout(shape, str(i), M.Layout())  # its own place: the same keys
+            assert forward_shapes(child, params, x) == [shape, shape]
+            x = child.forward(x, dict(params), "infer", None, {})
         assert shape == (K,)
 
     @pytest.mark.parametrize("node, in_shape", [
@@ -417,7 +417,7 @@ class TestForward:
             return out
 
         monkeypatch.setattr(L, "dense_backward", spy)
-        _, grads = M.backward_batch(spec, params, caches, random_batch(y.shape, seed=10))
+        _, grads = M.backward_batch(spec, caches, random_batch(y.shape, seed=10))
         # no copy, no `0 + g`: the stored gradient is the kernel's own array
         dense = ["11", "8", "5", "2"]  # the dense leaves, in backward order
         assert len(returned) == len(dense)
@@ -465,11 +465,11 @@ class TestForward:
         spec, params = build_and_init("mcdcnn", 16, 2, 2, seed=11)
         x = random_batch((2, 16, 2), seed=12)
         split = spec.net.children[0]
-        out1 = split.forward(x, params, "0", "infer", None, {})
+        out1 = split.forward(x, params, "infer", None, {})
         for name in list(params):
             if name.startswith("0/dim0/") and M.trainable(name):
                 params[name] = params[name] + 1.0
-        out2 = split.forward(x, params, "0", "infer", None, {})
+        out2 = split.forward(x, params, "infer", None, {})
         assert np.array_equal(out1[:, :, 8:], out2[:, :, 8:])  # dim-1 branch untouched
         assert not np.array_equal(out1[:, :, :8], out2[:, :, :8])
 
@@ -483,7 +483,7 @@ class TestForward:
         params = M.init_model(spec, SplitMix64(16))
         x, gy = random_batch((2, 5, 3), seed=17), random_batch((2, 2), seed=18)
         _, caches = M.forward_batch(spec, params, x, "train")
-        gx, _ = M.backward_batch(spec, params, caches, gy)
+        gx, _ = M.backward_batch(spec, caches, gy)
         h = 1e-6
         for idx in np.ndindex(x.shape):
             step = np.zeros_like(x)
@@ -501,7 +501,7 @@ class TestForward:
         params["0/br0/0.w"] = w
         params["0/br0/0.b"] = np.zeros_like(params["0/br0/0.b"])
         branch = spec.net.children[0].branches[0]
-        out = branch.forward(x, params, "0/br0", "infer", None, {})
+        out = branch.forward(x, params, "infer", None, {})
         sig = 1.0 / (1.0 + np.exp(-x))
         pooled, _ = L.pool1d_forward(sig, 2, "max", "train")
         assert np.max(np.abs(out - pooled[:, :16, :][:, :, [0] * 256])) < 1e-12
@@ -676,6 +676,38 @@ class TestInferPath:
         assert peak <= 0.4 * self.PARENT_PEAK, f"predict peaked {peak / 1e6:.1f} MB above the live set"
 
 
+class TestTrainStep:
+    @pytest.mark.parametrize("arch", M.ARCHITECTURES)
+    def test_backward_reads_every_cache_once(self, arch):
+        spec, params = build_small(arch, Mdims=2, K=3)
+        x = random_batch((4, spec.input_length, 2), seed=58)
+        y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(59))
+        M.backward_batch(spec, caches, random_batch(y.shape, seed=60))
+        assert caches == {}
+
+    # one train step (forward, loss, backward) of 16 series at (300, 1): the
+    # peak traced above the live set while the caches all lived until the
+    # backward had returned
+    PARENT_PEAKS = {"fcn": 82_232_583, "resnet": 75_567_805, "encoder": 144_737_231}
+
+    @pytest.mark.parametrize("arch", sorted(PARENT_PEAKS))
+    def test_train_step_memory_peak_is_bounded(self, arch):
+        spec, params = build_and_init(arch, 300, 1, 2, seed=61)
+        x = random_batch((16, 300, 1), seed=62)
+        target = np.eye(2)[np.arange(16) % 2]
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            pred, caches = M.forward_batch(spec, params, x, "train", SplitMix64(63))
+            _, gpred = L.LOSSES[spec.loss](pred, target)
+            M.backward_batch(spec, caches, gpred)
+            peak = tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.95 * self.PARENT_PEAKS[arch], (
+            f"a train step peaked {peak / 1e6:.1f} MB above the live set")
+
+
 class TestInferBatch:
     """Series per infer forward: ``INFER_VALUES`` over the widest node output."""
 
@@ -806,7 +838,7 @@ class TestParamLayout:
         spec, params = build_small(arch, Mdims=2, K=3)
         x = random_batch((3, spec.input_length, 2), seed=30)
         y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(31))
-        _, grads = M.backward_batch(spec, params, caches, random_batch(y.shape, seed=32))
+        _, grads = M.backward_batch(spec, caches, random_batch(y.shape, seed=32))
         declared = {name for name, _, _ in spec.layout.params if M.trainable(name)}
         assert set(grads) == declared
         for name, g in grads.items():
@@ -836,8 +868,10 @@ class TestGapHead:
     def test_gap_headed_architectures(self):
         for arch in ("fcn", "resnet"):
             spec = M.build_model(arch, 16, 1, 2)
-            gap_prefix, dense_prefix = M.gap_head(spec)
-            assert int(dense_prefix) == int(gap_prefix) + 1
+            gap, dense = M.gap_head(spec)
+            assert isinstance(spec.net.children[gap], M.Gap)
+            assert spec.net.children[gap + 1] is dense
+            assert dense.keys == (f"{gap + 1}.w", f"{gap + 1}.b")
 
     @pytest.mark.parametrize("arch", ["mlp", "tlenet", "mcdcnn", "timecnn", "encoder"])
     def test_non_gap_architectures_rejected(self, arch):

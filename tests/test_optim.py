@@ -309,7 +309,7 @@ class TestTrain:
         spec = M.build_fcn(16, 1, 2)
         m1, h1 = O.train(spec, ds, small_config(epochs=3, seed=9))
         m2, h2 = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=3, seed=9))
-        assert h1.losses == h2.losses
+        assert h1 == h2
         for name in m1.params:
             assert np.array_equal(m1.params[name], m2.params[name])
 
@@ -325,13 +325,13 @@ class TestTrain:
         ds = separable_dataset(n=20, T=16)
         spec = M.build_fcn(16, 1, 2)
         config = O.TrainConfig("adam", 100, 16, 0.001, seed=0, plateau=True)
-        model, history = O.train(spec, ds, config)
+        model, losses = O.train(spec, ds, config)
         assert M.accuracy(model, ds) == 1.0
 
     def test_best_epoch_is_argmin_of_history(self):
         ds = toy_dataset(n=8, T=16, seed=2)
-        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
-        assert model.best_epoch == int(np.argmin(history.losses)) + 1
+        model, losses = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
+        assert model.best_epoch == int(np.argmin(losses)) + 1
 
     def test_one_epoch_returns_the_state_after_it(self, monkeypatch):
         # the checkpoint starts empty: the first epoch's finite loss always fills it
@@ -339,8 +339,8 @@ class TestTrain:
         monkeypatch.setattr(O, "init_model",
                             lambda spec, rng: live.append(M.init_model(spec, rng)) or live[0])
         spec = M.build_fcn(16, 1, 2)
-        model, history = O.train(spec, toy_dataset(n=8, T=16, seed=4), small_config(epochs=1))
-        assert model.best_epoch == 1 and len(history.losses) == 1
+        model, losses = O.train(spec, toy_dataset(n=8, T=16, seed=4), small_config(epochs=1))
+        assert model.best_epoch == 1 and len(losses) == 1
         drawn = M.init_model(spec, SplitMix64(0))
         assert model.params.keys() == live[0].keys() == drawn.keys()
         for name, value in model.params.items():
@@ -352,11 +352,11 @@ class TestTrain:
         # the checkpoint is the state after best_epoch epochs: a run cut
         # there ends on it, having seen the same batches and dropout masks
         ds = toy_dataset(n=10, T=16, seed=3)
-        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=8, seed=3))
+        model, losses = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=8, seed=3))
         assert model.best_epoch < 8
-        cut, cut_history = O.train(M.build_fcn(16, 1, 2), ds,
-                                   small_config(epochs=model.best_epoch, seed=3))
-        assert cut_history.losses == history.losses[: model.best_epoch]
+        cut, cut_losses = O.train(M.build_fcn(16, 1, 2), ds,
+                                  small_config(epochs=model.best_epoch, seed=3))
+        assert cut_losses == losses[: model.best_epoch]
         assert cut.best_epoch == model.best_epoch
         for name in model.params:
             assert cut.params[name].tobytes() == model.params[name].tobytes()
@@ -373,9 +373,9 @@ class TestTrain:
 
         monkeypatch.setitem(O.LOSSES, "cross_entropy", spy)
         ds = toy_dataset(n=10, T=16, seed=3)
-        _, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=3, seed=2))
+        _, losses = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=3, seed=2))
         assert [size for _, size in seen] == [4, 4, 2] * 3
-        for epoch, recorded in enumerate(history.losses):
+        for epoch, recorded in enumerate(losses):
             total = 0.0
             for loss, size in seen[3 * epoch : 3 * epoch + 3]:
                 total += loss * size
@@ -400,9 +400,9 @@ class TestTrain:
 
     def test_checkpoint_with_validation_split(self):
         ds = with_held_out(toy_dataset(n=12, T=16, seed=5), 0.25)
-        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
+        model, losses = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=6))
         reproduced = O.evaluate_loss(model.spec, model.params, ds.held_out)
-        assert abs(reproduced - min(history.losses)) < 1e-9
+        assert abs(reproduced - min(losses)) < 1e-9
 
     def test_empty_split_rejected(self):
         X = np.zeros((2, 16, 1))
@@ -450,8 +450,8 @@ class TestTrain:
     def test_partial_final_batch_is_trained(self):
         # 5 samples, batch 4: one full batch plus a partial one per epoch
         ds = toy_dataset(n=5, T=16, seed=8)
-        model, history = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=2))
-        assert len(history.losses) == 2  # smoke: no error on ragged batching
+        model, losses = O.train(M.build_fcn(16, 1, 2), ds, small_config(epochs=2))
+        assert len(losses) == 2  # smoke: no error on ragged batching
 
     def test_history_lr_trace_records_decay(self):
         ds = toy_dataset(n=4, T=16, seed=9)

@@ -75,6 +75,20 @@ def test_a_blob_beside_its_manifest_names_the_param_and_flat_index(sweeps, capsy
                                        f"(param {param})\n")
 
 
+def test_src_line_counts_go_to_stderr_first(tmp_path, monkeypatch, capsys):
+    # newlines, as wc -l counts them: a last line without one does not count
+    for side, text in (("parent", "x = 1\n" * 2), ("change", "x = 1\n" * 4 + "y = 2")):
+        package = tmp_path / side / "tsclab"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text(text)
+        (package / "b.py").write_text("z = 3\n")
+        (package / "notes.txt").write_text("not code\n")
+    monkeypatch.setattr(same_outputs, "run_sweeps", lambda *args: False)
+    monkeypatch.setattr(same_outputs, "write_pairs", lambda *args: {})
+    assert same_outputs.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "same_outputs: src lines parent 3, change 5"
+
+
 def test_one_tree_trained_twice_writes_the_same_files(tmp_path):
     pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
     src = SCRIPT.parents[1] / "src"
