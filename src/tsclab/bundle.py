@@ -41,6 +41,13 @@ def _param(text: str) -> tuple[str, tuple]:
     return name, shape
 
 
+def unpack(flat: np.ndarray, layout) -> dict:
+    """Named views of the 1-D ``flat``, which holds the ``(name, shape)`` tensors of
+    ``layout`` back to back in order, as a blob does."""
+    pieces = np.split(flat, np.cumsum([math.prod(shape) for _, shape in layout])[:-1])
+    return {name: v.reshape(shape) for (name, shape), v in zip(layout, pieces)}
+
+
 class Bundle:
     """A checked manifest: ``fields`` by key (a list for a repeated key) and ``params``.
 
@@ -98,14 +105,14 @@ class Bundle:
                 got, want = (f"{p[0]} {_dims(p[1])}" if p else "nothing" for p in pair)
                 raise self.error("param", f"entry {i + 1} is {got}; expected {want}")
         blob = (self.path.parent / self.fields["blob"]).read_bytes()
-        sizes = [math.prod(shape) for _, shape in self.params]
-        if len(blob) != 8 * sum(sizes):
+        need = 8 * sum(math.prod(shape) for _, shape in self.params)
+        if len(blob) != need:
             raise BlobSizeError(f"blob {self.fields['blob']} has {len(blob)} bytes; "
-                                f"manifest shapes need {8 * sum(sizes)}")
-        flat = np.split(np.frombuffer(blob, dtype="<f8"), np.cumsum(sizes)[:-1])
-        for (name, _), v in zip(self.params, flat):
+                                f"manifest shapes need {need}")
+        tensors = unpack(np.frombuffer(blob, dtype="<f8").copy(), self.params)
+        for name, v in tensors.items():
             bad = np.flatnonzero(~np.isfinite(v))
             if bad.size:
-                raise self.error("param", f"{name} holds {v[bad[0]]} in {self.fields['blob']} "
-                                          f"at flat index {bad[0]}")
-        return {name: v.reshape(shape).copy() for (name, shape), v in zip(self.params, flat)}
+                raise self.error("param", f"{name} holds {v.flat[bad[0]]} in "
+                                          f"{self.fields['blob']} at flat index {bad[0]}")
+        return tensors

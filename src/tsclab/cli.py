@@ -341,7 +341,8 @@ def _cmd_compare(args) -> int:
     if Path(args.out).suffix == ".txt":
         raise _UsageError(f"--out {args.out} ends in .txt, the name of the text report "
                           f"written beside the diagram")
-    runs = [r for path in args.results for r in S.load_runs(path)]
+    earlier: dict = {}  # a record repeated across files is refused too
+    runs = [r for path in args.results for r in S.load_runs(path, earlier=earlier)]
     report = S.compare_classifiers(S.aggregate(runs, args.aggregate), args.alpha)
     text = S.render_text_report(report)
     if args.group:

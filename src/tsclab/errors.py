@@ -34,10 +34,6 @@ class TrainingDivergenceError(ArithmeticError):
     """
 
 
-class ParameterLayoutError(ValueError):
-    """An optimizer was handed a parameter it cannot update in place; message names it."""
-
-
 class MissingCellError(ValueError):
     """A results table has (dataset, classifier) holes; message lists them."""
 

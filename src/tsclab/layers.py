@@ -2,7 +2,8 @@
 
 Every kernel is a pure function: ``*_forward`` returns the output plus a
 cache, ``*_backward`` maps the upstream gradient and that cache to exact
-gradients of the forward map.  Activations live in time-major batches
+gradients of the forward map, each parameter gradient written into its
+optional ``out=`` array when given.  Activations live in time-major batches
 shaped ``[batch, time, channels]``; dense layers see ``[batch, features]``.
 
 Gradients are hand-derived per layer; there is no autodiff graph.
@@ -81,12 +82,14 @@ def conv1d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, padding: str = "
     return y, cache
 
 
-def conv1d_backward(gy: np.ndarray, cache):
+def conv1d_backward(gy: np.ndarray, cache, gw=None, gb=None):
     xp, length, pl, T, x_shape, w = cache
     t_out = gy.shape[1]
     win = _windows(xp, length)
-    gw = np.tensordot(gy, win, axes=([0, 1], [0, 1]))  # [C_out, l, C_in]
-    gb = gy.sum(axis=(0, 1))
+    # tensordot's one GEMM over (batch, time) to [C_out, l, C_in], written into ``gw``
+    out = None if gw is None else gw.reshape(len(w), -1)
+    gw = np.dot(gy.reshape(-1, len(w)).T, win.reshape(-1, w[0].size), out=out).reshape(w.shape)
+    gb = np.sum(gy, axis=(0, 1), out=gb)
     # scatter g*w back over the padded input
     gcols = np.tensordot(gy, w, axes=([2], [0]))  # [batch, t_out, l, C_in]
     gxp = np.zeros_like(xp)
@@ -105,9 +108,9 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return x @ w + b, (x, w)
 
 
-def dense_backward(gy: np.ndarray, cache):
+def dense_backward(gy: np.ndarray, cache, gw=None, gb=None):
     x, w = cache
-    return gy @ w.T, x.T @ gy, gy.sum(axis=0)
+    return gy @ w.T, np.matmul(x.T, gy, out=gw), np.sum(gy, axis=0, out=gb)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +129,7 @@ def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, axes: tuple):
     return y, (inv, xhat, gamma, axes, n), mean, var
 
 
-def _normalize_grad(gy: np.ndarray, cache):
+def _normalize_grad(gy: np.ndarray, cache, ggamma=None, gbeta=None):
     """``(gx, dgamma, dbeta)`` of :func:`_normalize`, through its statistics."""
     inv, xhat, gamma, axes, n = cache
     gxhat = gy * gamma
@@ -135,7 +138,7 @@ def _normalize_grad(gy: np.ndarray, cache):
         - gxhat.sum(axis=axes, keepdims=True)
         - xhat * (gxhat * xhat).sum(axis=axes, keepdims=True)
     )
-    return gx, (gy * xhat).sum(axis=(0, 1)), gy.sum(axis=(0, 1))
+    return gx, np.sum(gy * xhat, axis=(0, 1), out=ggamma), np.sum(gy, axis=(0, 1), out=gbeta)
 
 
 def batch_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -161,8 +164,8 @@ def batch_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     return y, cache, new_mean, new_var
 
 
-def batch_norm_backward(gy: np.ndarray, cache):
-    return _normalize_grad(gy, cache)
+def batch_norm_backward(gy: np.ndarray, cache, ggamma=None, gbeta=None):
+    return _normalize_grad(gy, cache, ggamma, gbeta)
 
 
 def instance_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
@@ -173,8 +176,8 @@ def instance_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     return y, cache
 
 
-def instance_norm_backward(gy: np.ndarray, cache):
-    return _normalize_grad(gy, cache)
+def instance_norm_backward(gy: np.ndarray, cache, ggamma=None, gbeta=None):
+    return _normalize_grad(gy, cache, ggamma, gbeta)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +226,11 @@ def prelu_forward(x, slopes):
     return y, (x, slopes, pos)
 
 
-def prelu_backward(gy, cache):
+def prelu_backward(gy, cache, gslopes=None):
     x, slopes, pos = cache
     gx = gy * np.where(pos, 1.0, slopes)
     axes = tuple(range(x.ndim - 1))
-    gslopes = (gy * np.where(pos, 0.0, x)).sum(axis=axes)
-    return gx, gslopes
+    return gx, np.sum(gy * np.where(pos, 0.0, x), axis=axes, out=gslopes)
 
 
 # ---------------------------------------------------------------------------

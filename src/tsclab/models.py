@@ -2,9 +2,9 @@
 
 A model is a :class:`ModelSpec` (architecture id + geometry + a tree of
 layer nodes) plus a flat parameter dict.  Forward composes the layer
-kernels in tree order; backward walks the same tree in reverse and
-stores each parameter's exact gradient.  A leaf node only declares its ``layers``
-kernel pair, its parameters and its arguments (the contract is on
+kernels in tree order; backward walks the same tree in reverse and writes
+each parameter's exact gradient into its slot.  A leaf node only declares its
+``layers`` kernel pair, its parameters and its arguments (the contract is on
 :class:`Node`).  Builders only declare their nets, bar mcnn's option check;
 :func:`build_model` refuses a geometry below the net's floors, then lays the spec
 out so that its kernels refuse what they cannot run, each as a ``ShapeError``.
@@ -44,10 +44,10 @@ class Node:
     """One layer of the tree.  A leaf declares, and the base class runs:
 
     - ``kernel``: the ``layers`` pair ``<kernel>_forward(x, *params, *args)``
-      -> ``(y, cache, ...)`` and ``<kernel>_backward(gy, cache)`` -> the input
-      gradient, followed (for a leaf with parameters) by one gradient per
-      name; names past the last gradient (running statistics) are not trained
-    - ``names``: its parameter names, in blob order
+      -> ``(y, cache, ...)`` and ``<kernel>_backward(gy, cache, *slots)`` ->
+      the input gradient, followed (for a leaf with parameters) by one
+      gradient per :func:`trainable` name, each written into its slot
+    - ``names``: its parameter names, in blob order; running statistics last
     - ``shapes(in_shape)``: a ``(shape, fill)`` per name; a ``(fan_in,
       fan_out)`` fill is a Glorot draw, a number a constant
     - ``args(mode, rng)``: the static kernel arguments
@@ -102,12 +102,10 @@ class Node:
         return y
 
     def backward(self, gy, caches, grads):
-        out = getattr(L, f"{self.kernel}_backward")(gy, caches.pop(self))
-        if not self.names:
-            return out
-        # a leaf's keys are unique in its tree: each gradient is stored once, as it is
-        grads.update(zip(self.keys, out[1:]))
-        return out[0]
+        # a leaf's keys are unique in its tree: each slot is written once
+        slots = (grads[k] for k in self.keys if trainable(k))
+        out = getattr(L, f"{self.kernel}_backward")(gy, caches.pop(self), *slots)
+        return out[0] if self.keys else out
 
     def describe(self):
         fields = (v if k == "kind" else f"{k}={v}" for k, v in vars(self).items() if k != "keys")
@@ -166,7 +164,7 @@ class BatchNorm(Node):
     def forward(self, x, params, mode, rng, caches):
         y, caches[self], new_mean, new_var = self._run(x, params, mode, rng)
         if mode == "train":
-            params[self.keys[2]], params[self.keys[3]] = new_mean, new_var
+            params[self.keys[2]][...], params[self.keys[3]][...] = new_mean, new_var
         return y
 
 
@@ -627,11 +625,10 @@ def forward_batch(spec: ModelSpec, params: dict, x: np.ndarray, mode: str,
     return y, caches
 
 
-def backward_batch(spec: ModelSpec, caches: dict, gy: np.ndarray):
-    """(gx, grads by key) for ``gy``; pops each cache as it reads it, leaving ``caches`` empty."""
-    grads: dict = {}
-    gx = spec.net.backward(gy, caches, grads)
-    return gx, grads
+def backward_batch(spec: ModelSpec, caches: dict, gy: np.ndarray, grads: dict):
+    """``gx`` for ``gy``, each trained parameter's gradient written into its slot in
+    ``grads`` (by key); pops each cache as it reads it, leaving ``caches`` empty."""
+    return spec.net.backward(gy, caches, grads)
 
 
 def gap_head(spec: ModelSpec) -> tuple[int, Dense]:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bundle import unpack
 from .data import TimeSeriesDataset
-from .errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
+from .errors import ShapeError, TrainingDivergenceError
 from .layers import LOSSES
 from .models import (ModelSpec, TrainedModel, backward_batch, check_geometry, forward_batch,
-                     infer_batch, init_model, trainable)
+                     infer_batch, init_model)
 from .tensor import SplitMix64
 
 
@@ -81,58 +82,42 @@ ADADELTA_RHO = 0.95
 ADADELTA_EPS = 1e-8
 
 
-# Updates walk each parameter's flat view this many float64 values (512 KiB)
-# at a time, so a chunk's arrays stay in cache across the passes of its rule.
+# Updates walk the parameter vector this many float64 values (512 KiB) at a
+# time, so a chunk's arrays stay in cache across the passes of its rule.
 # Each pass hands the GIL to any other ``--jobs`` thread, so fewer, larger
 # chunks let two runs step side by side (README "Numerics" has the sweep).
 CHUNK = 65536
 
 
 class Optimizer:
-    """Shared guards and chunked in-place walk; concrete rules fill in ``_rule``.
+    """The chunked in-place walk over one parameter vector; rules fill in ``_rule``.
 
     ``_rule(lr, p, g, a, b, *moments)`` updates one chunk in place: ``p``
-    and the moments are views into the parameter and its state, ``a`` and
-    ``b`` are scratch.  Each rule evaluates the textbook expression in the
-    same order of operations, so it gives the bits of the out-of-place form.
+    and the moments are views into the parameter vector and its state, ``a``
+    and ``b`` are scratch.  Each rule evaluates the textbook expression in
+    the same order of operations, so it gives the bits of the out-of-place
+    form.  A value whose gradient is always zero (a running statistic) stays
+    exactly as it is: every rule then subtracts ``+0.0`` from it.
     """
 
-    moments = 0  # flat state arrays per parameter, one value per parameter value
+    moments = 0  # flat state vectors, one value per parameter value
 
     def __init__(self):
-        self.state: dict = {}
+        self.state: tuple = ()  # the moment vectors, made on the first step
         self._scratch = (np.empty(CHUNK), np.empty(CHUNK))
 
-    def step(self, params: dict, grads: dict, lr: float) -> None:
-        """Update in place every trainable parameter named in ``grads``.
-
-        Nothing changes when a gradient is non-finite, a parameter is not a
-        writeable C-contiguous float64 array, or a gradient's shape differs.
-        """
-        names = [name for name in grads if trainable(name)]
-        for name in names:
-            g, p = np.asarray(grads[name]), params[name]
-            if not np.isfinite(g).all():
-                raise TrainingDivergenceError(f"non-finite gradient in layer parameter {name!r}")
-            if not (isinstance(p, np.ndarray) and p.dtype == np.float64
-                    and p.flags.c_contiguous and p.flags.writeable):
-                raise ParameterLayoutError(
-                    f"parameter {name!r} is not a writeable C-contiguous float64 array; "
-                    f"an in-place update would be lost")
-            if g.shape != p.shape:
-                raise ShapeError(f"gradient {g.shape} does not match parameter {name!r} {p.shape}")
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """Update the 1-D float64 ``theta`` in place along ``grad``, its gradient."""
+        if grad.shape != theta.shape:
+            raise ShapeError(f"gradient {grad.shape} does not match parameters {theta.shape}")
+        if not self.state:
+            self.state = tuple(np.zeros(theta.size) for _ in range(self.moments))
         self._begin_step()
         a, b = self._scratch
-        for name in names:
-            p = params[name].reshape(-1)
-            g = np.asarray(grads[name]).reshape(-1)
-            if name not in self.state:
-                self.state[name] = tuple(np.zeros(p.size) for _ in range(self.moments))
-            moments = self.state[name]
-            for lo in range(0, p.size, CHUNK):
-                hi = min(lo + CHUNK, p.size)
-                self._rule(lr, p[lo:hi], g[lo:hi], a[: hi - lo], b[: hi - lo],
-                           *(m[lo:hi] for m in moments))
+        for lo in range(0, theta.size, CHUNK):
+            hi = min(lo + CHUNK, theta.size)
+            self._rule(lr, theta[lo:hi], grad[lo:hi], a[: hi - lo], b[: hi - lo],
+                       *(m[lo:hi] for m in self.state))
 
     def _begin_step(self) -> None:
         pass
@@ -290,14 +275,17 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
                          "no class has two training series")
 
     rng = SplitMix64(config.seed)
-    params = init_model(spec, rng)
+    # the parameters and their gradient, one vector each in blob order, and named views
+    layout = [(name, shape) for name, shape, _ in spec.layout.params]
+    theta = np.concatenate([v.reshape(-1) for v in init_model(spec, rng).values()])
+    grad, best = np.zeros_like(theta), np.empty_like(theta)
+    params, grads = unpack(theta, layout), unpack(grad, layout)
 
     loss_fn = LOSSES[spec.loss]
     optimizer = make_optimizer(config.optimizer)
     sched = LrSchedule(config.learning_rate, config.decay, config.plateau)
     losses = []  # monitored loss per epoch
-    best_loss = math.inf
-    best_params = None  # the first epoch's finite loss always replaces it
+    best_loss = math.inf  # the first epoch's finite loss always fills ``best``
     best_epoch = 0
 
     order = list(range(data.n))
@@ -311,8 +299,11 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
             pred, caches = forward_batch(spec, params, x, "train", rng)
             loss, gpred = loss_fn(pred, y)
             total += loss * len(batch)
-            _, grads = backward_batch(spec, caches, gpred)
-            optimizer.step(params, grads, sched.current())
+            backward_batch(spec, caches, gpred, grads)
+            if not np.isfinite(grad).all():
+                name = next(k for k, g in grads.items() if not np.isfinite(g).all())
+                raise TrainingDivergenceError(f"non-finite gradient in layer parameter {name!r}")
+            optimizer.step(theta, grad, sched.current())
             sched.after_step()
 
         if data.held_out is not None:
@@ -327,9 +318,9 @@ def train(spec: ModelSpec, data: TimeSeriesDataset, config: TrainConfig,
         if ref_loss < best_loss:
             best_loss = ref_loss
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            np.copyto(best, theta)
         sched.after_epoch(ref_loss)
 
-    model = TrainedModel(spec, best_params, seed=config.seed,
+    model = TrainedModel(spec, unpack(best, layout), seed=config.seed,
                          epochs_run=config.epochs, best_epoch=best_epoch)
     return model, losses

@@ -393,11 +393,12 @@ def save_runs(runs: list[RunRecord], path) -> None:
         raise
 
 
-def load_runs(path, baselines: bool = True) -> list[RunRecord]:
+def load_runs(path, baselines: bool = True, earlier: dict | None = None) -> list[RunRecord]:
     """Read a run-record or, if ``baselines``, an external-baseline CSV; a bad row names its
-    line and column, a repeated (dataset, architecture, seed) the line it repeats."""
+    line and column, a repeated (dataset, architecture, seed) the line it repeats, here or
+    in ``earlier`` (``file line N`` by record, of files read before; gains this file's)."""
     path = Path(path)
-    runs, seen = [], {}
+    runs, seen, earlier = [], {}, {} if earlier is None else earlier
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -423,9 +424,12 @@ def load_runs(path, baselines: bool = True) -> list[RunRecord]:
                 values = [values[0], values[1], 0, values[2], math.nan, math.nan]
             if not 0.0 <= values[3] <= 1.0:
                 raise DataFormatError(f"{where}, column accuracy: {values[3]!r} is not in [0, 1]")
-            if (first := seen.setdefault(tuple(values[:3]), reader.line_num)) != reader.line_num:
+            if (key := tuple(values[:3])) in earlier:
+                raise DataFormatError(f"{where}: repeats the record of {earlier[key]}")
+            if (first := seen.setdefault(key, reader.line_num)) != reader.line_num:
                 raise DataFormatError(f"{where}: repeats the record of line {first}")
             runs.append(RunRecord(*values))
+    earlier.update((key, f"{path.name} line {line}") for key, line in seen.items())
     return runs
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from tsclab.bundle import unpack
 from tsclab.data import MTS_HEADER, TimeSeriesDataset, one_hot
 from tsclab.tensor import SplitMix64
 
@@ -44,6 +45,13 @@ def assert_grad_close(analytic, numeric, tol=1e-6):
 def random_batch(shape, seed=0, scale=1.0):
     rng = SplitMix64(seed)
     return (2.0 * rng.uniform(int(np.prod(shape))) - 1.0).reshape(shape) * scale
+
+
+def gradient_slots(spec, fill=0.0) -> dict:
+    """A slot per parameter of ``spec`` for ``backward_batch`` to write: named views
+    of one vector filled with ``fill``, laid out as ``optim.train`` lays out its own."""
+    layout = [(name, shape) for name, shape, _ in spec.layout.params]
+    return unpack(np.full(sum(int(np.prod(shape)) for _, shape in layout), fill), layout)
 
 
 def toy_dataset(n=8, T=16, M=1, K=2, seed=0):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_batch
+from conftest import gradient_slots, random_batch
 from test_models import TestConformance
 from test_optim import TestDefaults
 from test_stats import brute_force_wilcoxon
@@ -88,7 +88,8 @@ def architecture_gradient_check(spec, seed=0, tol=1e-4, h=1e-5):
 
     pred, caches = M.forward_batch(spec, params, x, "train", SplitMix64(999))
     _, gpred = loss_fn(pred, y)
-    _, grads = M.backward_batch(spec, caches, gpred)
+    grads = gradient_slots(spec)
+    M.backward_batch(spec, caches, gpred, grads)
 
     def numeric_grad(flat, idx, step):
         orig = flat[idx]

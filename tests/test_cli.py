@@ -361,11 +361,12 @@ class TestTrainCommand:
         original = O.backward_batch
         poisoned = []
 
-        def backward_with_inf(*args):
-            gx, grads = original(*args)
+        def backward_with_inf(spec, caches, gy, grads):
+            gx = original(spec, caches, gy, grads)
             name = next(k for k in grads if M.trainable(k))
             poisoned.append(name)
-            return gx, {**grads, name: grads[name] + np.inf}
+            grads[name] += np.inf
+            return gx
 
         monkeypatch.setattr(O, "backward_batch", backward_with_inf)
         code = run([
@@ -618,6 +619,19 @@ class TestCompareCommand:
         path.write_text("\n".join([",".join(S.RESULTS_HEADER), *rows]) + "\n")
         assert run(["compare", "--results", path, "--out", tmp_path / "cd.svg"]) == 2
         assert "data error: r.csv line 4: repeats the record of line 2" in capsys.readouterr().err
+        assert not (tmp_path / "cd.svg").exists()
+
+    def test_record_repeated_across_results_files_exits_2(self, tmp_path, capsys):
+        # averaged, (A, fcn, 0) at 0.9 and at 0.1 would rank fcn 1.25
+        r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
+        header = ",".join(S.RESULTS_HEADER)
+        r1.write_text(f"{header}\nA,fcn,0,0.9,0.1,1.0\nA,resnet,0,0.5,0.1,1.0\n"
+                      "B,fcn,0,0.7,0.1,1.0\nB,resnet,0,0.6,0.1,1.0\n")
+        r2.write_text(f"{header}\nA,fcn,0,0.1,0.1,1.0\n")
+        assert run(["compare", "--results", r1, "--results", r2,
+                    "--out", tmp_path / "cd.svg"]) == 2
+        err = capsys.readouterr().err
+        assert "data error: r2.csv line 2: repeats the record of r1.csv line 2" in err
         assert not (tmp_path / "cd.svg").exists()
 
     def test_results_file_not_utf8_exits_2(self, tmp_path, capsys):

@@ -457,6 +457,37 @@ def test_kernel_names_pair_up_for_profilers():
     assert len({id(getattr(L, n)) for n in names}) == len(names)
 
 
+def _strided(shape, seed):
+    """A random batch that is a slice of a wider one, as a branch node's gradient is."""
+    return random_batch((*shape[:-1], shape[-1] + 4), seed=seed)[..., 2:-2]
+
+
+@pytest.mark.parametrize("kernel, inputs", [
+    ("dense", lambda: (random_batch((5, 7), 1), random_batch((7, 3), 2), random_batch((3,), 3))),
+    ("conv1d", lambda: (random_batch((4, 20, 3), 1), random_batch((6, 5, 3), 2),
+                        random_batch((6,), 3), "same")),
+    ("conv1d", lambda: (random_batch((4, 20, 3), 1), random_batch((6, 7, 3), 2),
+                        random_batch((6,), 3), "valid")),
+    ("batch_norm", lambda: (random_batch((4, 10, 6), 1), random_batch((6,), 2),
+                            random_batch((6,), 3), np.zeros(6), np.ones(6), "train")),
+    ("instance_norm", lambda: (random_batch((4, 10, 6), 1), random_batch((6,), 2),
+                               random_batch((6,), 3))),
+    ("prelu", lambda: (random_batch((4, 10, 6), 1), random_batch((6,), 2))),
+], ids=["dense", "conv-same", "conv-valid", "batch_norm", "instance_norm", "prelu"])
+@pytest.mark.parametrize("gy_layout", ["contiguous", "strided"])
+def test_gradient_outputs_keep_the_bits_of_the_allocating_call(kernel, inputs, gy_layout):
+    y, cache = getattr(L, f"{kernel}_forward")(*inputs())[:2]
+    gy = _strided(y.shape, 4) if gy_layout == "strided" else random_batch(y.shape, 4)
+    backward = getattr(L, f"{kernel}_backward")
+    allocated = backward(gy, cache)
+    slots = [np.full_like(g, np.nan) for g in allocated[1:]]
+    written = backward(gy, cache, *slots)
+    assert written[0].tobytes() == allocated[0].tobytes()
+    for slot, got, want in zip(slots, written[1:], allocated[1:]):
+        assert np.shares_memory(got, slot) and got.shape == slot.shape
+        assert slot.tobytes() == want.tobytes()
+
+
 class TestActivations:
     def test_softmax_symmetry(self):
         y, _ = L.softmax_forward(np.zeros((1, 4)), "train")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_batch, toy_dataset
+from conftest import gradient_slots, random_batch, toy_dataset
 from tsclab import explain as E
 from tsclab import layers as L
 from tsclab import models as M
@@ -405,26 +405,29 @@ class TestForward:
         assert np.all((y > 0) & (y < 1))
         assert np.max(np.abs(y.sum(axis=1) - 1.0)) > 1e-6  # unconstrained rows
 
-    def test_backward_batch_stores_each_kernel_gradient_as_returned(self, monkeypatch):
+    def test_each_dense_kernel_writes_its_gradients_into_the_one_vector(self, monkeypatch):
         spec, params = build_and_init("mlp", 20, 1, 3)
         x = random_batch((4, 20, 1), seed=9)
         y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(1))
         returned, real = [], L.dense_backward
 
-        def spy(gy, cache):
-            out = real(gy, cache)
+        def spy(gy, cache, *slots):
+            out = real(gy, cache, *slots)
             returned.append(out)
             return out
 
         monkeypatch.setattr(L, "dense_backward", spy)
-        _, grads = M.backward_batch(spec, caches, random_batch(y.shape, seed=10))
-        # no copy, no `0 + g`: the stored gradient is the kernel's own array
+        grads = gradient_slots(spec, np.nan)
+        vector = grads["2.w"].base
+        M.backward_batch(spec, caches, random_batch(y.shape, seed=10), grads)
+        # no copy: each gradient the kernel returns is its slot in the one vector
         dense = ["11", "8", "5", "2"]  # the dense leaves, in backward order
         assert len(returned) == len(dense)
         for prefix, (_, gw, gb) in zip(dense, returned):
-            assert grads[f"{prefix}.w"] is gw and grads[f"{prefix}.b"] is gb
-        names = [name for name, _, _ in spec.layout.params if M.trainable(name)]
-        assert sorted(grads) == sorted(names) and len(set(names)) == len(names)
+            assert gw is grads[f"{prefix}.w"] and gb is grads[f"{prefix}.b"]
+            assert np.shares_memory(gw, vector) and np.shares_memory(gb, vector)
+        assert all(v.base is vector for v in grads.values())
+        assert np.isfinite(vector).all()
 
     def test_mlp_forward_matches_unrolled_matmuls(self):
         spec, params = build_and_init("mlp", 20, 1, 2)
@@ -483,7 +486,7 @@ class TestForward:
         params = M.init_model(spec, SplitMix64(16))
         x, gy = random_batch((2, 5, 3), seed=17), random_batch((2, 2), seed=18)
         _, caches = M.forward_batch(spec, params, x, "train")
-        gx, _ = M.backward_batch(spec, caches, gy)
+        gx = M.backward_batch(spec, caches, gy, gradient_slots(spec))
         h = 1e-6
         for idx in np.ndindex(x.shape):
             step = np.zeros_like(x)
@@ -682,7 +685,7 @@ class TestTrainStep:
         spec, params = build_small(arch, Mdims=2, K=3)
         x = random_batch((4, spec.input_length, 2), seed=58)
         y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(59))
-        M.backward_batch(spec, caches, random_batch(y.shape, seed=60))
+        M.backward_batch(spec, caches, random_batch(y.shape, seed=60), gradient_slots(spec))
         assert caches == {}
 
     # one train step (forward, loss, backward) of 16 series at (300, 1): the
@@ -695,12 +698,13 @@ class TestTrainStep:
         spec, params = build_and_init(arch, 300, 1, 2, seed=61)
         x = random_batch((16, 300, 1), seed=62)
         target = np.eye(2)[np.arange(16) % 2]
+        grads = gradient_slots(spec)
         tracemalloc.start()
         try:
             live = tracemalloc.get_traced_memory()[0]
             pred, caches = M.forward_batch(spec, params, x, "train", SplitMix64(63))
             _, gpred = L.LOSSES[spec.loss](pred, target)
-            M.backward_batch(spec, caches, gpred)
+            M.backward_batch(spec, caches, gpred, grads)
             peak = tracemalloc.get_traced_memory()[1] - live
         finally:
             tracemalloc.stop()
@@ -835,14 +839,18 @@ class TestSerialization:
 class TestParamLayout:
     @pytest.mark.parametrize("arch", M.ARCHITECTURES)
     def test_gradients_match_declared_names_and_shapes(self, arch):
+        # the optimizer never zeroes the gradient vector: every trained slot must be
+        # written whole on every step, and a running statistic's never
         spec, params = build_small(arch, Mdims=2, K=3)
         x = random_batch((3, spec.input_length, 2), seed=30)
         y, caches = M.forward_batch(spec, params, x, "train", SplitMix64(31))
-        _, grads = M.backward_batch(spec, caches, random_batch(y.shape, seed=32))
-        declared = {name for name, _, _ in spec.layout.params if M.trainable(name)}
-        assert set(grads) == declared
+        grads = gradient_slots(spec, np.nan)
+        M.backward_batch(spec, caches, random_batch(y.shape, seed=32), grads)
+        assert grads.keys() == params.keys()
         for name, g in grads.items():
             assert g.shape == params[name].shape, name
+            written = np.isfinite(g)
+            assert written.all() if M.trainable(name) else not written.any(), name
 
     # sha256 of the concatenated initial parameters; a change here changes
     # every seeded run, so it must be deliberate

@@ -12,100 +12,59 @@ from tsclab import models as M
 from tsclab import optim as O
 from tsclab import stats as S
 from tsclab.data import TimeSeriesDataset, one_hot, split_train_val
-from tsclab.errors import ParameterLayoutError, ShapeError, TrainingDivergenceError
+from tsclab.bundle import unpack
+from tsclab.errors import ShapeError, TrainingDivergenceError
 from tsclab.tensor import STREAM_CHUNK, SplitMix64, glorot_uniform
 
 
 class TestOptimizers:
     def test_sgd_scalar_step(self):
-        params = {"w": np.array([1.0])}
-        O.make_optimizer("sgd").step(params, {"w": np.array([2.0])}, 0.1)
-        assert np.allclose(params["w"], 0.8)
+        theta = np.array([1.0])
+        O.make_optimizer("sgd").step(theta, np.array([2.0]), 0.1)
+        assert np.allclose(theta, 0.8)
 
     def test_adam_first_step_is_signed_learning_rate(self):
         # bias correction makes m_hat/sqrt(v_hat) ~ sign(g) on step one
-        params = {"w": np.array([0.0, 0.0])}
+        theta = np.array([0.0, 0.0])
         g = np.array([3.7, -0.004])
-        O.make_optimizer("adam").step(params, {"w": g}, 0.01)
-        assert np.max(np.abs(params["w"] + 0.01 * np.sign(g))) < 1e-5
+        O.make_optimizer("adam").step(theta, g, 0.01)
+        assert np.max(np.abs(theta + 0.01 * np.sign(g))) < 1e-5
 
     def test_adadelta_zero_gradient_is_noop(self):
-        params = {"w": np.array([1.5, -2.0])}
-        O.make_optimizer("adadelta").step(params, {"w": np.zeros(2)}, 1.0)
-        assert np.array_equal(params["w"], [1.5, -2.0])
+        theta = np.array([1.5, -2.0])
+        O.make_optimizer("adadelta").step(theta, np.zeros(2), 1.0)
+        assert np.array_equal(theta, [1.5, -2.0])
 
-    def test_nan_gradient_raises_naming_the_layer(self):
-        params = {"3.w": np.array([1.0])}
-        with pytest.raises(TrainingDivergenceError, match="3.w"):
-            O.make_optimizer("adam").step(params, {"3.w": np.array([np.nan])}, 0.1)
-
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
-    def test_infinite_gradient_raises_naming_the_layer(self, bad):
-        params = {"3.w": np.array([1.0, 2.0])}
-        with pytest.raises(TrainingDivergenceError, match="3.w"):
-            O.make_optimizer("adam").step(params, {"3.w": np.array([0.5, bad])}, 0.1)
-        assert np.array_equal(params["3.w"], [1.0, 2.0])
-
-    def test_running_stats_not_touched_by_optimizer(self):
-        params = {"1.running_mean": np.array([5.0]), "1.gamma": np.array([1.0])}
-        grads = {"1.running_mean": np.array([100.0]), "1.gamma": np.array([1.0])}
-        O.make_optimizer("sgd").step(params, grads, 0.5)
-        assert params["1.running_mean"][0] == 5.0
-        assert params["1.gamma"][0] == 0.5
+    @pytest.mark.parametrize("kind,lr", [("sgd", 0.5), ("adam", 0.5), ("adadelta", 1.0)])
+    def test_zero_gradient_leaves_a_running_statistic_bit_for_bit(self, kind, lr):
+        # a running statistic's slot keeps a zero gradient: every rule leaves it as it is
+        stats = np.array([5.0, -0.0, 0.0, 1e-300, -3e300, 0.1])
+        theta = np.concatenate([stats, [1.0, -2.0]])
+        opt = O.make_optimizer(kind)
+        for _ in range(5):
+            opt.step(theta, np.concatenate([np.zeros(6), [1.0, 0.5]]), lr)
+        assert theta[:6].tobytes() == stats.tobytes()
+        assert not np.array_equal(theta[6:], [1.0, -2.0])
+        for m in opt.state:
+            assert not m[:6].any()
 
     @pytest.mark.parametrize("kind,lr", [("sgd", 0.05), ("adam", 0.05), ("adadelta", 1.0)])
     def test_quadratic_bowl_monotone_decrease(self, kind, lr):
-        params = {"w": np.array([3.0])}
+        theta = np.array([3.0])
         opt = O.make_optimizer(kind)
-        value = params["w"][0] ** 2
+        value = theta[0] ** 2
         for _ in range(60):
-            grads = {"w": 2.0 * params["w"]}
-            opt.step(params, grads, lr)
-            new_value = params["w"][0] ** 2
+            opt.step(theta, 2.0 * theta, lr)
+            new_value = theta[0] ** 2
             assert new_value <= value + 1e-12
             value = new_value
 
-    @pytest.mark.parametrize("bad", ["nan-gradient", "non-contiguous", "read-only"])
-    @pytest.mark.parametrize("kind", ["sgd", "adam", "adadelta"])
-    def test_refused_step_leaves_every_param_untouched(self, kind, bad):
-        # the refused parameter comes last: no parameter before it may move
-        params = {"0.w": np.array([1.0, 2.0]), "1.w": np.arange(12.0).reshape(3, 4)}
-        grads = {"0.w": np.array([0.5, -0.5]), "1.w": np.ones((3, 4))}
-        if bad == "nan-gradient":
-            grads["1.w"][1, 2] = np.nan
-            error = TrainingDivergenceError
-        elif bad == "non-contiguous":
-            params["1.w"] = np.asfortranarray(params["1.w"])
-            error = ParameterLayoutError
-        else:
-            params["1.w"].flags.writeable = False
-            error = ParameterLayoutError
-        before = {k: v.copy() for k, v in params.items()}
-        opt = O.make_optimizer(kind)
-        with pytest.raises(error, match="'1.w'"):
-            opt.step(params, grads, 0.1)
-        for k, v in params.items():
-            assert v.tobytes() == before[k].tobytes()
-        assert opt.state == {}
-
-    @pytest.mark.parametrize("make", [
-        lambda: np.zeros((4, 6))[:, ::2],
-        lambda: np.zeros((3, 5)).T,
-    ], ids=["strided", "transposed"])
-    def test_non_contiguous_param_is_refused(self, make):
-        # reshape(-1) of such an array is a copy, and the update would be lost
-        with pytest.raises(ParameterLayoutError, match="'2.b'"):
-            O.make_optimizer("sgd").step({"2.b": make()}, {"2.b": np.ones_like(make())}, 0.1)
-
-    def test_read_only_param_is_refused(self):
-        frozen = np.zeros(3)
-        frozen.flags.writeable = False
-        with pytest.raises(ParameterLayoutError, match="'2.b'"):
-            O.make_optimizer("adam").step({"2.b": frozen}, {"2.b": np.ones(3)}, 0.1)
-
-    def test_gradient_shape_must_match_param(self):
-        with pytest.raises(ShapeError, match="'0.w'"):
-            O.make_optimizer("sgd").step({"0.w": np.zeros((2, 3))}, {"0.w": np.ones(6)}, 0.1)
+    def test_gradient_length_must_match_the_vector(self):
+        theta = np.zeros(6)
+        opt = O.make_optimizer("adam")
+        with pytest.raises(ShapeError, match=r"gradient \(1,\) does not match parameters \(6,\)"):
+            opt.step(theta, np.ones(1), 0.1)
+        assert not theta.any() and opt.state == ()
 
 
 class ReferenceOptimizer:
@@ -138,6 +97,15 @@ class ReferenceOptimizer:
                 params[name] = p + lr * dx
 
 
+def random_gradient(rng, shape):
+    """Gradients over nine decades, with +0.0 and -0.0 sprinkled in."""
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, size=shape)
+    flat = g.reshape(-1)
+    flat[rng.random(flat.size) < 0.1] = 0.0
+    flat[rng.random(flat.size) < 0.1] = -0.0
+    return g
+
+
 @pytest.mark.parametrize("shape", [
     (1,), (O.CHUNK - 1,), (O.CHUNK,), (3 * O.CHUNK + 17,), (211, 160), (7, 41, 123),
     # a part-filled single chunk, at three sizes
@@ -148,21 +116,46 @@ def test_in_place_update_matches_reference_bits(kind, lr, shape):
     rng = np.random.default_rng(sum(shape))
     start = rng.standard_normal(shape)
     start.reshape(-1)[::5] = 0.0
-    mine, ref = {"0.w": start.copy()}, {"0.w": start.copy()}
+    theta, ref = start.reshape(-1).copy(), {"0.w": start.copy()}
     opt, reference = O.make_optimizer(kind), ReferenceOptimizer(kind)
     for t in range(5):
-        g = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3, size=shape)
-        flat = g.reshape(-1)
-        flat[rng.random(flat.size) < 0.1] = 0.0
-        flat[rng.random(flat.size) < 0.1] = -0.0
+        g = random_gradient(rng, shape)
         step_lr = lr / (1.0 + 0.3 * t)
-        opt.step(mine, {"0.w": g}, step_lr)
+        opt.step(theta, g.reshape(-1), step_lr)
         reference.step(ref, {"0.w": g.copy()}, step_lr)
-        assert mine["0.w"].tobytes() == ref["0.w"].tobytes(), f"params differ at step {t + 1}"
-        moments = opt.state.get("0.w", ())
-        assert len(moments) == len(reference.state.get("0.w", ()))
-        for a, b in zip(moments, reference.state.get("0.w", ())):
+        assert theta.tobytes() == ref["0.w"].tobytes(), f"params differ at step {t + 1}"
+        moments = reference.state.get("0.w", ())
+        assert len(opt.state) == len(moments)
+        for a, b in zip(opt.state, moments):
             assert a.tobytes() == b.tobytes(), f"moment state differs at step {t + 1}"
+
+
+@pytest.mark.parametrize("kind,lr", [("sgd", 0.01), ("adam", 0.001), ("adadelta", 1.0)])
+def test_one_walk_over_a_laid_out_net_matches_the_per_name_reference(kind, lr):
+    # fcn's 14 tensors, its 6 running statistics among them, span its chunks
+    # unevenly; the reference steps each trained tensor on its own
+    spec = M.build_fcn(64, 1, 2)
+    layout = [(name, shape) for name, shape, _ in spec.layout.params]
+    theta = np.concatenate([v.reshape(-1) for v in M.init_model(spec, SplitMix64(5)).values()])
+    ref = {name: v.copy() for name, v in unpack(theta, layout).items()}
+    grad = np.zeros_like(theta)
+    grads = unpack(grad, layout)
+    opt, reference = O.make_optimizer(kind), ReferenceOptimizer(kind)
+    rng = np.random.default_rng(6)
+    for t in range(5):
+        trained = {name: random_gradient(rng, shape) for name, shape in layout
+                   if M.trainable(name)}
+        for name, g in trained.items():
+            grads[name][...] = g
+        step_lr = lr / (1.0 + 0.3 * t)
+        opt.step(theta, grad, step_lr)
+        reference.step(ref, trained, step_lr)
+        want = np.concatenate([ref[name].reshape(-1) for name, _ in layout])
+        assert theta.tobytes() == want.tobytes(), f"params differ at step {t + 1}"
+        for i, moment in enumerate(opt.state):
+            for name, m in unpack(moment, layout).items():
+                expected = reference.state[name][i] if name in trained else np.zeros(m.shape)
+                assert m.tobytes() == expected.tobytes(), f"{name} moment at step {t + 1}"
 
 
 @pytest.mark.parametrize("kind,lr", [("sgd", 0.01), ("adam", 0.001), ("adadelta", 1.0)])
@@ -335,17 +328,18 @@ class TestTrain:
 
     def test_one_epoch_returns_the_state_after_it(self, monkeypatch):
         # the checkpoint starts empty: the first epoch's finite loss always fills it
-        live = []
-        monkeypatch.setattr(O, "init_model",
-                            lambda spec, rng: live.append(M.init_model(spec, rng)) or live[0])
+        thetas, step = [], O.Optimizer.step
+        monkeypatch.setattr(O.Optimizer, "step",
+                            lambda opt, theta, *args: thetas.append(theta) or step(opt, theta, *args))
         spec = M.build_fcn(16, 1, 2)
         model, losses = O.train(spec, toy_dataset(n=8, T=16, seed=4), small_config(epochs=1))
         assert model.best_epoch == 1 and len(losses) == 1
         drawn = M.init_model(spec, SplitMix64(0))
-        assert model.params.keys() == live[0].keys() == drawn.keys()
+        live = unpack(thetas[-1], [(name, shape) for name, shape, _ in spec.layout.params])
+        assert model.params.keys() == live.keys() == drawn.keys()
         for name, value in model.params.items():
-            assert value is not live[0][name]
-            assert value.tobytes() == live[0][name].tobytes()
+            assert not np.shares_memory(value, thetas[-1])
+            assert value.tobytes() == live[name].tobytes()
         assert any(model.params[n].tobytes() != drawn[n].tobytes() for n in drawn)
 
     def test_checkpoint_restoration_reproduces_best_loss(self):
@@ -437,6 +431,70 @@ class TestTrain:
         with pytest.raises(TrainingDivergenceError, match=f"became {bad!r} at epoch 1"):
             O.train(M.build_mcdcnn(16, 1, 2), ds, small_config(epochs=2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", ["sgd", "adam", "adadelta"])
+    def test_refused_step_names_the_parameter_and_moves_nothing(self, monkeypatch, kind, bad):
+        # the third step's gradient is poisoned in one value of one parameter
+        stepped, step, backward = [], O.Optimizer.step, O.backward_batch
+
+        def recorded_step(opt, theta, grad, lr):
+            step(opt, theta, grad, lr)
+            stepped.append((opt, theta, theta.copy(), [m.copy() for m in opt.state]))
+
+        def poisoned_backward(spec, caches, gy, grads):
+            gx = backward(spec, caches, gy, grads)
+            if len(stepped) == 2:
+                grads["3.w"][1, 2, 0] = bad
+            return gx
+
+        monkeypatch.setattr(O.Optimizer, "step", recorded_step)
+        monkeypatch.setattr(O, "backward_batch", poisoned_backward)
+        spec, config = M.build_fcn(16, 1, 2), O.TrainConfig(kind, 2, 4, 0.01, seed=1)
+        with pytest.raises(TrainingDivergenceError,
+                           match="non-finite gradient in layer parameter '3.w'"):
+            O.train(spec, toy_dataset(n=12, T=16, seed=2), config)
+        assert len(stepped) == 2
+        opt, theta, after, moments = stepped[-1]
+        # the third forward has moved the running statistics; the step moved nothing
+        layout = [(name, shape) for name, shape, _ in spec.layout.params]
+        now, then = unpack(theta, layout), unpack(after, layout)
+        for name in filter(M.trainable, now):
+            assert now[name].tobytes() == then[name].tobytes(), name
+        assert len(opt.state) == len(moments) == opt.moments
+        for m, before in zip(opt.state, moments):
+            assert m.tobytes() == before.tobytes()
+
+    def test_running_statistics_are_what_batch_norm_returned(self, monkeypatch):
+        # one train step: the statistics land in their slots of the one vector,
+        # and their gradient and moment slots stay zero
+        returned, forward = [], L.batch_norm_forward
+        opts, step = [], O.Optimizer.step
+
+        def spy(x, *args):
+            out = forward(x, *args)
+            if args[-1] == "train":
+                returned.append(out[2:])
+            return out
+
+        def recorded_step(opt, theta, grad, lr):
+            opts.append((opt, grad))
+            step(opt, theta, grad, lr)
+
+        monkeypatch.setattr(L, "batch_norm_forward", spy)
+        monkeypatch.setattr(O.Optimizer, "step", recorded_step)
+        spec = M.build_fcn(16, 1, 2)
+        model, _ = O.train(spec, toy_dataset(n=4, T=16, seed=3), small_config(epochs=1))
+        assert len(opts) == 1 and len(returned) == 3  # one step, three batch norms
+        layout = [(name, shape) for name, shape, _ in spec.layout.params]
+        assert {id(v.base) for v in model.params.values()} == {id(model.params["0.w"].base)}
+        for prefix, (mean, var) in zip(("1", "4", "7"), returned):
+            assert model.params[f"{prefix}.running_mean"].tobytes() == mean.tobytes()
+            assert model.params[f"{prefix}.running_var"].tobytes() == var.tobytes()
+        (opt, grad), = opts
+        for vector in (grad, *opt.state):
+            for name, v in unpack(vector, layout).items():
+                assert v.any() == M.trainable(name), name
+
     def test_epoch_log_lines(self):
         ds = toy_dataset(n=6, T=16, seed=7)
         lines = []
@@ -466,11 +524,11 @@ class TestTrain:
 @settings(max_examples=20)
 def test_sgd_bowl_descent_property(lr, seed):
     w = float(seed % 7) - 3.0
-    params = {"w": np.array([w])}
+    theta = np.array([w])
     opt = O.make_optimizer("sgd")
-    prev = params["w"][0] ** 2
+    prev = theta[0] ** 2
     for _ in range(25):
-        opt.step(params, {"w": 2.0 * params["w"]}, lr)
-        cur = params["w"][0] ** 2
+        opt.step(theta, 2.0 * theta, lr)
+        cur = theta[0] ** 2
         assert cur <= prev + 1e-12
         prev = cur

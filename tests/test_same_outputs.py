@@ -114,10 +114,11 @@ def mutant_tree(tmp_path, exact, replacement):
 
 def test_a_one_ulp_change_to_a_kernel_is_named_in_every_blob_it_reaches(tmp_path, capsys):
     # the gate the script exists for: a tree whose dense bias gradient moves one ulp up
+    # in the slot the optimizer reads
     src = SCRIPT.parents[1] / "src"
     mutant = mutant_tree(
-        tmp_path, "    return gy @ w.T, x.T @ gy, gy.sum(axis=0)\n",
-        "    return gy @ w.T, x.T @ gy, np.nextafter(gy.sum(axis=0), np.inf)\n")
+        tmp_path, "np.sum(gy, axis=0, out=gb)",
+        "np.nextafter(np.sum(gy, axis=0, out=gb), np.inf, out=gb)")
     pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
     for side, tree in (("parent", src), ("change", mutant)):
         assert same_outputs.run_trains(tree, tmp_path / side, pairs, ["mlp"]) == ""
