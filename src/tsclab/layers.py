@@ -12,6 +12,11 @@ The kernels whose work differs by pass take ``mode``: batch norm, dropout,
 the activations (ReLU, sigmoid, softmax) and pooling.  In ``"infer"`` mode
 they return a ``None`` cache and build nothing that only a backward reads
 (no ReLU mask, no max-pool index), with the same output bits as ``"train"``.
+
+Max pooling, the sigmoid and PReLU choose one of two values per element by
+ufunc arithmetic (``np.maximum``, or integer arithmetic on the float64 bits
+in ``_select``), not by a per-value branch, with the bits of the branching
+forms (``argmax``, ``np.where``).
 """
 
 from __future__ import annotations
@@ -193,11 +198,12 @@ def relu_backward(gy, cache):
 
 def sigmoid_forward(x, mode: str):
     # e = exp(-|x|) cannot overflow: 1 / (1 + e) for x >= 0, e / (1 + e) below,
-    # the same IEEE operations as the two branches written out
+    # the same IEEE operations as the two branches written out; the numerator is
+    # max(e, x >= 0): 1 where x >= 0 (there e <= 1), else e, a NaN e as it is
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    y = np.where(x >= 0, 1.0, e)
+    y = np.maximum(e, x >= 0)
     e += 1.0
     y /= e
     return y, None if mode == "infer" else y
@@ -219,18 +225,27 @@ def softmax_backward(gy, cache):
     return y * (gy - (gy * y).sum(axis=axis, keepdims=True))
 
 
+def _select(cond, a, b):
+    """``np.where(cond, a, b)``'s bits for float64 ``a`` and ``b``, with no per-value
+    branch: ``b ^ ((a ^ b) * cond)`` on their int64 bits, in one output array."""
+    b = np.asarray(b).view(np.int64)
+    out = (np.asarray(a).view(np.int64) ^ b) * cond
+    out ^= b
+    return out.view(np.float64)
+
+
 def prelu_forward(x, slopes):
     """PReLU with one learned slope per channel (last axis)."""
     pos = x > 0.0
-    y = np.where(pos, x, slopes * x)
+    y = _select(pos, x, slopes * x)
     return y, (x, slopes, pos)
 
 
 def prelu_backward(gy, cache, gslopes=None):
     x, slopes, pos = cache
-    gx = gy * np.where(pos, 1.0, slopes)
+    gx = gy * _select(pos, 1.0, slopes)
     axes = tuple(range(x.ndim - 1))
-    return gx, np.sum(gy * np.where(pos, 0.0, x), axis=axes, out=gslopes)
+    return gx, np.sum(gy * _select(pos, 0.0, x), axis=axes, out=gslopes)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +282,17 @@ def pool1d_forward(x, window: int, kind: str, mode: str):
     t_out = T // window
     blocks = x[:, : t_out * window, :].reshape(batch, t_out, window, C)
     if kind == "max":
-        # running max, argmax's bits: the index moves only to a strictly greater
-        # value (the first of equal values wins) or onto the first NaN
+        # running max, argmax's bits: np.maximum returns a NaN operand (the first of
+        # two), so max(y, max(b, y)) keeps y on a NaN y and on a tie, ±0 under either
+        # tie rule; the index moves where y's bits change, as argmax's does
         y = blocks[:, :, 0].copy()
         idx = None if mode == "infer" else np.zeros((batch, t_out, C), np.intp)
         for j in range(1, window):
-            more = ~(blocks[:, :, j] <= y)
-            more &= y == y
-            np.copyto(y, blocks[:, :, j], where=more)
+            new = np.maximum(blocks[:, :, j], y)
+            np.maximum(y, new, out=new)
             if idx is not None:
-                np.copyto(idx, j, where=more)
+                np.maximum(idx, (new.view(np.int64) != y.view(np.int64)) * j, out=idx)
+            y = new
     elif kind == "avg":
         # ``blocks.mean(axis=2)``'s bits below window 8, where numpy's pairwise sum
         # starts regrouping: from 0.0 (so -0.0 sums to +0.0), in window order, / window

@@ -488,6 +488,21 @@ def test_gradient_outputs_keep_the_bits_of_the_allocating_call(kernel, inputs, g
         assert slot.tobytes() == want.tobytes()
 
 
+def nan_bits(payload, negative=False):
+    """A quiet NaN with ``payload`` in its low mantissa bits."""
+    return np.array(0x7FF8000000000000 | payload | negative << 63, np.uint64).view(np.float64)
+
+
+SIGNED_NANS = [nan_bits(1), nan_bits(1, negative=True), nan_bits(2), nan_bits(2, negative=True)]
+
+
+def where_prelu(x, slopes, gy):
+    """PReLU's ``np.where`` forms: ``y``, ``gx`` and ``gslopes``."""
+    pos = x > 0.0
+    gslopes = np.sum(gy * np.where(pos, 0.0, x), axis=tuple(range(x.ndim - 1)))
+    return np.where(pos, x, slopes * x), gy * np.where(pos, 1.0, slopes), gslopes
+
+
 class TestActivations:
     def test_softmax_symmetry(self):
         y, _ = L.softmax_forward(np.zeros((1, 4)), "train")
@@ -518,6 +533,33 @@ class TestActivations:
         _, cache = forward(x, "train")
         gx = backward(gy, cache)
         assert_grad_close(gx, central_difference(loss, x.copy()))
+
+    @pytest.mark.parametrize("view", ["batch", "branch"])
+    def test_prelu_keeps_the_bits_of_its_where_forms(self, view):
+        # NaNs of two payloads and both signs, ±0 and ±inf in every channel, a
+        # NaN in gy; slopes negative, ±0, above 1 and inf
+        x = random_batch((3, 12, 6), seed=6)
+        x[0, :8] = np.array([*SIGNED_NANS, 0.0, -0.0, np.inf, -np.inf])[:, None]
+        gy = random_batch(x.shape, seed=7)
+        gy[0, 1], gy[2, 5] = SIGNED_NANS[1], np.nan
+        slopes = np.array([-0.5, 0.0, -0.0, 1.5, np.inf, 0.25])
+        cases = [(x, slopes, gy)] if view == "batch" else [
+            (M.SplitDims([])._branch_input(x, i), slopes[i : i + 1],
+             M.SplitDims([])._branch_input(gy, i)) for i in range(len(slopes))]
+        for x_, slopes_, gy_ in [*cases, (x[:0], slopes, gy[:0])]:
+            with np.errstate(invalid="ignore"):  # inf * 0
+                y, cache = L.prelu_forward(x_, slopes_)
+                want = where_prelu(x_, slopes_, gy_)
+            assert_same_bits((y, *L.prelu_backward(gy_, cache)), want)
+
+    def test_select_keeps_the_bits_of_where(self):
+        x = random_batch((3, 12, 6), seed=8)
+        x[0, :4] = np.array(SIGNED_NANS)[:, None]
+        cond = x > 0.0
+        for cond_, a, b in [(cond, np.asarray(1.0), x), (cond, x, np.asarray(-0.0)),
+                            (cond, np.asarray(np.inf), np.asarray(-np.nan)),
+                            (cond[:0], x[:0], 2.0 * x[:0])]:
+            assert_same_bits([L._select(cond_, a, b)], [np.where(cond_, a, b)])
 
     def test_prelu_gradients_including_slopes(self):
         x = random_batch((2, 6, 3), seed=4) + 0.01
@@ -590,13 +632,20 @@ def pool_input(kind, seed):
         x.reshape(-1)[::7] = -0.0
     elif kind == "equal-pairs":  # exact ties between nonzero values
         x = np.round(x) / 2.0
+    elif kind == "nan-pairs":  # a +NaN and a -NaN of other payloads, and ±0, side by side in both
+        # orders over a negative background, at a shift that differs by series and channel
+        a, b = SIGNED_NANS[0], SIGNED_NANS[3]
+        pattern = [a, b, -0.0, 0.0, 0.0, -0.0, b, a]
+        x = -np.abs(x)
+        for n, c in np.ndindex(x.shape[0], x.shape[2]):
+            x[n, :, c] = np.roll(np.concatenate([np.resize(pattern, 12), x[n, 12:, c]]), 5 * n + c)
     else:  # NaNs, some at a window's start: argmax takes the first NaN it meets
         x.reshape(-1)[::9] = np.nan
     return x
 
 
 class TestPooling:
-    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan", "nan-pairs"])
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
     def test_max_pool_keeps_the_bits_of_argmax(self, window, kind):
         x = pool_input(kind, seed=window)
@@ -667,6 +716,12 @@ def old_sigmoid(x):
     return y
 
 
+def where_sigmoid(x):
+    """The sigmoid's ``where`` form: ``where(x >= 0, 1, e) / (1 + e)``, ``e = exp(-|x|)``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def kernel_input(kind, seed, view):
     """``pool_input`` with a window of -0.0 (its mean is +0.0); whole, or as the
     non-contiguous slice that mcdcnn's third ``SplitDims`` branch sees."""
@@ -689,7 +744,7 @@ class TestInferModeKernels:
         assert_same_bits((y, mask, y_infer), (want_y, want_mask, want_y))
 
     @pytest.mark.parametrize("view", ["batch", "branch"])
-    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan"])
+    @pytest.mark.parametrize("kind", ["relu", "equal-pairs", "nan", "nan-pairs"])
     @pytest.mark.parametrize("window", [1, 2, 3, 4])
     def test_max_pool(self, window, kind, view):
         x = kernel_input(kind, 70 + window, view)
@@ -720,6 +775,15 @@ class TestInferModeKernels:
         y_infer, none = L.sigmoid_forward(x, "infer")
         assert none is None and cache is y
         assert_same_bits((y, y_infer), (want_y, want_y))
+
+        # NaN inputs keep the bits of the where form; the masked form's +NaN
+        # outputs differ from it in the sign bit alone
+        nans = np.array(SIGNED_NANS * 2).reshape(2, 2, 2)
+        want_nan = where_sigmoid(nans)
+        y_nan, _ = L.sigmoid_forward(nans, "train")
+        assert_same_bits((y_nan, L.sigmoid_forward(nans, "infer")[0]), (want_nan, want_nan))
+        flipped = old_sigmoid(nans).view(np.uint64) ^ want_nan.view(np.uint64)
+        assert np.array_equal(flipped, np.where(np.signbit(nans), 0, 1 << 63).astype(np.uint64))
 
 
 class TestGapAndAttention:
