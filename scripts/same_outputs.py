@@ -11,8 +11,9 @@ Each tree runs three parts, each in processes of its own with that tree's
 - ``python -m tsclab train`` for all nine architectures (``TRAIN_FLAGS``)
   on two pairs written once with ``perfbench/synth.py``: a UCR pair drawn
   from seed A and a long-format pair from seed B;
-- the infer outputs of every model the train runs saved, on its pair's test
-  split, as raw float64 (``run_posteriors``).
+- each pair's train and test split as the tree's reader loads them, ``X``
+  and ``Y`` as raw float64, and the infer outputs of every model the train
+  runs saved, on its pair's test split, as raw float64 (``run_posteriors``).
 
 Every file the two trees wrote is then compared byte for byte;
 ``results.csv`` is compared without its ``train_seconds`` column, which
@@ -75,7 +76,13 @@ def recorded(*args):  # predict's forwards, in its batches and order
 M.forward_batch = recorded
 out = Path(sys.argv[1])
 for name, train, test in zip(*[iter(sys.argv[2:])] * 3):
-    ds = D.load_pair(train, test)[1]
+    pair = D.load_pair(train, test)
+    loaded = out / "loaded" / name
+    loaded.mkdir(parents=True, exist_ok=True)
+    for split, part in zip(("train", "test"), pair):
+        part.X.tofile(loaded / f"{split}_X.f64")
+        part.Y.tofile(loaded / f"{split}_Y.f64")
+    ds = pair[1]
     for manifest in sorted((out / "train" / name).glob("*/*.model")):
         arch = manifest.parent.name
         if arch == "twiesn":
@@ -134,11 +141,14 @@ def run_trains(src: Path, out: Path, pairs: dict, archs=ARCHITECTURES) -> str:
 
 
 def run_posteriors(src: Path, out: Path, pairs: dict) -> bool:
-    """Load, with ``src``'s reader, every model saved under ``out/train/<pair>``
-    and write its infer outputs on that pair's test split, as raw float64, to
-    ``out/posteriors/<pair>/<arch>/<model>.f64``: the outputs of every
-    ``forward_batch`` call that ``models.predict`` makes, in order, so a sliced
-    net gives every slice (twiesn: its posteriors).  True if it ran."""
+    """Load each pair with ``src``'s reader and write its splits' ``X`` and ``Y``,
+    as raw float64, to ``out/loaded/<pair>/<split>_<X|Y>.f64``, so a change to
+    the reader is named at the reader.  Then load every model saved under
+    ``out/train/<pair>`` and write its infer outputs on that pair's test split,
+    as raw float64, to ``out/posteriors/<pair>/<arch>/<model>.f64``: the outputs
+    of every ``forward_batch`` call that ``models.predict`` makes, in order, so
+    a sliced net gives every slice (twiesn: its posteriors).  With no models
+    saved it writes the loaded splits alone.  True if it ran."""
     argv = [str(v) for name, (_, train, test) in pairs.items() for v in (name, train, test)]
     done = subprocess.run([sys.executable, "-c", POSTERIORS, str(out), *argv],
                           env=_env(src), stdout=subprocess.DEVNULL)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import DataFormatError, IntegrityError, VocabularyError
 from .tensor import SplitMix64
 
 MTS_HEADER = "series_id,dimension,timestamp,value,label"
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' others than "\n"
 
 
 @dataclass
@@ -157,15 +157,23 @@ def _read_long(path):
     """One long-format file as ([T_i, M] arrays, labels, series ids, dimension ids),
     the series in order of first appearance and the dimensions ascending.
 
-    The file is read once and checked column by column: the body is split
-    into tokens in one pass, the numeric columns are parsed with ``int`` and
-    ``float``, and the integrity checks run on a sort by (series, dimension,
-    timestamp).  When a file has several faults, the first reported is the
-    first that applies of:
+    The file is read once and checked column by column.  The rows are split
+    into tokens in one pass, with a lone ``"\\n"`` token between rows
+    (``_split_rows``): n rows of 5 fields each give 6n - 1 tokens with every
+    sixth a ``"\\n"``, and no other n rows do.  The text after the header is
+    split as it is when ``"\\n"`` is its only line break; when that split
+    fails (a blank line, a faulty line) or the text has other line breaks,
+    the rows are the non-blank lines of ``str.splitlines``, and a file whose
+    rows fail the split too is refused.  ``dimension`` and ``timestamp`` are
+    parsed with ``int``, and series ids and labels numbered, once per
+    distinct token (``_codes``); ``value`` is parsed with ``float`` per row.
+    The integrity checks run on a sort by (series, dimension, timestamp).
+    When a file has several faults, the first reported is the first that
+    applies of:
 
     1. the file is not UTF-8 (the line of the first bad byte), the header
        is wrong, or the file has no data rows;
-    2. the first line without 5 fields, then the first line with a
+    2. the first line, in file order, without 5 fields or with a
        ``dimension``, ``timestamp`` or ``value`` that does not parse (or an
        integer beyond 64 bits), then the first line whose value is ``nan``
        or infinite, then the first line whose label is a number where the
@@ -177,43 +185,47 @@ def _read_long(path):
        order), or whose dimensions disagree on length.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
-    if not lines or lines[0].strip() != MTS_HEADER:
+    text = read_text(path)
+    header, _, body = text.partition("\n")
+    tokens = (None if any(map(text.__contains__, LINE_BREAKS))
+              else _split_rows(body.removesuffix("\n")))
+    if tokens is None:  # other line breaks, a blank line or a faulty one: by lines
+        lines = text.splitlines()
+        header = lines[0] if lines else ""
+        body = "\n".join(filter(str.strip, lines[1:]))
+    if header.strip() != MTS_HEADER:
         raise DataFormatError(f"{path.name}: expected header {MTS_HEADER!r}")
-    rows = list(filter(str.strip, lines[1:]))
-    if not rows:
+    if not body:
         raise DataFormatError(f"{path.name}: no data rows")
-    if set(map(str.count, rows, repeat(","))) != {4}:
-        raise _bad_row(path, lines)
-    n = len(rows)
-    tokens = ",".join(rows).split(",")
+    if tokens is None and (tokens := _split_rows(body)) is None:
+        raise _bad_row(path, text)
+    n = len(tokens) // 6 + 1
     try:
-        dims = np.fromiter(map(int, tokens[1::5]), np.int64, n)
-        times = np.fromiter(map(int, tokens[2::5]), np.int64, n)
-        values = np.fromiter(map(float, tokens[3::5]), np.float64, n)
+        dims, times = _codes(tokens[1::6], int), _codes(tokens[2::6], int)
+        values = np.fromiter(map(float, tokens[3::6]), np.float64, n)
     except (ValueError, OverflowError):
-        raise _bad_row(path, lines) from None
+        raise _bad_row(path, text) from None
     if not (finite := np.isfinite(values)).all():
         r = int(np.argmin(finite))
-        raise DataFormatError(f"{path.name}:{_lineno(lines, r)}: value {values[r]} "
+        raise DataFormatError(f"{path.name}:{_lineno(text, r)}: value {values[r]} "
                               "is not a finite number")
 
     numbers: dict[str, int] = {}
-    sid_col, label_col = tokens[0::5], tokens[4::5]
-    sid_number = {raw: numbers.setdefault(raw.strip(), len(numbers))
-                  for raw in dict.fromkeys(sid_col)}
+    series = _codes(tokens[0::6], lambda raw: numbers.setdefault(raw.strip(), len(numbers)))
     names = list(numbers)
-    series = np.fromiter(map(sid_number.__getitem__, sid_col), np.int64, n)
-    parsed = {raw: _parse_label(raw.strip()) for raw in dict.fromkeys(label_col)}
+    label_col, parsed, label_ids = tokens[4::6], {}, {}
+
+    def label_id(raw: str) -> int:
+        parsed[raw] = label = _parse_label(raw.strip())
+        return label_ids.setdefault(label, len(label_ids))
+
+    label = _codes(label_col, label_id)
     first_kind = type(next(iter(parsed.values())))
     odd = next((raw for raw, lab in parsed.items() if type(lab) is not first_kind), None)
     if odd is not None:
-        number, text = (odd, label_col[0]) if first_kind is str else (label_col[0], odd)
-        raise DataFormatError(f"{path.name}:{_lineno(lines, label_col.index(odd))}: labels mix "
-                              f"numbers and text ({number.strip()!r} and {text.strip()!r})")
-    label_ids: dict = {}
-    label_id = {raw: label_ids.setdefault(label, len(label_ids)) for raw, label in parsed.items()}
-    label = np.fromiter(map(label_id.__getitem__, label_col), np.int64, n)
+        number, word = (odd, label_col[0]) if first_kind is str else (label_col[0], odd)
+        raise DataFormatError(f"{path.name}:{_lineno(text, label_col.index(odd))}: labels mix "
+                              f"numbers and text ({number.strip()!r} and {word.strip()!r})")
 
     order = np.lexsort((times, dims, series))
     s, d, t = series[order], dims[order], times[order]
@@ -224,7 +236,7 @@ def _read_long(path):
     duplicate[order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (t[1:] == t[:-1])]] = True
     if (conflict | duplicate).any():
         r = int(np.argmax(conflict | duplicate))
-        lineno = _lineno(lines, r)
+        lineno = _lineno(text, r)
         sid = names[series[r]]
         if conflict[r]:
             raise IntegrityError(
@@ -257,14 +269,34 @@ def _read_long(path):
     return raws, [parsed[label_col[r]] for r in first_row], names, all_dims.tolist()
 
 
-def _lineno(lines, r: int) -> int:
+def _split_rows(rows: str) -> list | None:
+    """The fields of ``rows`` (rows joined by "\\n") with a lone "\\n" token between
+    rows, or None unless each row has 5 fields: n rows of 5 fields give 6n - 1
+    tokens with every sixth the "\\n" that ended a row."""
+    n = rows.count("\n") + 1
+    tokens = rows.replace("\n", ",\n,").split(",")
+    return tokens if len(tokens) == 6 * n - 1 and tokens[5::6].count("\n") == n - 1 else None
+
+
+def _codes(column: list, f) -> np.ndarray:
+    """``f`` of each token of ``column``, as int64, in one pass that runs ``f``
+    once per distinct token, in order of first appearance."""
+    class FirstUse(dict):  # stores f(key) at a key's first lookup
+        def __missing__(self, key):
+            self[key] = value = f(key)
+            return value
+
+    return np.fromiter(map(FirstUse().__getitem__, column), np.int64, len(column))
+
+
+def _lineno(text: str, r: int) -> int:
     """The file line number of data row ``r`` (blank lines are not rows)."""
-    return [no for no, line in enumerate(lines[1:], start=2) if line.strip()][r]
+    return [no for no, line in enumerate(text.splitlines()[1:], start=2) if line.strip()][r]
 
 
-def _bad_row(path, lines) -> DataFormatError:
+def _bad_row(path, text: str) -> DataFormatError:
     """Name the first data line with the wrong field count or an unparseable number."""
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -307,8 +339,11 @@ def _dataset(path, read, target=None, vocabulary=None) -> TimeSeriesDataset:
     if target > 1 and 1 in lengths:
         raise IntegrityError(f"{Path(path).name}: series {names[lengths.index(1)]!r} has one "
                              f"timestamp; interpolating it to length {target} needs at least 2")
-    X = np.stack([linear_interpolate(r, target) if r.shape[0] != target else r
-                  for r in raws])
+    resampled = {}
+    for length in set(lengths) - {target}:  # the series of one length resample together
+        rows = [i for i, n in enumerate(lengths) if n == length]
+        resampled.update(zip(rows, _resample(np.stack([raws[i] for i in rows]), target)))
+    X = np.stack([resampled.get(i, raw) for i, raw in enumerate(raws)])
     vocabulary = vocabulary or tuple(sorted(set(labels)))
     meta = DatasetMeta(dataset_name_from_path(path),
                        length_range=(min(lengths), max(lengths)))
@@ -345,12 +380,31 @@ def load_single(path) -> TimeSeriesDataset:
 # ---------------------------------------------------------------------------
 # resampling
 
-def _resample(series: np.ndarray, target_T: int) -> np.ndarray:
-    T = series.shape[0]
-    positions = np.linspace(0.0, T - 1.0, target_T)
-    grid = np.arange(T, dtype=np.float64)
-    return np.stack([np.interp(positions, grid, series[:, m])
-                     for m in range(series.shape[1])], axis=1)
+def _resample(series: np.ndarray, target: int) -> np.ndarray:
+    """``series`` [..., T, M] (T >= 2) read at ``target`` evenly spaced points of
+    0..T-1, with the bytes ``np.interp`` gives each column on the grid 0..T-1.
+
+    It is ``np.interp``'s own arithmetic, in bulk: between grid points j and
+    j + 1, ``(hi - lo) * (x - j) + lo``, and where that is NaN,
+    ``(hi - lo) * (x - (j + 1)) + hi``, and where that is NaN too and
+    ``lo == hi``, ``lo``.  A point on the grid, the last included, copies its
+    sample.  Overflow and NaN are results here, not warnings.
+    """
+    T = series.shape[-2]
+    x = np.linspace(0.0, T - 1.0, target)
+    j = np.minimum(x.astype(np.intp), T - 2)
+    lo, hi = series[..., j, :], series[..., j + 1, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = hi - lo
+        out = slope * (x - j)[:, None] + lo
+        if (nan := np.isnan(out)).any():
+            out[nan] = (slope * (x - (j + 1))[:, None] + hi)[nan]
+            flat = np.isnan(out) & (lo == hi)
+            out[flat] = lo[flat]
+    grid = x == j
+    out[..., grid, :] = lo[..., grid, :]
+    out[..., -1, :] = series[..., -1, :]
+    return out
 
 
 def linear_interpolate(series: np.ndarray, target_T: int) -> np.ndarray:
@@ -368,11 +422,12 @@ def linear_interpolate(series: np.ndarray, target_T: int) -> np.ndarray:
 
 
 def window_warp(series: np.ndarray, factor: float) -> np.ndarray:
-    """Dilate (factor > 1) or squeeze (factor < 1) the time axis by resampling."""
+    """Dilate (factor > 1) or squeeze (factor < 1) the time axis of [T, M], or of
+    each series of [N, T, M], by resampling."""
     series = np.asarray(series, dtype=np.float64)
     if factor <= 0:
         raise ValueError(f"warp factor must be positive, got {factor}")
-    target = int(math.floor(factor * series.shape[0] + 0.5))
+    target = int(math.floor(factor * series.shape[-2] + 0.5))
     if target < 2:
         raise ValueError(f"warp factor {factor} leaves fewer than 2 points")
     return _resample(series, target)
@@ -431,7 +486,7 @@ def build_training_pool(dataset: TimeSeriesDataset, config: SlicingConfig):
     L = slice_length(dataset.length, config)
     pieces = []
     for factor in config.warp_factors:
-        X = dataset.X if factor == 1.0 else np.stack([window_warp(x, factor) for x in dataset.X])
+        X = dataset.X if factor == 1.0 else window_warp(dataset.X, factor)
         view, starts = slice_view(X, L, config.stride)
         pieces.append(view[:, starts])
     X = np.concatenate(pieces, axis=1)  # [N, slices per series, L, M]

@@ -1,3 +1,7 @@
+import warnings
+from itertools import repeat
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,13 +238,27 @@ class TestLongLoader:
         (lambda r: r + ["s2,1,2,1.7,b"], IntegrityError,
          "f.csv: series 's2': dimensions disagree on length"),
         (lambda r: [], DataFormatError, "f.csv: no data rows"),
+        (lambda r: r[:2] + ["s1,1,0,1.0", "a,s1,1,1,1.1,a"] + r[4:], DataFormatError,
+         "f.csv:4: expected 5 fields, got 4"),
     ], ids=["4-fields", "6-fields", "value", "timestamp", "dimension", "nan", "inf",
             "parse-before-finite", "non-finite-before-duplicate", "duplicate",
             "conflicting-label", "missing-dimension", "non-contiguous", "lengths-disagree",
-            "no-rows"])
+            "no-rows", "4-then-6-fields"])
     def test_single_fault_message(self, tmp_path, edit, error, message):
         path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(edit(self.GOOD)) + "\n")
         with pytest.raises(error) as info:
+            D.load_single(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("s1,0,0,oops,a", "s1,0,1,0.2", "f.csv:2: could not convert string to float: 'oops'"),
+        ("s1,0,0,0.1", "s1,0,1,oops,a", "f.csv:2: expected 5 fields, got 4"),
+    ], ids=["value-first", "field-count-first"])
+    def test_field_count_and_parse_faults_are_named_in_file_order(self, tmp_path, first,
+                                                                   second, message):
+        rows = [first, second] + self.GOOD[2:]
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as info:
             D.load_single(path)
         assert str(info.value) == message
 
@@ -332,6 +350,187 @@ class TestLongLoader:
         assert loaded[0].meta.length_range == loaded[1].meta.length_range
 
 
+def reference_read_long(path):
+    """The per-row long-format reader that ``data._read_long`` replaced, kept as the
+    reference it must match: it checks the field count with one ``str.count``
+    a row and parses every ``dimension`` and ``timestamp`` token with ``int``."""
+    path = Path(path)
+    text = D.read_text(path)
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != D.MTS_HEADER:
+        raise DataFormatError(f"{path.name}: expected header {D.MTS_HEADER!r}")
+    rows = list(filter(str.strip, lines[1:]))
+    if not rows:
+        raise DataFormatError(f"{path.name}: no data rows")
+    if set(map(str.count, rows, repeat(","))) != {4}:
+        raise D._bad_row(path, text)
+    n = len(rows)
+    tokens = ",".join(rows).split(",")
+    try:
+        dims = np.fromiter(map(int, tokens[1::5]), np.int64, n)
+        times = np.fromiter(map(int, tokens[2::5]), np.int64, n)
+        values = np.fromiter(map(float, tokens[3::5]), np.float64, n)
+    except (ValueError, OverflowError):
+        raise D._bad_row(path, text) from None
+    if not (finite := np.isfinite(values)).all():
+        r = int(np.argmin(finite))
+        raise DataFormatError(f"{path.name}:{D._lineno(text, r)}: value {values[r]} "
+                              "is not a finite number")
+
+    numbers: dict[str, int] = {}
+    sid_col, label_col = tokens[0::5], tokens[4::5]
+    sid_number = {raw: numbers.setdefault(raw.strip(), len(numbers))
+                  for raw in dict.fromkeys(sid_col)}
+    names = list(numbers)
+    series = np.fromiter(map(sid_number.__getitem__, sid_col), np.int64, n)
+    parsed = {raw: D._parse_label(raw.strip()) for raw in dict.fromkeys(label_col)}
+    first_kind = type(next(iter(parsed.values())))
+    odd = next((raw for raw, lab in parsed.items() if type(lab) is not first_kind), None)
+    if odd is not None:
+        number, word = (odd, label_col[0]) if first_kind is str else (label_col[0], odd)
+        raise DataFormatError(f"{path.name}:{D._lineno(text, label_col.index(odd))}: labels "
+                              f"mix numbers and text ({number.strip()!r} and {word.strip()!r})")
+    label_ids: dict = {}
+    label_id = {raw: label_ids.setdefault(label, len(label_ids)) for raw, label in parsed.items()}
+    label = np.fromiter(map(label_id.__getitem__, label_col), np.int64, n)
+
+    order = np.lexsort((times, dims, series))
+    s, d, t = series[order], dims[order], times[order]
+    series_start = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    first_row = np.minimum.reduceat(order, series_start)
+    conflict = label != label[first_row][series]
+    duplicate = np.zeros(n, dtype=bool)
+    duplicate[order[1:][(s[1:] == s[:-1]) & (d[1:] == d[:-1]) & (t[1:] == t[:-1])]] = True
+    if (conflict | duplicate).any():
+        r = int(np.argmax(conflict | duplicate))
+        lineno = D._lineno(text, r)
+        sid = names[series[r]]
+        if conflict[r]:
+            raise IntegrityError(
+                f"{path.name}:{lineno}: series {sid!r} has conflicting labels "
+                f"{parsed[label_col[first_row[series[r]]]]!r} and {parsed[label_col[r]]!r}"
+            )
+        raise IntegrityError(f"{path.name}:{lineno}: duplicate entry for series {sid!r} "
+                             f"dim {dims[r]} t {times[r]}")
+
+    group = np.flatnonzero(np.r_[True, (s[1:] != s[:-1]) | (d[1:] != d[:-1])])
+    length = np.diff(np.r_[group, n])
+    contiguous = np.logical_and.reduceat(t == np.arange(n) - np.repeat(group, length), group)
+    all_dims = np.unique(d)
+    series_group = np.searchsorted(group, series_start)
+    bounds = np.r_[series_group, len(group)]
+    sound = ((np.diff(bounds) == len(all_dims))
+             & np.logical_and.reduceat(contiguous, series_group)
+             & (np.minimum.reduceat(length, series_group)
+                == np.maximum.reduceat(length, series_group)))
+    if not sound.all():
+        k = int(np.argmin(sound))
+        own = slice(bounds[k], bounds[k + 1])
+        raise D._series_fault(f"{path.name}: series {names[k]!r}",
+                              dict(zip(d[group[own]].tolist(), contiguous[own].tolist())),
+                              all_dims.tolist())
+
+    raws = [block.reshape(len(all_dims), -1).T
+            for block in np.split(values[order], series_start[1:])]
+    return raws, [parsed[label_col[r]] for r in first_row], names, all_dims.tolist()
+
+
+def interp_columns(series, target):
+    """``series`` [T, M] resampled column by column with ``np.interp`` on the grid 0..T-1."""
+    T = series.shape[0]
+    positions = np.linspace(0.0, T - 1.0, target)
+    grid = np.arange(T, dtype=np.float64)
+    return np.stack([np.interp(positions, grid, series[:, m])
+                     for m in range(series.shape[1])], axis=1)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+FAULTY_TOKENS = ["x", "", "1.5", "1e3", str(2 ** 63), str(-2 ** 63 - 1), "nan", "-inf", "oops"]
+
+
+def int_token(draw, k: int) -> str:
+    """``k`` as one of the spellings ``int`` reads."""
+    text = str(k)
+    return draw(st.sampled_from([text, f" {text}", f"{text} ", f"+{text}", f"0{text}",
+                                 "_".join(text), text.translate(ARABIC_INDIC)]))
+
+
+def value_token(draw, v: float) -> str:
+    """``v`` as one of the spellings ``float`` reads."""
+    return draw(st.sampled_from([repr(v), f" {v!r}", f"{v:.3f}", f"+{abs(v)!r}",
+                                 "_".join(str(int(abs(v)))), "-0.0"]))
+
+
+class TestBulkReader:
+    """``data._read_long`` against ``reference_read_long``: the same arrays, labels,
+    names and dimension ids, or the same error and message."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_row_reader(self, tmp_path_factory, data):
+        draw = data.draw
+        dims = draw(st.integers(1, 3))
+        labels = draw(st.sampled_from([["a", " b", "c "], ["1", "2.5", "+1", " 3"]]))
+        rows = []
+        for i in range(draw(st.integers(1, 4))):
+            label = draw(st.sampled_from(labels))
+            for t in range(draw(st.integers(1, 12))):
+                for m in range(dims):
+                    rows.append([f"s{i}", int_token(draw, m), int_token(draw, t),
+                                 value_token(draw, t - 0.5 * m), label])
+        fault = draw(st.sampled_from(["none", "none", "token", "short", "long", "repeat",
+                                      "drop", "label", "break"]))
+        r = draw(st.integers(0, len(rows) - 1))
+        if fault == "token":
+            rows[r][draw(st.integers(1, 3))] = draw(st.sampled_from(FAULTY_TOKENS))
+        elif fault in ("short", "long"):
+            rows[r] = rows[r][:-1] if fault == "short" else rows[r] + ["x"]
+        elif fault == "repeat":
+            rows.append(list(rows[r]))
+        elif fault == "drop" and len(rows) > 1:
+            del rows[r]
+        elif fault == "label":
+            rows[r][4] = draw(st.sampled_from(["a", "1", "z"]))
+        elif fault == "break":  # a line boundary inside a label, which ends its line
+            rows[r][4] = draw(st.sampled_from(D.LINE_BREAKS)).join([rows[r][4]] * 2)
+        lines = [",".join(row) for row in draw(st.permutations(rows))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 4]))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+        # every line boundary of str.splitlines, and a last line with or without one
+        brk = draw(st.sampled_from(["\n"] * 10 + ["\r\n", *D.LINE_BREAKS]))
+        text = brk.join([LONG_HEADER.strip()] + lines) + draw(st.sampled_from([brk, ""]))
+        path = tmp_path_factory.mktemp("bulk") / "f.csv"
+        path.write_bytes(text.encode())
+        outcomes = []
+        for read in (reference_read_long, D._read_long):
+            try:
+                outcomes.append(read(path))
+            except (DataFormatError, IntegrityError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        expected, got = outcomes
+        if isinstance(expected[0], type):
+            assert got == expected
+            return
+        assert [(r.shape, r.tobytes()) for r in got[0]] == [
+            (r.shape, r.tobytes()) for r in expected[0]]
+        assert got[1:] == expected[1:]
+        lengths = [r.shape[0] for r in expected[0]]
+        if min(lengths) > 1 or max(lengths) == 1:
+            target = max(lengths)
+            X = np.stack([r if r.shape[0] == target else interp_columns(r, target)
+                          for r in expected[0]])
+            assert D.load_single(path).X.tobytes() == X.tobytes()
+
+    def test_a_line_short_a_field_before_one_long_a_field_is_refused(self, tmp_path):
+        # the right token count, and read six at a time every field would parse
+        rows = ["s1,0,0,0.1,a", "s1,0,1,0.2", "a,s1,0,2,0.3,a", "s1,0,3,0.4,a"]
+        path = write(tmp_path, "f.csv", LONG_HEADER + "\n".join(rows) + "\n")
+        for read in (reference_read_long, D._read_long):
+            with pytest.raises(DataFormatError) as info:
+                read(path)
+            assert str(info.value) == "f.csv:3: expected 5 fields, got 4"
+
+
 class TestNotUtf8:
     @pytest.mark.parametrize("name, text", [
         ("u.txt", b"1,0.0,1.0\n2,1.0,0.0\n1,0.5,0.%s5\n"),
@@ -382,6 +581,42 @@ class TestInterpolation:
         for m in range(2):
             assert out[:, m].min() >= series[:, m].min() - 1e-12
             assert out[:, m].max() <= series[:, m].max() + 1e-12
+
+
+SAMPLES = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.builds(lambda sign, v: sign * v, st.sampled_from([1.0, -1.0]),
+              st.floats(1e-300, 1e300)))
+
+
+class TestResample:
+    """``_resample``, through ``linear_interpolate`` and ``window_warp``, against
+    ``np.interp`` column by column: the same bytes, overflowing slopes, signed
+    zeros, infinities and NaNs included, and no warning."""
+
+    @given(data=st.data(), T=st.integers(2, 64), M=st.integers(1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_interp_byte_for_byte(self, data, T, M):
+        series = np.array(data.draw(st.lists(SAMPLES, min_size=2 * T * M,
+                                             max_size=2 * T * M))).reshape(2, T, M)
+        target = data.draw(st.sampled_from([2, T - 1, T, T + 1, 2 * T - 1, 3 * T + 1])
+                           | st.integers(2, 3 * T + 1))
+        target = max(target, 2)
+        expected = np.stack([interp_columns(x, target) for x in series])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warped = D.window_warp(series, target / T)
+            assert warped.tobytes() == expected.tobytes()
+            for x, y in zip(series, expected):
+                assert D.window_warp(x, target / T).tobytes() == y.tobytes()
+                if target >= T:
+                    assert D.linear_interpolate(x, target).tobytes() == y.tobytes()
+
+    def test_nan_fallback_takes_np_interps_second_try(self):
+        series = np.array([0.0, np.inf, 1.0, np.nan, 2.0])[:, None]
+        out = D.linear_interpolate(series, 9)
+        assert out.tobytes() == interp_columns(series, 9).tobytes()
+        assert out[3, 0] == np.inf  # from the left, (1 - inf) * 0.5 + inf is nan
 
 
 class TestWarp:

@@ -101,14 +101,14 @@ def test_one_tree_trained_twice_writes_the_same_files(tmp_path):
         "results.csv"]
 
 
-def mutant_tree(tmp_path, exact, replacement):
-    """A copy of ``src`` whose ``layers.py`` has its one ``exact`` text replaced."""
+def mutant_tree(tmp_path, exact, replacement, module="layers.py"):
+    """A copy of ``src`` whose ``module`` has its one ``exact`` text replaced."""
     mutant = tmp_path / "mutant" / "src"
     shutil.copytree(SCRIPT.parents[1] / "src", mutant,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    layers = mutant / "tsclab" / "layers.py"
-    assert layers.read_text().count(exact) == 1
-    layers.write_text(layers.read_text().replace(exact, replacement))
+    source = mutant / "tsclab" / module
+    assert source.read_text().count(exact) == 1
+    source.write_text(source.read_text().replace(exact, replacement))
     return mutant
 
 
@@ -151,3 +151,22 @@ def test_a_one_ulp_change_to_an_infer_kernel_is_named_in_every_posterior_file(tm
         f"differs: posteriors/{pair}/mlp/Synth_mlp_seed{seed}.f64"
         for pair, seeds in (("long", (2, 3)), ("ucr", (1, 2))) for seed in seeds]
     assert not [line for line in lines if ".model.bin" in line]
+
+
+def test_a_one_ulp_change_to_the_resampling_is_named_in_the_loaded_splits(tmp_path, capsys):
+    # a tree whose interpolation between grid points moves one ulp up: the
+    # long-format pair's series of other lengths than the longest are
+    # resampled, the UCR pair's are not, and labels never are
+    src = SCRIPT.parents[1] / "src"
+    mutant = mutant_tree(
+        tmp_path, "        out = slope * (x - j)[:, None] + lo\n",
+        "        out = np.nextafter(slope * (x - j)[:, None] + lo, np.inf)\n", "data.py")
+    pairs = same_outputs.write_pairs(tmp_path / "inputs", (1, 2))
+    for side, tree in (("parent", src), ("change", mutant)):
+        assert same_outputs.run_posteriors(tree, tmp_path / side, pairs)
+    capsys.readouterr()
+    assert same_outputs.report(tmp_path / "parent", tmp_path / "change") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: loaded/long/test_X.f64", "differs: loaded/long/train_X.f64"]
+    assert sorted(p.name for p in (tmp_path / "parent" / "loaded" / "ucr").iterdir()) == [
+        "test_X.f64", "test_Y.f64", "train_X.f64", "train_Y.f64"]
