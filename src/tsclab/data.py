@@ -27,7 +27,6 @@ from .errors import DataFormatError, IntegrityError, VocabularyError
 from .tensor import SplitMix64
 
 MTS_HEADER = "series_id,dimension,timestamp,value,label"
-LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' others than "\n"
 
 
 @dataclass
@@ -160,11 +159,9 @@ def _read_long(path):
     The file is read once and checked column by column.  The rows are split
     into tokens in one pass, with a lone ``"\\n"`` token between rows
     (``_split_rows``): n rows of 5 fields each give 6n - 1 tokens with every
-    sixth a ``"\\n"``, and no other n rows do.  The text after the header is
-    split as it is when ``"\\n"`` is its only line break; when that split
-    fails (a blank line, a faulty line) or the text has other line breaks,
-    the rows are the non-blank lines of ``str.splitlines``, and a file whose
-    rows fail the split too is refused.  ``dimension`` and ``timestamp`` are
+    sixth a ``"\\n"``, and no other n rows do.  The rows are the non-blank
+    lines after the header, by ``str.splitlines``; a file whose rows fail
+    the split is refused.  ``dimension`` and ``timestamp`` are
     parsed with ``int``, and series ids and labels numbered, once per
     distinct token (``_codes``); ``value`` is parsed with ``float`` per row.
     The integrity checks run on a sort by (series, dimension, timestamp).
@@ -186,20 +183,7 @@ def _read_long(path):
     """
     path = Path(path)
     text = read_text(path)
-    header, _, body = text.partition("\n")
-    tokens = (None if any(map(text.__contains__, LINE_BREAKS))
-              else _split_rows(body.removesuffix("\n")))
-    if tokens is None:  # other line breaks, a blank line or a faulty one: by lines
-        lines = text.splitlines()
-        header = lines[0] if lines else ""
-        body = "\n".join(filter(str.strip, lines[1:]))
-    if header.strip() != MTS_HEADER:
-        raise DataFormatError(f"{path.name}: expected header {MTS_HEADER!r}")
-    if not body:
-        raise DataFormatError(f"{path.name}: no data rows")
-    if tokens is None and (tokens := _split_rows(body)) is None:
-        raise _bad_row(path, text)
-    n = len(tokens) // 6 + 1
+    tokens, n = _split_rows(path, text)
     try:
         dims, times = _codes(tokens[1::6], int), _codes(tokens[2::6], int)
         values = np.fromiter(map(float, tokens[3::6]), np.float64, n)
@@ -269,13 +253,20 @@ def _read_long(path):
     return raws, [parsed[label_col[r]] for r in first_row], names, all_dims.tolist()
 
 
-def _split_rows(rows: str) -> list | None:
-    """The fields of ``rows`` (rows joined by "\\n") with a lone "\\n" token between
-    rows, or None unless each row has 5 fields: n rows of 5 fields give 6n - 1
-    tokens with every sixth the "\\n" that ended a row."""
-    n = rows.count("\n") + 1
-    tokens = rows.replace("\n", ",\n,").split(",")
-    return tokens if len(tokens) == 6 * n - 1 and tokens[5::6].count("\n") == n - 1 else None
+def _split_rows(path, text: str) -> tuple[list, int]:
+    """The fields of the n data rows of a long-format ``text``, with a lone "\\n"
+    token between rows, and n.  Since no row of ``str.splitlines`` holds a "\\n",
+    n rows of 5 fields give 6n - 1 tokens with every sixth a "\\n", and no other
+    n rows do.  The rows' own strings are freed on return."""
+    lines = text.splitlines()
+    if (lines[0].strip() if lines else "") != MTS_HEADER:
+        raise DataFormatError(f"{path.name}: expected header {MTS_HEADER!r}")
+    if not (rows := list(filter(str.strip, lines[1:]))):
+        raise DataFormatError(f"{path.name}: no data rows")
+    tokens = ",\n,".join(rows).split(",")
+    if len(tokens) != 6 * len(rows) - 1 or tokens[5::6].count("\n") != len(rows) - 1:
+        raise _bad_row(path, text)
+    return tokens, len(rows)
 
 
 def _codes(column: list, f) -> np.ndarray:

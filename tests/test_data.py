@@ -444,6 +444,7 @@ def interp_columns(series, target):
                      for m in range(series.shape[1])], axis=1)
 
 
+LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' others than "\n"
 ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 FAULTY_TOKENS = ["x", "", "1.5", "1e3", str(2 ** 63), str(-2 ** 63 - 1), "nan", "-inf", "oops"]
 
@@ -492,12 +493,12 @@ class TestBulkReader:
         elif fault == "label":
             rows[r][4] = draw(st.sampled_from(["a", "1", "z"]))
         elif fault == "break":  # a line boundary inside a label, which ends its line
-            rows[r][4] = draw(st.sampled_from(D.LINE_BREAKS)).join([rows[r][4]] * 2)
+            rows[r][4] = draw(st.sampled_from(LINE_BREAKS)).join([rows[r][4]] * 2)
         lines = [",".join(row) for row in draw(st.permutations(rows))]
         for _ in range(draw(st.sampled_from([0, 0, 0, 1, 4]))):
             lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
         # every line boundary of str.splitlines, and a last line with or without one
-        brk = draw(st.sampled_from(["\n"] * 10 + ["\r\n", *D.LINE_BREAKS]))
+        brk = draw(st.sampled_from(["\n"] * 10 + ["\r\n", *LINE_BREAKS]))
         text = brk.join([LONG_HEADER.strip()] + lines) + draw(st.sampled_from([brk, ""]))
         path = tmp_path_factory.mktemp("bulk") / "f.csv"
         path.write_bytes(text.encode())
